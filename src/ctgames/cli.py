@@ -3,8 +3,9 @@
 Subcommands: solve | simulate | estimate | mc | diagnose | counterfactual.
 Every command is deterministic given its spec and seed: re-running writes
 byte-identical artifacts.  Exit codes: 0 on success, 2 on invalid
-configuration, 3 on numeric failure; stderr carries one JSON diagnostic
-line on error.
+configuration (including a game whose state chain is not irreducible), 3
+on any other package error (numeric failure); stderr carries one JSON
+diagnostic line on error.
 """
 
 import argparse
@@ -19,12 +20,7 @@ import numpy as np
 
 from .diagnostics import best_response_jacobian, stability_sweep
 from .equilibrium import value_function
-from .errors import (
-    ConvergenceError,
-    InvalidArgumentError,
-    NumericalError,
-    OptimizationError,
-)
+from .errors import CTGamesError, InvalidArgumentError, NotIrreducibleError
 from .estimate import ctnpl, init_ccp
 from .experiments import (
     ESTIMATOR_NAMES,
@@ -340,13 +336,11 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidArgumentError as err:
+    except CTGamesError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, NumericalError, OptimizationError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
+        if isinstance(err, (InvalidArgumentError, NotIrreducibleError)):
+            return EXIT_CONFIG
         return EXIT_NUMERIC
 
 

@@ -8,29 +8,34 @@ contracts locally when the spectral radius of (projector @ probability
 Jacobian) is below one; in single-agent models that Jacobian vanishes at
 the fixed point, so the loop always converges locally.
 
-Jacobians are central finite differences over the free probability
-coordinates (the action probability per (firm, state); the complementary
-continuation probability moves oppositely, respecting the simplex).  Where
-full (firm, choice, state) coordinates are required, free-coordinate rows
-are expanded with opposite signs for the two choices.
+Both Jacobians are exact, read off one `LinearizedPolicy` at the point, over
+the free probability coordinates (the action probability per (firm,
+state); the complementary continuation probability moves oppositely,
+respecting the simplex).  Where full (firm, choice, state) coordinates are
+required, free-coordinate rows are expanded with opposite signs for the
+two choices.  Central differences (`best_response_jacobian`) and power
+iteration (`_power_estimate`) are kept as the tests' independent oracles.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lu_solve
 from scipy.sparse import csr_matrix
 
 from . import game, markov
-from .equilibrium import aggregate_generator, best_response_map, check_ccp, solve_mpe
+from .equilibrium import (CCP_FLOOR, aggregate_generator, best_response_map, check_ccp,
+                          interior_softmax, solve_mpe)
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError
+from .estimate import LinearizedPolicy
 from .game import Theta
 
 DEFAULT_FD_STEP = 1e-6
 
 
 def best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=DEFAULT_FD_STEP):
-    """Finite-difference Jacobian of the best-response map.
+    """Finite-difference Jacobian of the best-response map (the exact route's oracle).
 
     With ``wrt='sigma'``: an (NK, NK) matrix of central differences of the
     action probabilities with respect to the free probability coordinates
@@ -81,21 +86,43 @@ def _expand_rows(free_rows, config):
     return full
 
 
-def _expand_ccp_jacobian(free_jac, config):
-    """Free (NK, NK) probability Jacobian to full (NJK, NJK) coordinates.
+def _policy_jacobians(theta, ccp, config):
+    """Best response and its exact free-coordinate Jacobians at ``(theta, ccp)``.
 
-    Output rows carry opposite signs for the two choices; input columns for
-    the continuation choice are zero (a simplex-tangent perturbation is
-    identified by its action component).
+    Returns ``(br, ccp_jac, theta_jac)``: the (N, J, K) best response and
+    the (NK, NK) probability and (NK, P) parameter Jacobians laid out as in
+    `best_response_jacobian`.  With ``s_ik = br_i1k br_i0k``, ``w`` the
+    policy's choice-value weights and ``X`` the inverse of the policy
+    system matrix,
+
+    - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``;
+    - ``ccp_jac[(i, k'), (m, k)] = s_ik' (X[l_i(k'), k] - X[k', k]) lam
+      [delta_im (psi_i1k - psi_i0k - ln ccp_i1k + ln ccp_i0k)
+      - (V_i[k] - V_i[l_m(k)])]``, because ``ccp_m1k`` enters the value
+      equation only in row k (through the system matrix and, for m = i,
+      the expected choice payoff).
     """
-    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
-    rows = _expand_rows(free_jac, config)
-    full = np.zeros((n * j_total * k_total, n * j_total * k_total))
-    for m in range(n):
-        cols = slice(m * k_total, (m + 1) * k_total)
-        action_cols = slice((m * j_total + 1) * k_total, (m * j_total + 2) * k_total)
-        full[:, action_cols] = rows[:, cols]
-    return full
+    ccp = check_ccp(ccp, config)
+    n, k_total = config.n_players, config.n_states
+    toggle = game.state_tables(config).toggle
+    policy = LinearizedPolicy(ccp, config)
+    choice_values = policy.weights @ theta.as_vector() + policy.offsets  # (N, J, K)
+    br = interior_softmax(choice_values, axis=1)
+    slope = br[:, 1] * br[:, 0]
+    theta_jac = slope[:, :, None] * (policy.weights[:, 1] - policy.weights[:, 0])
+
+    values = choice_values[:, 0]  # choice 0 stays in place and pays nothing
+    psi = game.instant_payoffs(theta, config)
+    logs = np.log(np.clip(ccp, CCP_FLOOR, 1.0 - CCP_FLOOR))
+    coef = values[:, toggle] - values[:, None, :]  # [i, m, k]: V_i[l_m(k)] - V_i[k]
+    players = np.arange(n)
+    coef[players, players] += psi[:, 1] - psi[:, 0] - logs[:, 1] + logs[:, 0]
+    coef *= config.lam
+    inverse = lu_solve(policy.factor, np.eye(k_total))
+    gap = inverse[toggle] - inverse  # [i, k', k]: X[l_i(k'), k] - X[k', k]
+    ccp_jac = slope[:, :, None, None] * gap[:, :, None, :] * coef[:, None]
+    rows = n * k_total
+    return br, ccp_jac.reshape(rows, rows), theta_jac.reshape(rows, -1)
 
 
 class StabilityObjects(NamedTuple):
@@ -109,38 +136,34 @@ class StabilityObjects(NamedTuple):
       I - J_theta (J_theta' W J_theta)^-1 J_theta' W
       that kills the parameter directions of the best-response map.
     - ``theta_jacobian``: (NJK, P) full-coordinate parameter Jacobian.
+    - ``ccp_jacobian``: (NK, NK) free-coordinate probability Jacobian.
     """
 
     selector: csr_matrix
     weight: np.ndarray
     annihilator: np.ndarray
     theta_jacobian: np.ndarray
+    ccp_jacobian: np.ndarray
 
 
-def stability_objects(theta, ccp, config, delta=None, fd_step=DEFAULT_FD_STEP):
-    """Assemble the selector, weight, and annihilator at ``(theta, ccp)``.
+def stability_objects(theta, ccp, config, delta=None):
+    """Assemble the selector, weight, annihilator and exact Jacobians at ``(theta, ccp)``.
 
     The weight uses the transition matrix at the best response to
     ``(theta, ccp)`` over one sampling interval; every transition
     probability the selector touches must be positive (guaranteed for an
     irreducible chain).
     """
-    ccp = check_ccp(ccp, config)
     n, j_total, k_total = config.n_players, config.n_choices, config.n_states
     delta = config.delta if delta is None else delta
-    tables = game.state_tables(config)
 
     rows = n * j_total * k_total
-    cols = np.empty(rows, dtype=np.int64)
-    for i in range(n):
-        for j in range(j_total):
-            dest = np.arange(k_total) if j == 0 else tables.toggle[i]
-            base = (i * j_total + j) * k_total
-            cols[base:base + k_total] = np.arange(k_total) * k_total + dest
+    dest = game.state_tables(config).continuation
+    cols = (np.arange(k_total) * k_total + dest).reshape(-1)
     selector = csr_matrix((np.ones(rows), (np.arange(rows), cols)),
                           shape=(rows, k_total * k_total))
 
-    br = best_response_map(theta, ccp, config)
+    br, ccp_jac, theta_free = _policy_jacobians(theta, ccp, config)
     p_matrix = markov.transition_matrix(aggregate_generator(br, config), delta)
     p_vec = p_matrix.reshape(-1)
     touched = p_vec[cols]
@@ -151,17 +174,15 @@ def stability_objects(theta, ccp, config, delta=None, fd_step=DEFAULT_FD_STEP):
     inv[cols] = 1.0 / p_vec[cols]
     weight = (selector.multiply(inv[None, :]) @ selector.T).toarray()
 
-    theta_jac = _expand_rows(best_response_jacobian(theta, ccp, config,
-                                                    wrt="theta", fd_step=fd_step),
-                             config)
+    theta_jac = _expand_rows(theta_free, config)
     gram = theta_jac.T @ weight @ theta_jac
     rank = np.linalg.matrix_rank(gram)
     if rank < gram.shape[0]:
         raise NumericalError(
             f"parameter-direction Gram matrix is singular (rank {rank} of {gram.shape[0]})")
     annihilator = np.eye(rows) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
-    return StabilityObjects(selector=selector, weight=weight,
-                            annihilator=annihilator, theta_jacobian=theta_jac)
+    return StabilityObjects(selector=selector, weight=weight, annihilator=annihilator,
+                            theta_jacobian=theta_jac, ccp_jacobian=ccp_jac)
 
 
 def _dominant_pair_estimate(matrix, vec):
@@ -188,7 +209,7 @@ def _dominant_pair_estimate(matrix, vec):
 
 
 def _power_estimate(matrix, restarts, tol, max_iter, seed):
-    """Power iteration with a two-dimensional Krylov readout per step."""
+    """Power iteration with a two-dimensional Krylov readout per step (test oracle)."""
     dim = matrix.shape[0]
     scale = np.abs(matrix).max()
     rng = np.random.default_rng(seed)
@@ -216,31 +237,14 @@ def _power_estimate(matrix, restarts, tol, max_iter, seed):
     return best, any_converged
 
 
-def spectral_radius(matrix, restarts=20, tol=1e-10, max_iter=50000, seed=0):
-    """Largest absolute eigenvalue.
-
-    Power iteration with random restarts (a two-dimensional Krylov readout
-    resolves +/- and complex dominant pairs); for matrices small enough to
-    factor densely (dimension <= 2000) the estimate is cross-checked
-    against LAPACK eigenvalues and the dense value is returned.  A
-    disagreement beyond tolerance raises `NumericalError` (a numeric bug,
-    not an unlucky start).
-    """
+def spectral_radius(matrix):
+    """Largest absolute eigenvalue, from the dense LAPACK spectrum."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidArgumentError("spectral radius requires a square matrix")
     if not np.any(matrix):
         return 0.0
-
-    best, converged = _power_estimate(matrix, restarts, tol, max_iter, seed)
-    if matrix.shape[0] <= 2000:
-        dense = float(np.abs(np.linalg.eigvals(matrix)).max())
-        slack = max(1e-6 * dense, 1e-8) if converged else 0.05 * max(dense, 1.0)
-        if abs(best - dense) > slack:
-            raise NumericalError(
-                f"power iteration ({best:g}) disagrees with dense spectrum ({dense:g})")
-        return dense
-    return best
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
 @dataclass(frozen=True)
@@ -257,31 +261,32 @@ class StabilityReport:
     rho_best_response: float
     rho_npl_update: float
     jacobian_dim: int
-    fd_step: float
     norm_bound: float
 
 
-def stability_report(theta, ccp, config, fd_step=DEFAULT_FD_STEP):
+def stability_report(theta, ccp, config):
     """Compute both spectral radii at ``(theta, ccp)``."""
-    free_jac = best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=fd_step)
-    rho_br = spectral_radius(free_jac)
-    objects = stability_objects(theta, ccp, config, fd_step=fd_step)
-    full_jac = _expand_ccp_jacobian(free_jac, config)
-    npl_map = objects.annihilator @ full_jac
-    rho_npl = spectral_radius(npl_map)
+    objects = stability_objects(theta, ccp, config)
+    jac = objects.ccp_jacobian
+    rho_br = spectral_radius(jac)
+    # The projected map annihilator @ J acts on full coordinates, but J's
+    # columns for the continuation choices are zero (a simplex-tangent
+    # perturbation is identified by its action component), so its spectrum
+    # is that of the action block plus zeros.
+    expanded = _expand_rows(jac, config)
+    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
+    action = np.arange(n * j_total * k_total).reshape(n, j_total, k_total)[:, 1].reshape(-1)
+    rho_npl = spectral_radius(objects.annihilator[action] @ expanded)
     bound = float(np.linalg.norm(objects.annihilator, "fro")
-                  * np.linalg.norm(full_jac, "fro"))
+                  * np.linalg.norm(expanded, "fro"))
     if rho_npl > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(
             f"spectral radius {rho_npl:g} exceeds its norm bound {bound:g}")
-    return StabilityReport(rho_best_response=float(rho_br),
-                           rho_npl_update=float(rho_npl),
-                           jacobian_dim=free_jac.shape[0], fd_step=fd_step,
-                           norm_bound=bound)
+    return StabilityReport(rho_best_response=rho_br, rho_npl_update=rho_npl,
+                           jacobian_dim=jac.shape[0], norm_bound=bound)
 
 
-def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10,
-                    fd_step=DEFAULT_FD_STEP):
+def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10):
     """Equilibrium stability along a grid of competition-effect values.
 
     For each value on the grid: solve the equilibrium (retrying with
@@ -315,13 +320,10 @@ def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10,
                     continue
             if result is None:
                 raise ConvergenceError("equilibrium solver failed at all dampings")
-            jac = best_response_jacobian(theta, result.ccp, config,
-                                         wrt="sigma", fd_step=fd_step)
-            objects = stability_objects(theta, result.ccp, config, fd_step=fd_step)
-            npl_map = objects.annihilator @ _expand_ccp_jacobian(jac, config)
+            report = stability_report(theta, result.ccp, config)
             pi = markov.stationary_distribution(aggregate_generator(result.ccp, config))
-            row["rho"] = spectral_radius(npl_map)
-            row["rho_br"] = spectral_radius(jac)
+            row["rho"] = report.rho_npl_update
+            row["rho_br"] = report.rho_best_response
             row["avg_active"] = float(pi @ n_active)
             row["iterations"] = result.iterations
         except (ConvergenceError, NumericalError, InvalidArgumentError) as err:

@@ -52,25 +52,6 @@ def interior_softmax(values, axis=0):
     return probs
 
 
-def choice_generator(i, sigma_i, config, lam=None):
-    """Intensity matrix of state changes driven by firm ``i``'s actions.
-
-    Row k has rate ``lam * sigma_i[j, k]`` toward the continuation state of
-    each state-changing choice j >= 1 and the negative total on the
-    diagonal; choice 0 keeps the state and contributes no rate.
-    """
-    lam = config.lam if lam is None else lam
-    sigma_i = np.asarray(sigma_i, dtype=float)
-    k_total = config.n_states
-    tables = game.state_tables(config)
-    q = np.zeros((k_total, k_total))
-    ks = np.arange(k_total)
-    rates = lam * sigma_i[1]
-    q[ks, tables.toggle[i]] += rates
-    q[ks, ks] -= rates
-    return q
-
-
 def aggregate_generator(ccp, config):
     """Total intensity matrix: nature plus every firm's choice-driven rates."""
     q = game.nature_generator(config)
@@ -103,36 +84,43 @@ def expected_instant_payoffs(theta, ccp, config):
 
 
 def _policy_system_matrix(ccp, config):
-    """The K x K matrix inverted by the value solve, shared by all players.
+    """The K x K matrix ``rho I - Q(ccp)`` inverted by the value solve.
 
-    Equals ``(rho + N lam) I - lam * sum_m S_m - Q0`` where ``S_m`` is the
-    row-stochastic jump matrix implied by firm m's choice probabilities;
-    strictly diagonally dominant for rho > 0, hence nonsingular.
+    Shared by all players; strictly diagonally dominant for rho > 0, hence
+    nonsingular.
     """
-    k_total = config.n_states
-    tables = game.state_tables(config)
-    ks = np.arange(k_total)
-    xi = -game.nature_generator(config)
-    xi[ks, ks] += config.rho
-    for m in range(config.n_players):
-        rates = config.lam * ccp[m, 1]
-        xi[ks, tables.toggle[m]] -= rates
-        xi[ks, ks] += rates
+    xi = -aggregate_generator(ccp, config)
+    xi[np.diag_indices_from(xi)] += config.rho
     return xi
+
+
+def _value_equation(ccp, config):
+    """Right-hand side of the value equation, affine in theta at fixed ``ccp``.
+
+    Returns ``(design, offset)`` of shapes (N, K, P) and (N, K) such that
+    ``design @ theta_vector + offset`` is ``u_i + lam E_i`` per player: the
+    flow payoff is linear in theta through its design rows, and the
+    expected choice payoff splits into an entry-cost term linear in theta
+    plus the known entropy term ``sum_j ccp_ijk (euler_gamma - ln ccp_ijk)``.
+    """
+    design = game.flow_design_rows(config)
+    design[:, :, -1] += config.lam * (ccp * game.entry_design(config)).sum(axis=1)
+    logs = np.log(np.clip(ccp, CCP_FLOOR, 1.0 - CCP_FLOOR))
+    offset = config.lam * (ccp * (EULER_GAMMA - logs)).sum(axis=1)
+    return design, offset
 
 
 def value_function(theta, ccp, config):
     """Policy values: solve the linear system for each player's (K,) value vector.
 
     Returns an (N, K) array ``V`` with ``V[i]`` solving
-    ``[(rho + N lam) I - lam sum_m S_m - Q0] V_i = u_i + lam E_i`` where
-    ``u_i`` is the flow payoff and ``E_i`` the expected choice payoff.
+    ``(rho I - Q(ccp)) V_i = u_i + lam E_i`` where ``u_i`` is the flow
+    payoff and ``E_i`` the expected choice payoff.
     """
     ccp = check_ccp(ccp, config)
-    xi = _policy_system_matrix(ccp, config)
-    rhs = (game.flow_payoffs(theta, config)
-           + config.lam * expected_instant_payoffs(theta, ccp, config))
-    return np.linalg.solve(xi, rhs.T).T
+    design, offset = _value_equation(ccp, config)
+    rhs = design @ theta.as_vector() + offset
+    return np.linalg.solve(_policy_system_matrix(ccp, config), rhs.T).T
 
 
 def best_response(theta, values, config):
@@ -144,12 +132,9 @@ def best_response(theta, values, config):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("best response requires finite values")
-    tables = game.state_tables(config)
-    psi = game.instant_payoffs(theta, config)
-    choice_values = np.empty_like(psi)
-    for i in range(config.n_players):
-        choice_values[i, 0] = values[i]
-        choice_values[i, 1] = psi[i, 1] + values[i, tables.toggle[i]]
+    dest = game.state_tables(config).continuation
+    players = np.arange(config.n_players)[:, None, None]
+    choice_values = game.instant_payoffs(theta, config) + values[players, dest]
     return interior_softmax(choice_values, axis=1)
 
 

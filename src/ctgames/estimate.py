@@ -6,10 +6,12 @@ values are exactly affine in the parameter vector, ``V_i = W_i @ theta +
 offset_i``: the system matrix depends only on those probabilities, the flow
 payoff is linear in theta through its design rows, and the expected choice
 payoff splits into an entry-cost term linear in theta plus a known entropy
-term.  `LinearizedPolicy` precomputes the affine map once per stage (one
-factorization, N + 4 solves) and reproduces the best-response map exactly
-at every theta; the likelihood is then maximized over theta by BFGS with
-central-difference gradients.
+term.  `LinearizedPolicy` solves the value equation that
+`equilibrium.value_function` uses, for all of its affine columns at once
+(one factorization, one multi-column solve per stage), and reproduces the
+best-response map exactly at every theta; the likelihood is then maximized
+over theta by BFGS with central-difference gradients.  The same object
+gives the exact Jacobians of the convergence diagnostics.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -23,9 +25,10 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import minimize
 
 from . import game
-from .equilibrium import CCP_FLOOR, check_ccp, interior_softmax
-from .errors import InvalidArgumentError, OptimizationError
-from .game import Theta
+from .equilibrium import _policy_system_matrix, _value_equation, check_ccp, interior_softmax
+from .errors import InvalidArgumentError, NumericalError, OptimizationError
+# flow_design_rows stays importable from here; the payoff design lives in game
+from .game import Theta, entry_design, flow_design_rows  # noqa: F401
 from .likelihood import SpellStats, discrete_loglik_from_counts, transition_counts
 from .simulate import EventLog, Panel
 
@@ -33,68 +36,34 @@ from .simulate import EventLog, Panel
 INIT_FLOOR = 1e-6
 
 
-def flow_design_rows(config):
-    """(N, K, P) design rows z with flow payoff u = z @ theta_vector.
-
-    Columns follow the parameter order (fc_1..fc_N, rs, rn, ec): an active
-    firm's row has 1 in its own fixed-cost slot, the demand level in the
-    rs slot and ``-ln(1 + rivals)`` in the rn slot; inactive firms' rows are
-    zero, and the ec slot never enters the flow.
-    """
-    n, k_total, p = config.n_players, config.n_states, config.n_players + 3
-    tables = game.state_tables(config)
-    active = tables.activity.T.astype(float)
-    rows = np.zeros((n, k_total, p))
-    for i in range(n):
-        rows[i, :, i] = active[i]
-    rows[:, :, n] = active * tables.demand[None, :]
-    rows[:, :, n + 1] = -active * np.log1p(tables.n_rivals)
-    return rows
-
-
-def entry_design(config):
-    """(N, J, K) coefficient of the entry cost in the choice payoff: -1 on entry."""
-    tables = game.state_tables(config)
-    z = np.zeros((config.n_players, config.n_choices, config.n_states))
-    z[:, 1, :] = -(1.0 - tables.activity.T)
-    return z
-
-
 class LinearizedPolicy:
     """Best-response probabilities as an exact function of theta.
 
     Built at fixed previous-stage probabilities ``ccp_prev``; `ccp(vec)`
     equals ``best_response_map(Theta.from_vector(vec), ccp_prev, config)``
-    for every parameter vector.
+    for every parameter vector.  ``weights @ vec + offsets`` are the (N, J, K)
+    choice values ``psi_ijk + V_i[l(i, j, k)]``, and ``factor`` holds the LU
+    factors of the policy system matrix at ``ccp_prev``.
     """
 
     def __init__(self, ccp_prev, config):
         ccp_prev = check_ccp(ccp_prev, config)
         self.config = config
         n, k_total = config.n_players, config.n_states
-        p = n + 3
-        tables = game.state_tables(config)
+        design, offset = _value_equation(ccp_prev, config)
+        p = design.shape[2]
 
-        from .equilibrium import _policy_system_matrix
+        self.factor = lu_factor(_policy_system_matrix(ccp_prev, config))
+        # one solve for every player's P weight columns and offset column
+        rhs = np.concatenate([design, offset[:, :, None]], axis=2)
+        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1))
+        solved = solved.reshape(k_total, n, p + 1).transpose(1, 0, 2)  # (N, K, P+1)
 
-        factor = lu_factor(_policy_system_matrix(ccp_prev, config))
-        z_flow = flow_design_rows(config)
-        z_entry = entry_design(config)
-        logs = np.log(np.clip(ccp_prev, CCP_FLOOR, 1 - CCP_FLOOR))
-        entropy = (ccp_prev * (np.euler_gamma - logs)).sum(axis=1)  # (N, K)
-
-        self.weights = np.empty((n, config.n_choices, k_total, p))
-        self.offsets = np.empty((n, config.n_choices, k_total))
-        for i in range(n):
-            rhs_w = z_flow[i].copy()
-            rhs_w[:, -1] += config.lam * (ccp_prev[i] * z_entry[i]).sum(axis=0)
-            value_w = lu_solve(factor, rhs_w)                        # (K, P)
-            value_c = lu_solve(factor, config.lam * entropy[i])      # (K,)
-            for j in range(config.n_choices):
-                dest = np.arange(k_total) if j == 0 else tables.toggle[i]
-                self.weights[i, j] = value_w[dest]
-                self.weights[i, j, :, -1] += z_entry[i, j]
-                self.offsets[i, j] = value_c[dest]
+        dest = game.state_tables(config).continuation
+        at_dest = solved[np.arange(n)[:, None, None], dest]             # (N, J, K, P+1)
+        self.weights = at_dest[..., :p].copy()
+        self.weights[..., -1] += entry_design(config)
+        self.offsets = at_dest[..., p].copy()
 
     def ccp(self, theta_vec):
         """Best-response probabilities at this parameter vector."""
@@ -110,6 +79,8 @@ class _PseudoLikelihood:
         self.policy = LinearizedPolicy(ccp_prev, config)
         if isinstance(data, EventLog):
             self.kind = "continuous"
+            if data.n_markets == 0:
+                raise InvalidArgumentError("event log holds no market")
             stats = SpellStats.from_events(data, config)
             self._exposure = stats.exposure
             self._moves = stats.moves
@@ -125,6 +96,8 @@ class _PseudoLikelihood:
         elif isinstance(data, Panel):
             self.kind = "discrete"
             self._counts, self._n_markets = transition_counts(data, config.n_states)
+            if not self._counts.any():
+                raise InvalidArgumentError("panel holds no consecutive transition")
         else:
             raise InvalidArgumentError(f"unsupported data type: {type(data)!r}")
 
@@ -212,6 +185,8 @@ def maximize_pseudo_likelihood(ccp_prev, data, config, theta_init=None,
     OptimizationError
         On eval-budget exhaustion or non-convergence; carries the best
         point visited and its gradient norm.
+    InvalidArgumentError
+        If a panel holds no consecutive transition or an event log no market.
     """
     init = None if theta_init is None else theta_init.as_vector()
     vec, _, _ = _maximize(ccp_prev, data, config, theta_init=init,
@@ -244,6 +219,8 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
 
     Trace entries record, per stage, the sup-norm changes in the
     probabilities and parameters and the attained pseudo log likelihood.
+    A stage whose pseudo log likelihood is not finite raises
+    `NumericalError` instead of being ranked.
     """
     if max_stages < 1:
         raise InvalidArgumentError("max_stages must be >= 1")
@@ -262,6 +239,8 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
             raise OptimizationError(
                 f"stage {stage}: {err}", best_point=err.best_point,
                 gradient_norm=err.gradient_norm) from err
+        if not np.isfinite(loglik):
+            raise NumericalError(f"stage {stage}: pseudo log likelihood is {loglik}")
         updated = policy.ccp(vec)
         sigma_delta = float(np.abs(updated - ccp).max())
         theta_delta = (np.inf if theta_prev is None

@@ -122,10 +122,11 @@ class Theta:
 class StateTables(NamedTuple):
     """Precomputed per-state lookups shared by solvers and simulators."""
 
-    demand: np.ndarray    # (K,) demand level, 1-based
-    activity: np.ndarray  # (K, N) activity bits
-    toggle: np.ndarray    # (N, K) continuation state when firm i toggles
-    n_rivals: np.ndarray  # (N, K) number of active rivals of firm i
+    demand: np.ndarray        # (K,) demand level, 1-based
+    activity: np.ndarray      # (K, N) activity bits
+    toggle: np.ndarray        # (N, K) continuation state when firm i toggles
+    n_rivals: np.ndarray      # (N, K) number of active rivals of firm i
+    continuation: np.ndarray  # (N, J, K) state reached by firm i's choice j in k
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +141,10 @@ def state_tables(config):
         toggle[i] = ks ^ (1 << i)
     active_total = bits.sum(axis=1)
     n_rivals = active_total[None, :] - bits.T
-    return StateTables(demand=demand, activity=bits, toggle=toggle, n_rivals=n_rivals)
+    # choice 0 continues in place, choice 1 toggles the firm's activity bit
+    continuation = np.stack([np.broadcast_to(ks, (n, k_total)), toggle], axis=1)
+    return StateTables(demand=demand, activity=bits, toggle=toggle, n_rivals=n_rivals,
+                       continuation=continuation)
 
 
 def encode_state(demand_level, activity, config):
@@ -178,9 +182,7 @@ def continuation_state(i, j, k, config):
         raise InvalidArgumentError(f"choice must be 0 or 1, got {j}")
     if not 0 <= k < config.n_states:
         raise InvalidArgumentError(f"state index out of range: {k}")
-    if j == 0:
-        return k
-    return int(state_tables(config).toggle[i, k])
+    return int(state_tables(config).continuation[i, j, k])
 
 
 def flow_payoff(theta, i, k, config):
@@ -198,14 +200,36 @@ def flow_payoff(theta, i, k, config):
             + theta.fc[i])
 
 
-def flow_payoffs(theta, config):
-    """All flow payoffs as an (N, K) array."""
+def flow_design_rows(config):
+    """(N, K, P) design rows z with flow payoff u = z @ theta_vector.
+
+    Columns follow the parameter order (fc_1..fc_N, rs, rn, ec): an active
+    firm's row has 1 in its own fixed-cost slot, the demand level in the
+    rs slot and ``-ln(1 + rivals)`` in the rn slot; inactive firms' rows are
+    zero, and the ec slot never enters the flow.
+    """
+    n, k_total, p = config.n_players, config.n_states, config.n_players + 3
     tables = state_tables(config)
-    fc = np.asarray(theta.fc)
-    profit = (theta.rs * tables.demand[None, :]
-              - theta.rn * np.log1p(tables.n_rivals)
-              + fc[:, None])
-    return profit * tables.activity.T
+    active = tables.activity.T.astype(float)
+    rows = np.zeros((n, k_total, p))
+    for i in range(n):
+        rows[i, :, i] = active[i]
+    rows[:, :, n] = active * tables.demand[None, :]
+    rows[:, :, n + 1] = -active * np.log1p(tables.n_rivals)
+    return rows
+
+
+def entry_design(config):
+    """(N, J, K) coefficient of the entry cost in the choice payoff: -1 on entry."""
+    tables = state_tables(config)
+    z = np.zeros((config.n_players, config.n_choices, config.n_states))
+    z[:, 1, :] = -(1.0 - tables.activity.T)
+    return z
+
+
+def flow_payoffs(theta, config):
+    """All flow payoffs as an (N, K) array: the flow design applied to theta."""
+    return flow_design_rows(config) @ theta.as_vector()
 
 
 def instant_payoff(theta, i, j, k, config):
@@ -217,10 +241,7 @@ def instant_payoff(theta, i, j, k, config):
 
 def instant_payoffs(theta, config):
     """All choice payoffs as an (N, J, K) array (nonzero only for entry)."""
-    tables = state_tables(config)
-    psi = np.zeros((config.n_players, config.n_choices, config.n_states))
-    psi[:, 1, :] = -theta.ec * (1 - tables.activity.T)
-    return psi
+    return theta.ec * entry_design(config)
 
 
 def nature_generator(config):

@@ -96,11 +96,11 @@ def continuous_loglik_from_stats(stats, hazards, n_markets):
     return player / n_markets, nature / n_markets, survival / n_markets
 
 
-def loglik_continuous_parts(theta, ccp, events, config):
+def loglik_continuous_parts(ccp, events, config):
     """Player, nature, and survival components of the event-data likelihood.
 
     Nature's rates are taken from the configuration (treated as known, not
-    estimated); ``theta`` influences the value only through the choice
+    estimated); the payoff parameters enter only through the choice
     probabilities supplied by the caller.
     """
     stats = SpellStats.from_events(events, config)
@@ -108,9 +108,9 @@ def loglik_continuous_parts(theta, ccp, events, config):
     return continuous_loglik_from_stats(stats, hazards, events.n_markets)
 
 
-def loglik_continuous(theta, ccp, events, config):
+def loglik_continuous(ccp, events, config):
     """Average log likelihood of an event log: survival + event-type terms."""
-    return float(sum(loglik_continuous_parts(theta, ccp, events, config)))
+    return float(sum(loglik_continuous_parts(ccp, events, config)))
 
 
 def transition_counts(panel, k_total):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctgames import GameConfig, Theta
+
+# Property tests draw the same examples on every run and never time out, so
+# tier-1 results repeat run to run; no example database is replayed.
+settings.register_profile("ctgames", derandomize=True, deadline=None, database=None)
+settings.load_profile("ctgames")
 
 # Benchmark nature rate: the one-period up/down probability of the
 # five-level demand matrix taken as the instantaneous rate.  This choice

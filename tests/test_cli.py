@@ -183,6 +183,23 @@ class TestExitCodes:
                        "--out", str(tmp_path))
         assert code == 3
 
+    def test_reducible_game_is_config_error(self, tmp_path, capsys):
+        # frozen demand (no nature moves across three levels) leaves the
+        # state chain reducible: the steady state is undefined
+        config = {
+            "game": {"n_players": 2, "market_levels": 3, "lambda": 1.0,
+                     "rho": 0.05, "q_up": 0.0, "q_down": 0.0},
+            "theta": {"fc": [-1.2, -0.9], "rs": 1.0, "rn": 1.0, "ec": 1.0},
+        }
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run_cli("solve", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NotIrreducibleError"
+
 
 class TestMcFailuresRecorded:
     def test_failures_are_recorded_not_raised(self, monkeypatch):

@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctgames import ConvergenceError, GameConfig, Theta, encode_state, nature_generator
+from ctgames import (
+    ConvergenceError,
+    GameConfig,
+    Theta,
+    continuation_state,
+    encode_state,
+    nature_generator,
+)
 from ctgames.equilibrium import (
     EULER_GAMMA,
     aggregate_generator,
     best_response,
     best_response_map,
     check_ccp,
-    choice_generator,
     expected_instant_payoff,
     expected_instant_payoffs,
     solve_mpe,
@@ -29,40 +37,58 @@ def single_agent_config(levels=1, **overrides):
     return GameConfig(**base)
 
 
+def per_firm_generator(ccp, config):
+    """Aggregate intensity matrix by an explicit loop over firms and states."""
+    q = nature_generator(config)
+    for i in range(config.n_players):
+        for k in range(config.n_states):
+            rate = config.lam * ccp[i, 1, k]
+            q[k, continuation_state(i, 1, k, config)] += rate
+            q[k, k] -= rate
+    return q
+
+
 class TestChoiceGenerator:
     def test_never_acting_gives_zero_matrix(self):
+        # no firm ever toggles: only nature moves the state
         config = desk_config()
-        sigma = np.zeros((2, config.n_states))
-        sigma[0] = 1.0
-        assert np.all(choice_generator(0, sigma, config) == 0)
+        ccp = np.zeros((config.n_players, 2, config.n_states))
+        ccp[:, 0] = 1.0
+        assert np.all(aggregate_generator(ccp, config) == nature_generator(config))
 
     def test_always_acting_unit_rates(self):
-        config = desk_config()
+        config = desk_config(q_up=0.0, q_down=0.0)
         tables = state_tables(config)
-        sigma = np.zeros((2, config.n_states))
-        sigma[1] = 1.0
-        q = choice_generator(1, sigma, config, lam=1.0)
+        ccp = np.zeros((config.n_players, 2, config.n_states))
+        ccp[:, 1] = 1.0
+        q = aggregate_generator(ccp, config)
         for k in range(config.n_states):
             row = q[k]
-            assert row[tables.toggle[1, k]] == 1.0
-            assert row[k] == -1.0
+            assert np.all(row[tables.toggle[:, k]] == 1.0)
+            assert row[k] == -config.n_players
+            assert np.count_nonzero(row) == config.n_players + 1
             assert row.sum() == 0.0
 
     def test_rows_sum_to_zero_for_random_ccp(self, rng):
         config = desk_config()
-        probs = rng.uniform(0.05, 0.95, size=config.n_states)
-        sigma = np.vstack([1 - probs, probs])
-        q = choice_generator(2, sigma, config)
+        probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
+        ccp = np.stack([1 - probs, probs], axis=1)
+        q = aggregate_generator(ccp, config)
         assert np.abs(q.sum(axis=1)).max() < 1e-15
 
-    def test_aggregate_generator_combines_nature_and_players(self, rng):
-        config = desk_config()
-        ccp = uniform_ccp(config)
+    @given(n_players=st.integers(1, 3), levels=st.integers(1, 3),
+           lam=st.floats(0.1, 3.0), q_up=st.floats(0.0, 1.0), q_down=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_aggregate_generator_combines_nature_and_players(
+            self, n_players, levels, lam, q_up, q_down, seed):
+        config = GameConfig(n_players=n_players, market_levels=levels, lam=lam,
+                            q_up=q_up, q_down=q_down)
+        probs = np.random.default_rng(seed).uniform(
+            0.05, 0.95, size=(n_players, config.n_states))
+        ccp = np.stack([1 - probs, probs], axis=1)
         q = aggregate_generator(ccp, config)
-        expected = nature_generator(config)
-        for i in range(config.n_players):
-            expected += choice_generator(i, ccp[i], config)
-        assert np.allclose(q, expected, atol=1e-15)
+        assert np.allclose(q, per_firm_generator(ccp, config), rtol=0, atol=1e-14)
 
 
 class TestExpectedInstantPayoff:

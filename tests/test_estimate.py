@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from ctgames import GameConfig, InvalidArgumentError, Theta, stationary_distribution
+from ctgames import (
+    GameConfig,
+    InvalidArgumentError,
+    NumericalError,
+    Theta,
+    stationary_distribution,
+)
 from ctgames.equilibrium import (
     aggregate_generator,
     best_response_map,
@@ -16,7 +22,7 @@ from ctgames.estimate import (
     maximize_pseudo_likelihood,
     rmse_relative,
 )
-from ctgames.game import flow_payoffs
+from ctgames.game import flow_payoff, instant_payoff
 from ctgames.likelihood import (
     SpellStats,
     continuous_loglik_from_stats,
@@ -24,7 +30,7 @@ from ctgames.likelihood import (
     hazard_profile,
 )
 from ctgames.markov import transition_matrix
-from ctgames.simulate import sample_discrete, simulate_continuous
+from ctgames.simulate import Panel, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
 
@@ -62,12 +68,19 @@ class TestLinearizedPolicy:
             assert np.abs(policy.ccp(vec) - direct).max() < 1e-10
 
     def test_flow_design_rows_reproduce_payoffs(self, desk_game):
-        from ctgames.estimate import flow_design_rows
+        # the vector payoffs are the designs applied to theta; the scalar
+        # forms are the independent oracle
+        from ctgames.estimate import entry_design, flow_design_rows
 
         config, theta, _ = desk_game
-        rows = flow_design_rows(config)
-        assert np.allclose(rows @ theta.as_vector(), flow_payoffs(theta, config),
-                           atol=1e-14)
+        flow = flow_design_rows(config) @ theta.as_vector()
+        entry = theta.ec * entry_design(config)
+        for i in range(config.n_players):
+            for k in range(config.n_states):
+                assert flow[i, k] == pytest.approx(flow_payoff(theta, i, k, config),
+                                                   abs=1e-14)
+                for j in range(config.n_choices):
+                    assert entry[i, j, k] == instant_payoff(theta, i, j, k, config)
 
 
 class TestScoreAtTruth:
@@ -208,8 +221,7 @@ class TestFastPathMatchesReference:
             # the public form evaluates at given probabilities; feed it the
             # best response the optimizer's objective uses internally
             br = pseudo.policy.ccp(vec)
-            reference = loglik_continuous(Theta.from_vector(vec, config.n_players),
-                                          br, log, config)
+            reference = loglik_continuous(br, log, config)
             assert pseudo.value(vec) == pytest.approx(reference, abs=1e-10)
 
 
@@ -303,6 +315,36 @@ class TestCtnpl:
         if result.converged:
             last = result.trace[-1]
             assert last["sigma_delta"] < 1e-6 and last["theta_delta"] < 1e-6
+
+
+    @pytest.mark.filterwarnings("ignore:loadtxt:UserWarning")
+    def test_data_without_transitions_rejected(self, mini_game, tmp_path):
+        # a header-only panel, a panel without consecutive snapshots and an
+        # event log without markets carry no likelihood information
+        config, _, ccp_star = mini_game
+        path = tmp_path / "panel.csv"
+        path.write_text("market_id,period,state\n")
+        unpaired = Panel(market_id=np.array([0, 1]), period=np.array([0, 0]),
+                         state=np.array([0, 3]))
+        no_markets = make_log(markets=[], horizon=[], final_state=[])
+        for data in (Panel.from_csv(path), unpaired, no_markets):
+            with pytest.raises(InvalidArgumentError):
+                ctnpl(data, config, ccp_star)
+
+    def test_non_finite_stage_loglik_raises(self, mini_game, monkeypatch):
+        from ctgames import estimate as estimate_mod
+
+        config, theta, ccp_star = mini_game
+        panel = sample_discrete(theta, ccp_star, config, 50, periods=1, seed=61)
+        original = estimate_mod._maximize
+
+        def nan_loglik(*args, **kwargs):
+            vec, _, policy = original(*args, **kwargs)
+            return vec, np.nan, policy
+
+        monkeypatch.setattr(estimate_mod, "_maximize", nan_loglik)
+        with pytest.raises(NumericalError):
+            ctnpl(panel, config, ccp_star)
 
 
 class TestRmseRelative:

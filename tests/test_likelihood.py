@@ -44,30 +44,30 @@ def two_firm_game():
 
 class TestContinuous:
     def test_empty_log_is_zero(self, two_firm_game):
-        config, theta = two_firm_game
+        config, _ = two_firm_game
         log = make_log(markets=[0], horizon=[0.0], final_state=[0])
-        assert loglik_continuous(theta, uniform_ccp(config), log, config) == 0.0
+        assert loglik_continuous(uniform_ccp(config), log, config) == 0.0
 
     def test_pure_survival_spell(self, two_firm_game):
-        config, theta = two_firm_game
+        config, _ = two_firm_game
         ccp = uniform_ccp(config)
         k, tau = 2, 1.7
         log = make_log(markets=[0], horizon=[tau], final_state=[k])
         hazards = hazard_profile(ccp, config)
         expected = -tau * hazards.total[k]
-        assert loglik_continuous(theta, ccp, log, config) == pytest.approx(expected)
+        assert loglik_continuous(ccp, log, config) == pytest.approx(expected)
 
     def test_single_action_hand_value(self, two_firm_game):
         # Total hazard 1.4 = nature 0.3 + firm moves 0.4 + 0.7; firm 0 acts
         # at tau = 0.5: loglik = -0.5 * 1.4 + ln(0.4).
-        config, theta = two_firm_game
+        config, _ = two_firm_game
         ccp = np.zeros((2, 2, config.n_states))
         ccp[0, 1], ccp[1, 1] = 0.4, 0.7
         ccp[:, 0] = 1 - ccp[:, 1]
         k = 0  # demand level 1: only q_up = 0.3 active
         log = make_log(markets=[0], horizon=[0.5], final_state=[1],
                        events=[(0, 1, k, 0.5, 0, 1)])
-        value = loglik_continuous(theta, ccp, log, config)
+        value = loglik_continuous(ccp, log, config)
         assert value == pytest.approx(-0.5 * 1.4 + math.log(0.4), abs=1e-12)
 
     def test_decomposition_and_parts(self, two_firm_game):
@@ -75,8 +75,8 @@ class TestContinuous:
         mpe = solve_mpe(theta, config, tol=1e-12)
         log = simulate_continuous(theta, mpe.ccp, config, 40, seed=3,
                                   events_per_market=5)
-        parts = loglik_continuous_parts(theta, mpe.ccp, log, config)
-        total = loglik_continuous(theta, mpe.ccp, log, config)
+        parts = loglik_continuous_parts(mpe.ccp, log, config)
+        total = loglik_continuous(mpe.ccp, log, config)
         assert total == pytest.approx(sum(parts), rel=1e-12)
         assert np.isfinite(total)
 
@@ -96,18 +96,18 @@ class TestContinuous:
                             final_state=log.final_state[keep])
 
         first, second = restrict(np.arange(12)), restrict(np.arange(12, 30))
-        total = loglik_continuous(theta, mpe.ccp, log, config) * 30
-        split = (loglik_continuous(theta, mpe.ccp, first, config) * 12
-                 + loglik_continuous(theta, mpe.ccp, second, config) * 18)
+        total = loglik_continuous(mpe.ccp, log, config) * 30
+        split = (loglik_continuous(mpe.ccp, first, config) * 12
+                 + loglik_continuous(mpe.ccp, second, config) * 18)
         assert total == pytest.approx(split, rel=1e-12)
 
     def test_impossible_nature_transition_flags_domain(self, two_firm_game):
         # Nature recorded toggling an activity bit: hazard is zero there.
-        config, theta = two_firm_game
+        config, _ = two_firm_game
         k0 = 0
         log = make_log(markets=[0], horizon=[1.0], final_state=[1],
                        events=[(0, 1, k0, 0.4, NATURE, 1)])
-        value = loglik_continuous(theta, uniform_ccp(config), log, config)
+        value = loglik_continuous(uniform_ccp(config), log, config)
         assert value == -np.inf
 
 
