@@ -10,8 +10,13 @@ term.  `LinearizedPolicy` solves the value equation that
 `equilibrium.value_function` uses, for all of its affine columns at once
 (one factorization, one multi-column solve per stage), and reproduces the
 best-response map exactly at every theta; the likelihood is then maximized
-over theta by BFGS with central-difference gradients.  The same object
-gives the exact Jacobians of the convergence diagnostics.
+over theta by BFGS with exact gradients.  The event-data gradient is in
+closed form; the snapshot gradient is an adjoint, one Frechet derivative of
+``expm`` that shares the Pade set-up of the likelihood value, chained
+through the logistic choice probabilities and the affine weights.
+Central differences (`central_difference_gradient`) serve only as the test
+oracle.  The same object gives the exact Jacobians of the convergence
+diagnostics.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -25,11 +30,14 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import minimize
 
 from . import game
-from .equilibrium import _policy_system_matrix, _value_equation, check_ccp, interior_softmax
+from .equilibrium import (CCP_FLOOR, _policy_system_matrix, _value_equation, check_ccp,
+                          interior_softmax)
 from .errors import InvalidArgumentError, NumericalError, OptimizationError
 # flow_design_rows stays importable from here; the payoff design lives in game
 from .game import Theta, entry_design, flow_design_rows  # noqa: F401
-from .likelihood import SpellStats, discrete_loglik_from_counts, transition_counts
+from .likelihood import (SpellStats, consecutive_pairs, continuous_loglik_gradient,
+                         discrete_loglik_from_counts, discrete_loglik_gradient,
+                         transition_counts)
 from .simulate import EventLog, Panel
 
 # Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
@@ -70,6 +78,17 @@ class LinearizedPolicy:
         values = self.weights @ np.asarray(theta_vec, dtype=float) + self.offsets
         return interior_softmax(values, axis=1)
 
+    def chain(self, ccp, action_grad):
+        """Gradient in theta from an (N, K) gradient in ``ccp[:, 1, :]``.
+
+        Through the two-choice logistic, ``d ccp[:, 1] / d theta`` is
+        ``ccp1 * ccp0 * (W1 - W0)``, and zero where `interior_softmax`
+        clamped: its clamped entries come back exactly at ``CCP_FLOOR``.
+        """
+        slope = np.where(ccp.min(axis=1) > CCP_FLOOR, ccp[:, 1] * ccp[:, 0], 0.0)
+        return np.einsum("nk,nkp->p", action_grad * slope,
+                         self.weights[:, 1] - self.weights[:, 0])
+
 
 class _PseudoLikelihood:
     """Market-averaged log likelihood as a function of theta at fixed ccp_prev."""
@@ -81,18 +100,10 @@ class _PseudoLikelihood:
             self.kind = "continuous"
             if data.n_markets == 0:
                 raise InvalidArgumentError("event log holds no market")
-            stats = SpellStats.from_events(data, config)
-            self._exposure = stats.exposure
-            self._moves = stats.moves
-            self._n_markets = stats.n_markets
-            q0 = game.nature_generator(config)
-            np.fill_diagonal(q0, 0.0)
-            with np.errstate(divide="ignore"):
-                log_q0 = np.where(stats.nature_moves > 0, np.log(q0), 0.0)
-            if np.any((stats.nature_moves > 0) & (q0 <= 0)):
+            self._stats = SpellStats.from_events(data, config)
+            # only nature's terms can be -inf at interior probabilities
+            if continuous_loglik_gradient(self._stats, ccp_prev, config)[0] == -np.inf:
                 raise InvalidArgumentError("event log contains impossible nature moves")
-            self._nature_term = ((stats.nature_moves * log_q0).sum()
-                                 - (stats.exposure * q0.sum(axis=1)).sum())
         elif isinstance(data, Panel):
             self.kind = "discrete"
             self._counts, self._n_markets = transition_counts(data, config.n_states)
@@ -102,14 +113,24 @@ class _PseudoLikelihood:
             raise InvalidArgumentError(f"unsupported data type: {type(data)!r}")
 
     def value(self, theta_vec):
+        """Log likelihood at theta; snapshot data take the plain ``expm`` route."""
+        if self.kind == "continuous":
+            return self.value_and_gradient(theta_vec)[0]
+        return discrete_loglik_from_counts(self._counts, self._n_markets,
+                                           self.policy.ccp(theta_vec), self.config)
+
+    def value_and_gradient(self, theta_vec, counters=None):
+        """Log likelihood and its exact gradient in theta.
+
+        ``counters`` collects the snapshot likelihood's ``clamped_logs``.
+        """
         ccp = self.policy.ccp(theta_vec)
         if self.kind == "continuous":
-            rates = self.config.lam * ccp[:, 1, :]
-            total = (self._moves * np.log(rates)).sum()
-            total -= (self._exposure * rates.sum(axis=0)).sum()
-            return (total + self._nature_term) / self._n_markets
-        return discrete_loglik_from_counts(self._counts, self._n_markets,
-                                           ccp, self.config)
+            value, action_grad = continuous_loglik_gradient(self._stats, ccp, self.config)
+        else:
+            value, action_grad = discrete_loglik_gradient(
+                self._counts, self._n_markets, ccp, self.config, counters=counters)
+        return value, self.policy.chain(ccp, action_grad)
 
 
 def central_difference_gradient(fun, x, rel_step=1e-6):
@@ -129,11 +150,18 @@ class _EvalBudgetExceeded(Exception):
     pass
 
 
-def _maximize(ccp_prev, data, config, theta_init=None, gtol=1e-6, max_evals=500):
-    """Inner maximization; returns (theta vector, loglik, linearized policy)."""
+def _maximize(ccp_prev, data, config, theta_init=None, gtol=1e-6, max_evals=500,
+              counters=None):
+    """Inner maximization; returns (theta vector, loglik, linearized policy).
+
+    ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
+    the snapshot likelihood's ``clamped_logs``.
+    """
     pseudo = _PseudoLikelihood(data, ccp_prev, config)
     p = config.n_players + 3
     x0 = np.ones(p) if theta_init is None else np.asarray(theta_init, dtype=float)
+    counters = {} if counters is None else counters
+    counters.setdefault("clamped_logs", 0)
 
     state = {"evals": 0, "best_x": x0, "best_f": -np.inf}
 
@@ -141,24 +169,22 @@ def _maximize(ccp_prev, data, config, theta_init=None, gtol=1e-6, max_evals=500)
         state["evals"] += 1
         if state["evals"] > max_evals:
             raise _EvalBudgetExceeded
-        value = pseudo.value(x)
+        value, grad = pseudo.value_and_gradient(x, counters=counters)
         if value > state["best_f"]:
             state["best_f"], state["best_x"] = value, x.copy()
-        return -value
-
-    def gradient(x):
-        return -central_difference_gradient(pseudo.value, x)
+        return -value, -grad
 
     try:
-        result = minimize(objective, x0, jac=gradient, method="BFGS",
+        result = minimize(objective, x0, jac=True, method="BFGS",
                           options={"gtol": gtol, "maxiter": max_evals})
     except _EvalBudgetExceeded:
-        grad_norm = float(np.abs(gradient(state["best_x"])).max())
+        grad_norm = float(np.abs(pseudo.value_and_gradient(state["best_x"])[1]).max())
         raise OptimizationError(
             f"pseudo-likelihood maximization exceeded {max_evals} evaluations "
             f"(gradient sup-norm {grad_norm:g})",
             best_point=Theta.from_vector(state["best_x"], config.n_players),
             gradient_norm=grad_norm) from None
+    counters.update(nit=int(result.nit), nfev=int(result.nfev), njev=int(result.njev))
 
     grad_norm = float(np.abs(result.jac).max())
     # BFGS may stop on line-search precision loss with a near-stationary
@@ -218,7 +244,10 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
     visited candidate is returned with ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
-    probabilities and parameters and the attained pseudo log likelihood.
+    probabilities and parameters, the attained pseudo log likelihood, the
+    BFGS iteration, likelihood and gradient evaluation counts (``nit``,
+    ``nfev``, ``njev``) and the observed transitions whose probability was
+    clamped before the log (``clamped_logs``).
     A stage whose pseudo log likelihood is not finite raises
     `NumericalError` instead of being ranked.
     """
@@ -232,9 +261,11 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
     trace = []
     best = None
     for stage in range(1, max_stages + 1):
+        counts = {}
         try:
             vec, loglik, policy = _maximize(ccp, data, config, theta_init=theta_prev,
-                                            gtol=gtol, max_evals=max_evals)
+                                            gtol=gtol, max_evals=max_evals,
+                                            counters=counts)
         except OptimizationError as err:
             raise OptimizationError(
                 f"stage {stage}: {err}", best_point=err.best_point,
@@ -246,7 +277,7 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
         theta_delta = (np.inf if theta_prev is None
                        else float(np.abs(vec - theta_prev).max()))
         trace.append({"stage": stage, "sigma_delta": sigma_delta,
-                      "theta_delta": theta_delta, "loglik": loglik})
+                      "theta_delta": theta_delta, "loglik": loglik, **counts})
         candidate = EstimationResult(
             theta_hat=Theta.from_vector(vec, config.n_players),
             ccp_hat=updated, iterations=stage, converged=False,
@@ -343,10 +374,7 @@ def _frequency_from_events(events, config):
 
 def _toggle_observations(panel, config):
     """Per (transition, firm) toggle indicators with pre-state features."""
-    same = ((panel.market_id[1:] == panel.market_id[:-1])
-            & (panel.period[1:] == panel.period[:-1] + 1))
-    pre = panel.state[:-1][same]
-    post = panel.state[1:][same]
+    pre, post = consecutive_pairs(panel, config.n_states)
     tables = game.state_tables(config)
     toggled = tables.activity[pre] != tables.activity[post]  # (n, N)
     return pre, toggled

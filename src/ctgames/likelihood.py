@@ -7,6 +7,8 @@ repeated evaluation in an estimation loop cheap.  The snapshot likelihood
 scores transitions against ``expm(delta * Q)`` evaluated at the
 best-response probabilities implied by ``(theta, ccp)`` -- that one
 best-response application inside is what makes it a function of theta.
+Both also come with their exact gradient in the action probabilities, for
+the estimator to chain through to theta.
 """
 
 from dataclasses import dataclass
@@ -96,6 +98,20 @@ def continuous_loglik_from_stats(stats, hazards, n_markets):
     return player / n_markets, nature / n_markets, survival / n_markets
 
 
+def continuous_loglik_gradient(stats, ccp, config):
+    """Event-data likelihood and its gradient in the action probabilities.
+
+    Returns the log likelihood of `continuous_loglik_from_stats` at ``ccp``
+    and its (N, K) gradient in ``ccp[:, 1, :]``: the firm terms
+    ``moves ln(lam sigma) - exposure lam sigma`` give
+    ``(moves / sigma - lam exposure) / M``; nature's terms do not depend on
+    ``ccp``.
+    """
+    parts = continuous_loglik_from_stats(stats, hazard_profile(ccp, config), stats.n_markets)
+    grad = (stats.moves / ccp[:, 1, :] - config.lam * stats.exposure) / stats.n_markets
+    return float(sum(parts)), grad
+
+
 def loglik_continuous_parts(ccp, events, config):
     """Player, nature, and survival components of the event-data likelihood.
 
@@ -113,13 +129,31 @@ def loglik_continuous(ccp, events, config):
     return float(sum(loglik_continuous_parts(ccp, events, config)))
 
 
+def consecutive_pairs(panel, k_total):
+    """(pre, post) states of every pair of consecutive snapshots of one market.
+
+    Raises `InvalidArgumentError` if any state lies outside [0, ``k_total``).
+    """
+    if panel.state.size and (panel.state.min() < 0 or panel.state.max() >= k_total):
+        raise InvalidArgumentError(f"panel states must lie in [0, {k_total})")
+    consecutive = ((panel.market_id[1:] == panel.market_id[:-1])
+                   & (panel.period[1:] == panel.period[:-1] + 1))
+    return panel.state[:-1][consecutive], panel.state[1:][consecutive]
+
+
 def transition_counts(panel, k_total):
     """(K, K) matrix of observed consecutive transitions and the market count."""
-    same_market = panel.market_id[1:] == panel.market_id[:-1]
-    consecutive = same_market & (panel.period[1:] == panel.period[:-1] + 1)
     counts = np.zeros((k_total, k_total))
-    np.add.at(counts, (panel.state[:-1][consecutive], panel.state[1:][consecutive]), 1.0)
+    np.add.at(counts, consecutive_pairs(panel, k_total), 1.0)
     return counts, len(np.unique(panel.market_id))
+
+
+def _log_probabilities(counts, p, counters):
+    """Logs of ``p`` clamped at ``LOG_FLOOR``; observed clamps go to ``counters``."""
+    if counters is not None:
+        clamped = (counts > 0) & (p < LOG_FLOOR)
+        counters["clamped_logs"] = counters.get("clamped_logs", 0) + int(clamped.sum())
+    return np.log(np.maximum(p, LOG_FLOOR))
 
 
 def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, delta=None,
@@ -133,11 +167,26 @@ def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, delta=None,
         p = markov.uniformization_matrix(q, delta)
     else:
         raise InvalidArgumentError(f"unknown pmatrix_method: {pmatrix_method}")
-    clamped = (counts > 0) & (p < LOG_FLOOR)
-    if counters is not None:
-        counters["clamped_logs"] = counters.get("clamped_logs", 0) + int(clamped.sum())
-    logp = np.log(np.maximum(p, LOG_FLOOR))
-    return float((counts * logp).sum() / n_markets)
+    return float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
+
+
+def discrete_loglik_gradient(counts, n_markets, ccp_br, config, counters=None):
+    """Snapshot likelihood and its gradient in the action probabilities.
+
+    Returns the value of `discrete_loglik_from_counts` (``expm`` route) and
+    the (N, K) gradient in ``ccp_br[:, 1, :]``.  With ``G = C / (M P)`` on
+    unclamped entries, the gradient in the generator is the adjoint
+    ``Gbar = delta L(delta Q^T, G)``; firm i's action rate in state k adds
+    ``lam`` to ``Q[k, toggle_i(k)]`` and subtracts it from ``Q[k, k]``.
+    """
+    q = aggregate_generator(ccp_br, config)
+    p, pullback = markov.transition_matrix_pullback(q, config.delta)
+    value = float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
+    g = np.where(p >= LOG_FLOOR, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
+    gbar = pullback(g)
+    ks = np.arange(config.n_states)
+    toggle = game.state_tables(config).toggle
+    return value, config.lam * (gbar[ks, toggle] - gbar[ks, ks])
 
 
 def loglik_discrete(theta, ccp, panel, config, delta=None,

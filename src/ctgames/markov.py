@@ -5,10 +5,14 @@ off-diagonal rates and rows summing to zero.  The transition matrix over a
 horizon ``delta`` is ``expm(delta * Q)``.  Two independent routes to that
 matrix are provided -- a Pade approximant (`expm`) and a Poisson-mixture
 series (`uniformization_probability`) -- so each can serve as an oracle for
-the other.
+the other.  The Pade code also yields the Frechet derivative of the
+exponential from the same set-up; `transition_matrix_pullback` uses it for
+the adjoint that pulls a gradient in ``exp(delta * Q)`` back to ``Q``
+(scipy's ``expm_frechet`` is its test oracle).
 """
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -56,6 +60,56 @@ def check_generator(q):
     return q
 
 
+def _pade13(a):
+    """``exp(a)`` by degree-13 Pade scaling and squaring, and its Frechet derivative.
+
+    Returns ``(exp(a), frechet)``; ``frechet(e)`` is ``L(a, e)``, the
+    derivative of the exponential at ``a`` in the direction ``e``.  It reuses
+    the powers of ``a``, the LU factors of ``V - U`` and the squaring iterates
+    of the exponential (Al-Mohy & Higham 2009, SIMAX, Alg. 6.4), so one
+    set-up serves a direction that depends on ``exp(a)`` itself.
+    """
+    norm1 = np.linalg.norm(a, 1)
+    if norm1 == 0.0:
+        return np.eye(a.shape[0]), lambda e: np.array(e, dtype=float)
+    squarings = 0
+    if norm1 > _THETA13:
+        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
+        a = a / (2.0 ** squarings)
+
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
+    w = a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
+    u = a @ w
+    v = a6 @ z1 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    factor = lu_factor(v - u)
+    iterates = [lu_solve(factor, v + u)]
+    for _ in range(squarings):
+        iterates.append(iterates[-1] @ iterates[-1])
+
+    def frechet(e):
+        e = np.asarray(e, dtype=float) / (2.0 ** squarings)
+        m2 = a @ e + e @ a
+        m4 = a2 @ m2 + m2 @ a2
+        m6 = a4 @ m2 + m4 @ a2
+        lw = a6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + m6 @ w1 + (
+            b[7] * m6 + b[5] * m4 + b[3] * m2)
+        lu = a @ lw + e @ w
+        lv = a6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + m6 @ z1 + (
+            b[6] * m6 + b[4] * m4 + b[2] * m2)
+        out = lu_solve(factor, lu + lv + (lu - lv) @ iterates[0])
+        for r in iterates[:-1]:
+            out = r @ out + out @ r
+        return out
+
+    return iterates[-1], frechet
+
+
 def expm(a):
     """Matrix exponential via scaling-and-squaring with a degree-13 Pade approximant.
 
@@ -75,28 +129,7 @@ def expm(a):
         raise InvalidArgumentError(f"expm requires a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("expm requires finite entries")
-
-    norm1 = np.linalg.norm(a, 1)
-    if norm1 == 0.0:
-        return np.eye(a.shape[0])
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        a = a / (2.0 ** squarings)
-
-    b = _PADE13
-    ident = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    return _pade13(a)[0]
 
 
 def transition_matrix(q, delta):
@@ -106,17 +139,32 @@ def transition_matrix(q, delta):
     negative than ``NEGATIVE_PROB_TOL`` raise `NumericalError`, smaller ones
     are clipped to zero.
     """
+    return _transition(q, delta, lambda a: (expm(a), None))[0]
+
+
+def transition_matrix_pullback(q, delta):
+    """`transition_matrix` and the adjoint of its derivative in the generator.
+
+    Returns ``(p, pullback)``: ``pullback(g)`` is the gradient in ``q`` of
+    ``sum(g * p)``, ``delta * L(delta Q^T, g) = delta * L(delta Q, g^T)^T``,
+    from the Pade set-up that gave ``p``.  Clipping and renormalization
+    contribute no derivative: the rows of ``exp(delta Q)`` sum to one for
+    every generator.
+    """
+    p, frechet = _transition(q, delta, _pade13)
+    return p, lambda g: delta * frechet(np.asarray(g).T).T
+
+
+def _transition(q, delta, exponential):
     q = check_generator(q)
     if not np.isfinite(delta) or delta < 0:
         raise InvalidArgumentError(f"delta must be nonnegative, got {delta}")
-    if delta == 0:
-        return np.eye(q.shape[0])
-    p = expm(delta * q)
+    p, frechet = exponential(delta * q)
     if p.min() < -NEGATIVE_PROB_TOL:
         raise NumericalError(f"transition matrix entry {p.min():g} below -{NEGATIVE_PROB_TOL:g}")
     np.clip(p, 0.0, None, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    return p
+    return p, frechet
 
 
 def uniformization_matrix(q, delta, truncation_tol=1e-13):

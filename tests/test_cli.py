@@ -76,7 +76,9 @@ class TestCliSimulateEstimate:
         assert code == 0
         rows = (est_out / "estimate.csv").read_text().splitlines()
         assert len(rows) == 2
-        assert (est_out / "estimate_trace.json").exists()
+        trace = json.loads((est_out / "estimate_trace.json").read_text())
+        for key in ("nit", "nfev", "njev", "clamped_logs"):
+            assert all(isinstance(stage[key], int) for stage in trace)
 
     def test_continuous_sampling_writes_events(self, tmp_path):
         out = tmp_path / "sim"
@@ -199,6 +201,21 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NotIrreducibleError"
+
+    def test_panel_state_out_of_range_is_config_error(self, tmp_path, capsys):
+        # state 999 on the K = 24 desk game, caught before any indexing by
+        # the frequency initializer and by the likelihood
+        path = tmp_path / "panel.csv"
+        path.write_text("market_id,n,k\n0,0,3\n0,1,999\n1,0,5\n1,1,4\n")
+        for init in ("frequency", "random"):
+            capsys.readouterr()
+            code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                           "--data", str(path), "--init", init,
+                           "--out", str(tmp_path / init))
+            assert code == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "InvalidArgumentError"
 
 
 class TestMcFailuresRecorded:

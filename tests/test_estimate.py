@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctgames import (
     GameConfig,
@@ -16,6 +18,7 @@ from ctgames.equilibrium import (
 )
 from ctgames.estimate import (
     LinearizedPolicy,
+    _PseudoLikelihood,
     central_difference_gradient,
     ctnpl,
     init_ccp,
@@ -26,7 +29,9 @@ from ctgames.game import flow_payoff, instant_payoff
 from ctgames.likelihood import (
     SpellStats,
     continuous_loglik_from_stats,
+    continuous_loglik_gradient,
     discrete_loglik_from_counts,
+    discrete_loglik_gradient,
     hazard_profile,
 )
 from ctgames.markov import transition_matrix
@@ -51,6 +56,14 @@ def desk_game():
     config = desk_config()
     mpe = solve_mpe(DESK_THETA, config, tol=1e-13)
     return config, DESK_THETA, mpe.ccp
+
+
+@pytest.fixture(scope="module")
+def desk_data(desk_game):
+    config, theta, ccp_star = desk_game
+    return {"discrete": sample_discrete(theta, ccp_star, config, 300, periods=1, seed=71),
+            "continuous": simulate_continuous(theta, ccp_star, config, 100, seed=73,
+                                              events_per_market=5)}
 
 
 class TestLinearizedPolicy:
@@ -105,6 +118,9 @@ class TestScoreAtTruth:
 
         grad = central_difference_gradient(loglik, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
+        ccp = policy.ccp(theta.as_vector())
+        exact = policy.chain(ccp, continuous_loglik_gradient(stats, ccp, config)[1])
+        assert np.abs(exact).max() < 1e-6
 
     def test_discrete_expected_score_vanishes(self, desk_game):
         config, theta, ccp_star = desk_game
@@ -118,6 +134,27 @@ class TestScoreAtTruth:
 
         grad = central_difference_gradient(loglik, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
+        ccp = policy.ccp(theta.as_vector())
+        exact = policy.chain(ccp, discrete_loglik_gradient(counts, 1, ccp, config)[1])
+        assert np.abs(exact).max() < 1e-6
+
+
+class TestExactGradient:
+    @given(kind=st.sampled_from(["discrete", "continuous"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_matches_central_difference_oracle(self, desk_game, desk_data, kind, seed):
+        config, theta, _ = desk_game
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
+        pseudo = _PseudoLikelihood(desk_data[kind], np.stack([1 - probs, probs], axis=1),
+                                   config)
+        vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
+        value, exact = pseudo.value_and_gradient(vec)
+        assert value == pseudo.value(vec)
+        oracle = central_difference_gradient(pseudo.value, vec)
+        scale = max(np.abs(oracle).max(), 1e-3)
+        assert np.abs(exact - oracle).max() <= 1e-6 * scale
 
 
 class TestInitCcp:
@@ -259,6 +296,7 @@ class TestMaximizePseudoLikelihood:
         pseudo._n_markets = 1
         grad = central_difference_gradient(pseudo.value, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
+        assert np.abs(pseudo.value_and_gradient(theta.as_vector())[1]).max() < 1e-6
 
 
 class TestCtnpl:
@@ -312,6 +350,9 @@ class TestCtnpl:
         result = ctnpl(panel, config, uniform_ccp(config), max_stages=30)
         assert result.trace[0]["theta_delta"] == np.inf
         assert all(t["sigma_delta"] >= 0 for t in result.trace)
+        # each BFGS call evaluates the likelihood and its gradient together
+        assert all(t["nfev"] == t["njev"] > t["nit"] >= 0 for t in result.trace)
+        assert all(t["clamped_logs"] == 0 for t in result.trace)
         if result.converged:
             last = result.trace[-1]
             assert last["sigma_delta"] < 1e-6 and last["theta_delta"] < 1e-6

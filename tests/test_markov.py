@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm_frechet
 
 from ctgames import (
     InvalidArgumentError,
@@ -12,6 +15,7 @@ from ctgames import (
     uniformization_matrix,
     uniformization_probability,
 )
+from ctgames.markov import _pade13, transition_matrix_pullback
 
 from conftest import random_generator
 
@@ -83,6 +87,33 @@ class TestTransitionMatrix:
     def test_rejects_non_generator(self):
         with pytest.raises(InvalidArgumentError):
             transition_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+
+
+class TestFrechet:
+    @given(k=st.integers(1, 12), scale=st.floats(0.01, 100.0),
+           delta=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(k=10, scale=60.0, delta=2.0, seed=7)
+    @settings(max_examples=40)
+    def test_matches_scipy_oracle(self, k, scale, delta, seed):
+        # random generators, most with 1-norms above the order-13 threshold
+        # (the squaring path: the explicit example takes six squarings);
+        # scipy's expm_frechet is the independent implementation
+        rng = np.random.default_rng(seed)
+        q = random_generator(rng, k, scale=scale)
+        e = rng.normal(size=(k, k))
+        exp_a, frechet = _pade13(delta * q)
+        want_exp, want_l = expm_frechet(delta * q, e)
+        assert np.abs(exp_a - want_exp).max() <= 1e-12
+        assert np.abs(frechet(e) - want_l).max() <= 1e-10 * max(1.0, np.abs(want_l).max())
+        # the adjoint: the gradient in q of sum(g * exp(delta q))
+        _, pullback = transition_matrix_pullback(q, delta)
+        want_grad = delta * expm_frechet(delta * q.T, e)[1]
+        assert np.abs(pullback(e) - want_grad).max() <= 1e-10 * max(1.0, np.abs(want_grad).max())
+
+    def test_transition_matrix_unchanged(self, rng):
+        q = random_generator(rng, 24, scale=2.0)
+        p, _ = transition_matrix_pullback(q, 1.5)
+        assert np.array_equal(p, transition_matrix(q, 1.5))
 
 
 class TestUniformization:
