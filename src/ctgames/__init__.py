@@ -40,7 +40,6 @@ from .equilibrium import (
     aggregate_generator,
     best_response,
     best_response_map,
-    expected_instant_payoff,
     expected_instant_payoffs,
     solve_mpe,
     uniform_ccp,

@@ -165,8 +165,7 @@ def cmd_simulate(args):
         print(f"wrote {data.n_events} events over {data.n_markets} markets")
     else:
         data.to_csv(out / "panel.csv")
-        print(f"wrote {data.n_rows} observations over "
-              f"{len(np.unique(data.market_id))} markets")
+        print(f"wrote {data.n_rows} observations over {data.n_markets} markets")
     return EXIT_OK
 
 

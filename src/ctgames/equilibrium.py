@@ -64,17 +64,12 @@ def aggregate_generator(ccp, config):
     return q
 
 
-def expected_instant_payoff(theta, ccp, i, config):
-    """Ex-ante expected choice payoff of firm ``i``, one entry per state.
+def expected_instant_payoffs(theta, ccp, config):
+    """All players' ex-ante expected choice payoffs as an (N, K) array.
 
     Under extreme-value taste shocks the expectation has the closed form
     ``sum_j ccp_ijk * (psi_ijk + euler_gamma - ln ccp_ijk)``.
     """
-    return expected_instant_payoffs(theta, ccp, config)[i]
-
-
-def expected_instant_payoffs(theta, ccp, config):
-    """All players' expected choice payoffs as an (N, K) array."""
     ccp = np.asarray(ccp, dtype=float)
     if ccp.min() <= 0.0:
         raise InvalidArgumentError("expected payoff requires strictly positive probabilities")

@@ -35,10 +35,9 @@ from .equilibrium import (CCP_FLOOR, _policy_system_matrix, _value_equation, che
 from .errors import InvalidArgumentError, NumericalError, OptimizationError
 # flow_design_rows stays importable from here; the payoff design lives in game
 from .game import Theta, entry_design, flow_design_rows  # noqa: F401
-from .likelihood import (SpellStats, consecutive_pairs, continuous_loglik_gradient,
-                         discrete_loglik_from_counts, discrete_loglik_gradient,
-                         transition_counts)
-from .simulate import EventLog, Panel
+from .likelihood import (SpellStats, continuous_loglik_gradient, discrete_loglik_from_counts,
+                         discrete_loglik_gradient, transition_counts)
+from .simulate import EventLog, Panel, consecutive_pairs
 
 # Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
 INIT_FLOOR = 1e-6
@@ -91,18 +90,24 @@ class LinearizedPolicy:
 
 
 class _PseudoLikelihood:
-    """Market-averaged log likelihood as a function of theta at fixed ccp_prev."""
+    """Market-averaged log likelihood of one dataset as a function of theta.
 
-    def __init__(self, data, ccp_prev, config):
+    The data are checked and reduced to their sufficient statistics once,
+    at construction; `linearize` then sets the stage's previous-stage
+    probabilities ``ccp_prev`` through their `LinearizedPolicy`.
+    """
+
+    def __init__(self, data, config):
         self.config = config
-        self.policy = LinearizedPolicy(ccp_prev, config)
+        self.policy = None
         if isinstance(data, EventLog):
             self.kind = "continuous"
             if data.n_markets == 0:
                 raise InvalidArgumentError("event log holds no market")
             self._stats = SpellStats.from_events(data, config)
-            # only nature's terms can be -inf at interior probabilities
-            if continuous_loglik_gradient(self._stats, ccp_prev, config)[0] == -np.inf:
+            nature = game.nature_generator(config)
+            np.fill_diagonal(nature, 0.0)
+            if np.any((self._stats.nature_moves > 0) & (nature <= 0)):
                 raise InvalidArgumentError("event log contains impossible nature moves")
         elif isinstance(data, Panel):
             self.kind = "discrete"
@@ -111,6 +116,11 @@ class _PseudoLikelihood:
                 raise InvalidArgumentError("panel holds no consecutive transition")
         else:
             raise InvalidArgumentError(f"unsupported data type: {type(data)!r}")
+
+    def linearize(self, ccp_prev):
+        """Hold the probabilities at ``ccp_prev`` for the next evaluations."""
+        self.policy = LinearizedPolicy(ccp_prev, self.config)
+        return self
 
     def value(self, theta_vec):
         """Log likelihood at theta; snapshot data take the plain ``expm`` route."""
@@ -150,14 +160,14 @@ class _EvalBudgetExceeded(Exception):
     pass
 
 
-def _maximize(ccp_prev, data, config, theta_init=None, gtol=1e-6, max_evals=500,
-              counters=None):
-    """Inner maximization; returns (theta vector, loglik, linearized policy).
+def _maximize(pseudo, theta_init=None, gtol=1e-6, max_evals=500, counters=None):
+    """Inner maximization at the linearized ``pseudo``; returns (theta
+    vector, loglik, linearized policy).
 
     ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
     the snapshot likelihood's ``clamped_logs``.
     """
-    pseudo = _PseudoLikelihood(data, ccp_prev, config)
+    config = pseudo.config
     p = config.n_players + 3
     x0 = np.ones(p) if theta_init is None else np.asarray(theta_init, dtype=float)
     counters = {} if counters is None else counters
@@ -215,8 +225,8 @@ def maximize_pseudo_likelihood(ccp_prev, data, config, theta_init=None,
         If a panel holds no consecutive transition or an event log no market.
     """
     init = None if theta_init is None else theta_init.as_vector()
-    vec, _, _ = _maximize(ccp_prev, data, config, theta_init=init,
-                          gtol=gtol, max_evals=max_evals)
+    vec, _, _ = _maximize(_PseudoLikelihood(data, config).linearize(ccp_prev),
+                          theta_init=init, gtol=gtol, max_evals=max_evals)
     return Theta.from_vector(vec, config.n_players)
 
 
@@ -257,13 +267,14 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
     ccp = ccp / ccp.sum(axis=1, keepdims=True)
     check_ccp(ccp, config)
 
+    pseudo = _PseudoLikelihood(data, config)
     theta_prev = None if theta_init is None else theta_init.as_vector()
     trace = []
     best = None
     for stage in range(1, max_stages + 1):
         counts = {}
         try:
-            vec, loglik, policy = _maximize(ccp, data, config, theta_init=theta_prev,
+            vec, loglik, policy = _maximize(pseudo.linearize(ccp), theta_init=theta_prev,
                                             gtol=gtol, max_evals=max_evals,
                                             counters=counts)
         except OptimizationError as err:

@@ -18,7 +18,7 @@ import numpy as np
 from . import game, markov
 from .equilibrium import aggregate_generator, best_response_map, check_ccp
 from .errors import InvalidArgumentError
-from .simulate import NATURE
+from .simulate import NATURE, consecutive_pairs
 
 # Transition probabilities below this floor are clamped before the log.
 LOG_FLOOR = 1e-300
@@ -53,28 +53,34 @@ class SpellStats:
 
     @classmethod
     def from_events(cls, events, config):
+        events.check_ranges(config)
         k_total = config.n_states
-        exposure = np.zeros(k_total)
-        moves = np.zeros((config.n_players, k_total))
-        nature_moves = np.zeros((k_total, k_total))
-        for pos, m in enumerate(events.markets):
-            sel = np.nonzero(events.market_id == m)[0]
-            times = events.time[sel]
-            # spell j sits in pre_state of event j; the last (possibly
-            # zero-length) spell sits in the final state until the horizon
-            edges = np.concatenate([[0.0], times, [events.horizon[pos]]])
-            spells = np.maximum(np.diff(edges), 0.0)
-            states = np.concatenate([events.pre_state[sel],
-                                     [events.final_state[pos]]]).astype(np.int64)
-            np.add.at(exposure, states, spells)
-            for row in sel:
-                k = events.pre_state[row]
-                if events.actor[row] == NATURE:
-                    nature_moves[k, events.action[row]] += 1
-                else:
-                    moves[events.actor[row], k] += 1
+        # spell j of a market sits in the pre-state of its event j and ends at
+        # that event; its last (possibly zero-length) spell sits in the final
+        # state until the horizon
+        event_rows, final_rows = events.spell_rows()
+        ends = np.empty(events.n_events + events.n_markets)
+        ends[event_rows], ends[final_rows] = events.time, events.horizon
+        begins = np.zeros_like(ends)
+        begins[1:] = ends[:-1]
+        begins[final_rows[:-1] + 1] = 0.0
+        states = np.empty(len(ends), dtype=np.int64)
+        states[event_rows], states[final_rows] = events.pre_state, events.final_state
+        exposure = np.bincount(states, weights=np.maximum(ends - begins, 0.0),
+                               minlength=k_total)
+        nature = events.actor == NATURE
+        moves = _pair_counts(events.actor[~nature], events.pre_state[~nature],
+                             (config.n_players, k_total))
+        nature_moves = _pair_counts(events.pre_state[nature], events.action[nature],
+                                    (k_total, k_total))
         return cls(exposure=exposure, moves=moves, nature_moves=nature_moves,
                    n_markets=events.n_markets)
+
+
+def _pair_counts(rows, cols, shape):
+    """Occurrences of every (row, col) pair as a float array of ``shape``."""
+    flat = np.bincount(np.ravel_multi_index((rows, cols), shape), minlength=shape[0] * shape[1])
+    return flat.reshape(shape).astype(float)
 
 
 def continuous_loglik_from_stats(stats, hazards, n_markets):
@@ -129,23 +135,9 @@ def loglik_continuous(ccp, events, config):
     return float(sum(loglik_continuous_parts(ccp, events, config)))
 
 
-def consecutive_pairs(panel, k_total):
-    """(pre, post) states of every pair of consecutive snapshots of one market.
-
-    Raises `InvalidArgumentError` if any state lies outside [0, ``k_total``).
-    """
-    if panel.state.size and (panel.state.min() < 0 or panel.state.max() >= k_total):
-        raise InvalidArgumentError(f"panel states must lie in [0, {k_total})")
-    consecutive = ((panel.market_id[1:] == panel.market_id[:-1])
-                   & (panel.period[1:] == panel.period[:-1] + 1))
-    return panel.state[:-1][consecutive], panel.state[1:][consecutive]
-
-
 def transition_counts(panel, k_total):
     """(K, K) matrix of observed consecutive transitions and the market count."""
-    counts = np.zeros((k_total, k_total))
-    np.add.at(counts, consecutive_pairs(panel, k_total), 1.0)
-    return counts, len(np.unique(panel.market_id))
+    return _pair_counts(*consecutive_pairs(panel, k_total), (k_total, k_total)), panel.n_markets
 
 
 def _log_probabilities(counts, p, counters):

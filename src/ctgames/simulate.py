@@ -5,10 +5,24 @@ off the master seed, so output is reproducible bit-for-bit and markets may
 be generated in any order.  Only state-changing events are recorded:
 continuation decisions (choice 0) are invisible to an observer of the state
 path and never enter the event log.
+
+`EventLog` and `Panel` are the only place that knows how a dataset splits
+into markets.  Each checks its invariants when it is built, whether by a
+simulator or by a CSV loader: array lengths agree, every market's rows are
+contiguous (in ``markets`` order for an event log, whose events all belong
+to a listed market), event times are finite, nonnegative and nondecreasing
+within a market and end by its horizon, and panel periods strictly increase
+within a market.  The market boundaries are kept as ``offsets`` (market m
+owns rows ``offsets[m]:offsets[m + 1]``), so every reader runs in time
+linear in rows plus markets.  Indices that depend on the game -- states,
+actors, actions -- are checked by ``check_ranges``, which every reader that
+takes the game configuration calls first.  Any violation raises
+`InvalidArgumentError`.
 """
 
 import csv
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +36,45 @@ CENSOR = -2
 
 # A simulator refuses choice probabilities farther than this from equilibrium.
 EQUILIBRIUM_RESIDUAL_TOL = 1e-6
+
+# Rows converted to Python objects at a time when an event log is written.
+CSV_BLOCK_ROWS = 8192
+
+
+def _require(ok, message):
+    if not ok:
+        raise InvalidArgumentError(message)
+
+
+def _within(values, upper):
+    """True when every entry lies in [0, ``upper``)."""
+    return values.size == 0 or (values.min() >= 0 and values.max() < upper)
+
+
+def _as_arrays(data):
+    """Turn every field into a one-dimensional array; returns their lengths."""
+    for f in fields(data):
+        setattr(data, f.name, np.asarray(getattr(data, f.name)))
+    _require(all(getattr(data, f.name).ndim == 1 for f in fields(data)),
+             "data arrays must be one-dimensional")
+    return [len(getattr(data, f.name)) for f in fields(data)]
+
+
+def _read_columns(path, *dtypes):
+    """Columns of a CSV data file after its header row, parsed as ``dtypes``.
+
+    An unreadable file, a row with another field count, or a field that does
+    not parse raises `InvalidArgumentError`.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is a valid empty dataset
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                               dtype=[(f"c{j}", dtype) for j, dtype in enumerate(dtypes)])
+    except (OSError, ValueError) as err:
+        raise InvalidArgumentError(f"cannot read data file {path}: {err}") from None
+    return [table[name] for name in table.dtype.names]
 
 
 @dataclass
@@ -39,6 +92,8 @@ class EventLog:
 
     Market arrays (one entry per market): ``markets``, ``horizon`` (the
     censoring time), and ``final_state`` (state held at the censoring time).
+    Each market's events are contiguous and in ``markets`` order; the derived
+    ``offsets`` (length ``n_markets + 1``) bound them.
     """
 
     market_id: np.ndarray
@@ -51,6 +106,33 @@ class EventLog:
     horizon: np.ndarray
     final_state: np.ndarray
 
+    def __post_init__(self):
+        lengths = _as_arrays(self)
+        _require(len(set(lengths[:6])) == 1 and len(set(lengths[6:])) == 1,
+                 "event arrays and market arrays must each share one length")
+        _require(len(np.unique(self.markets)) == self.n_markets, "market ids must be distinct")
+        _require(self.n_markets or not self.n_events, "events need a listed market")
+        # position in `markets` of every event's market
+        order = np.argsort(self.markets)
+        at = np.searchsorted(self.markets[order], self.market_id)
+        at = order[np.minimum(at, max(self.n_markets - 1, 0))]
+        unlisted = self.market_id[self.markets[at] != self.market_id]
+        _require(not unlisted.size, f"markets {unlisted[:3].tolist()} have events but are not "
+                                    f"listed (no censor row)")
+        _require(np.all(at[1:] >= at[:-1]),
+                 "each market's events must be contiguous and in market order")
+        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(at, minlength=self.n_markets))])
+
+        same = at[1:] == at[:-1]
+        _require(np.all(np.isfinite(self.time)) and np.all(self.time >= 0)
+                 and np.all(self.time[1:][same] >= self.time[:-1][same]),
+                 "event times must be finite, nonnegative and nondecreasing within a market")
+        last = np.zeros(self.n_markets)
+        busy = self.offsets[1:] > self.offsets[:-1]
+        last[busy] = self.time[self.offsets[1:][busy] - 1]
+        _require(np.all(np.isfinite(self.horizon)) and np.all(self.horizon >= last),
+                 "each horizon must be finite and at least its market's last event time")
+
     @property
     def n_events(self):
         return len(self.market_id)
@@ -59,8 +141,32 @@ class EventLog:
     def n_markets(self):
         return len(self.markets)
 
+    def check_ranges(self, config):
+        """Raise `InvalidArgumentError` unless every index fits the game.
+
+        States must lie in [0, K), actors be ``NATURE`` or a player in
+        [0, N), nature's destinations be states and player actions be 1.
+        """
+        k_total, n = config.n_states, config.n_players
+        nature = self.actor == NATURE
+        _require(_within(self.pre_state, k_total) and _within(self.final_state, k_total),
+                 f"event states must lie in [0, {k_total})")
+        _require(_within(self.actor[~nature], n),
+                 f"event actors must be nature ({NATURE}) or a player in [0, {n})")
+        _require(_within(self.action[nature], k_total),
+                 f"nature's destinations must lie in [0, {k_total})")
+        _require(np.all(self.action[~nature] == 1), "player actions must be 1")
+
+    def spell_rows(self):
+        """(event rows, final-spell rows) when each market's events are
+        followed by its censored final spell, as in the CSV file."""
+        markets = np.arange(self.n_markets)
+        event_rows = np.arange(self.n_events) + np.repeat(markets, np.diff(self.offsets))
+        return event_rows, self.offsets[1:] + markets
+
     def post_state(self, config):
         """Destination state of every event."""
+        self.check_ranges(config)
         tables = game.state_tables(config)
         out = np.empty(self.n_events, dtype=np.int64)
         nature = self.actor == NATURE
@@ -77,74 +183,94 @@ class EventLog:
         and ``action = -1``.  Times round-trip losslessly (17 significant
         digits).
         """
+        event_rows, final_rows = self.spell_rows()
+
+        def column(events, finals):
+            out = np.empty(self.n_events + self.n_markets, np.result_type(events, finals))
+            out[event_rows], out[final_rows] = events, finals
+            return out
+
+        censor = np.full(self.n_markets, CENSOR)
+        columns = [column(self.market_id, self.markets),
+                   column(self.index, np.diff(self.offsets) + 1),
+                   column(self.pre_state, self.final_state), column(self.time, self.horizon),
+                   column(self.actor, censor), column(self.action, np.full_like(censor, -1))]
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["market_id", "n", "k", "t", "actor", "action"])
-            by_market = {m: [] for m in self.markets}
-            for row in range(self.n_events):
-                by_market[self.market_id[row]].append(row)
-            for pos, m in enumerate(self.markets):
-                for row in by_market[m]:
-                    writer.writerow([m, self.index[row], self.pre_state[row],
-                                     f"{self.time[row]:.17g}", self.actor[row],
-                                     self.action[row]])
-                writer.writerow([m, len(by_market[m]) + 1, self.final_state[pos],
-                                 f"{self.horizon[pos]:.17g}", CENSOR, -1])
+            # in blocks, so the rows' Python objects never all exist at once
+            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+                block[3] = [f"{t:.17g}" for t in block[3]]
+                writer.writerows(zip(*block))
 
     @classmethod
     def from_csv(cls, path):
-        market_id, index, pre_state, time, actor, action = [], [], [], [], [], []
-        markets, horizon, final_state = [], [], []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                if int(row["actor"]) == CENSOR:
-                    markets.append(int(row["market_id"]))
-                    horizon.append(float(row["t"]))
-                    final_state.append(int(row["k"]))
-                else:
-                    market_id.append(int(row["market_id"]))
-                    index.append(int(row["n"]))
-                    pre_state.append(int(row["k"]))
-                    time.append(float(row["t"]))
-                    actor.append(int(row["actor"]))
-                    action.append(int(row["action"]))
-        return cls(market_id=np.array(market_id, dtype=np.int64),
-                   index=np.array(index, dtype=np.int64),
-                   pre_state=np.array(pre_state, dtype=np.int64),
-                   time=np.array(time, dtype=float),
-                   actor=np.array(actor, dtype=np.int64),
-                   action=np.array(action, dtype=np.int64),
-                   markets=np.array(markets, dtype=np.int64),
-                   horizon=np.array(horizon, dtype=float),
-                   final_state=np.array(final_state, dtype=np.int64))
+        market_id, index, state, time, actor, action = _read_columns(
+            path, np.int64, np.int64, np.int64, np.float64, np.int64, np.int64)
+        event, censor = actor != CENSOR, actor == CENSOR
+        return cls(market_id=market_id[event], index=index[event], pre_state=state[event],
+                   time=time[event], actor=actor[event], action=action[event],
+                   markets=market_id[censor], horizon=time[censor],
+                   final_state=state[censor])
 
 
 @dataclass
 class Panel:
-    """States observed on the sampling lattice {0, delta, 2*delta, ...}."""
+    """States observed on the sampling lattice {0, delta, 2*delta, ...}.
+
+    Each market's rows are contiguous with strictly increasing periods; the
+    derived ``offsets`` (length ``n_markets + 1``) bound them.
+    """
 
     market_id: np.ndarray
     period: np.ndarray
     state: np.ndarray
 
+    def __post_init__(self):
+        _require(len(set(_as_arrays(self))) == 1, "panel arrays must share one length")
+        same = self.market_id[1:] == self.market_id[:-1]
+        self.offsets = (np.flatnonzero(np.concatenate([[True], ~same, [True]])) if self.n_rows
+                        else np.zeros(1, dtype=np.int64))
+        _require(len(np.unique(self.market_id[self.offsets[:-1]])) == self.n_markets,
+                 "each market's panel rows must be contiguous")
+        _require(np.all(self.period[1:][same] > self.period[:-1][same]),
+                 "panel periods must strictly increase within a market")
+
     @property
     def n_rows(self):
         return len(self.market_id)
+
+    @property
+    def n_markets(self):
+        return len(self.offsets) - 1
+
+    def check_ranges(self, k_total):
+        """Raise `InvalidArgumentError` unless every state lies in [0, ``k_total``)."""
+        _require(_within(self.state, k_total), f"panel states must lie in [0, {k_total})")
 
     def to_csv(self, path):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["market_id", "n", "k"])
-            for row in range(self.n_rows):
-                writer.writerow([self.market_id[row], self.period[row], self.state[row]])
+            writer.writerows(zip(self.market_id.tolist(), self.period.tolist(),
+                                 self.state.tolist()))
 
     @classmethod
     def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-        if data.size == 0:
-            data = data.reshape(0, 3)
-        return cls(market_id=data[:, 0], period=data[:, 1], state=data[:, 2])
+        market_id, period, state = _read_columns(path, np.int64, np.int64, np.int64)
+        return cls(market_id=market_id, period=period, state=state)
+
+
+def consecutive_pairs(panel, k_total):
+    """(pre, post) states of every pair of consecutive snapshots of one market.
+
+    Raises `InvalidArgumentError` if any state lies outside [0, ``k_total``).
+    """
+    panel.check_ranges(k_total)
+    consecutive = ((panel.market_id[1:] == panel.market_id[:-1])
+                   & (panel.period[1:] == panel.period[:-1] + 1))
+    return panel.state[:-1][consecutive], panel.state[1:][consecutive]
 
 
 def _require_equilibrium(theta, ccp, config):
@@ -288,26 +414,35 @@ def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0,
 
 
 def to_panel(events, config, periods=None):
-    """Snapshot an event log on the lattice {n * delta} up to each horizon."""
-    delta = config.delta
-    rows_m, rows_n, rows_k = [], [], []
-    for pos, m in enumerate(events.markets):
-        sel = events.market_id == m
-        times = events.time[sel]
-        pres = events.pre_state[sel]
-        last = int(events.final_state[pos])
-        t_max = events.horizon[pos]
-        n_max = periods if periods is not None else int(np.floor(t_max / delta + 1e-12))
-        for n in range(n_max + 1):
-            t = n * delta
-            after = np.searchsorted(times, t, side="right")
-            state = pres[after] if after < len(pres) else last
-            rows_m.append(m)
-            rows_n.append(n)
-            rows_k.append(int(state))
-    return Panel(market_id=np.array(rows_m, dtype=np.int64),
-                 period=np.array(rows_n, dtype=np.int64),
-                 state=np.array(rows_k, dtype=np.int64))
+    """Snapshot an event log on the lattice {n * delta} up to each horizon.
+
+    Market m gets rows n = 0..``periods`` (default: the last lattice point
+    by its horizon).  The state at ``n * delta`` is the pre-state of the
+    market's first event after that time, else its final state.
+    """
+    events.check_ranges(config)
+    last = (np.floor(events.horizon / config.delta + 1e-12) if periods is None
+            else np.full(events.n_markets, periods))
+    width = np.maximum(last + 1, 0).astype(np.int64)
+    # An event has happened by snapshot n when its time is <= n * delta; the
+    # least such n of every event counts it into one of its market's slots:
+    # one per snapshot from base[m] on, and a last one for later events.
+    markets = np.arange(events.n_markets)
+    event_market = np.repeat(markets, np.diff(events.offsets))
+    first = np.searchsorted(np.arange(width.max(initial=0)) * config.delta, events.time)
+    base = np.concatenate([[0], np.cumsum(width + 1)])
+    slot = base[event_market] + np.minimum(first, width[event_market])
+    # events that have happened by each slot, counted from the first market
+    happened = np.cumsum(np.bincount(slot, minlength=base[-1]))
+
+    row_market = np.repeat(markets, width)
+    period = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    upcoming = happened[base[row_market] + period]
+    pending = upcoming < events.offsets[1:][row_market]
+    state = np.where(pending, np.append(events.pre_state, 0)[upcoming],
+                     events.final_state[row_market])
+    return Panel(market_id=events.markets[row_market].astype(np.int64), period=period,
+                 state=state.astype(np.int64))
 
 
 def descriptive_stats(panel, config):
@@ -322,22 +457,19 @@ def descriptive_stats(panel, config):
     """
     if panel.n_rows == 0:
         raise InvalidArgumentError("panel is empty")
-    tables = game.state_tables(config)
-    activity = tables.activity[panel.state]
-    n_active = activity.sum(axis=1)
-
-    same_market = panel.market_id[1:] == panel.market_id[:-1]
-    consecutive = same_market & (panel.period[1:] == panel.period[:-1] + 1)
-    if not np.any(consecutive):
+    pre, post = consecutive_pairs(panel, config.n_states)
+    if not pre.size:
         raise InvalidArgumentError("panel has no consecutive observations")
-    prev = activity[:-1][consecutive]
-    curr = activity[1:][consecutive]
+    activity = game.state_tables(config).activity
+    active_count = activity.sum(axis=1)
+    n_active = active_count[panel.state]
+    prev, curr = activity[pre], activity[post]
     entrants = ((curr == 1) & (prev == 0)).sum(axis=1)
     exits = ((curr == 0) & (prev == 1)).sum(axis=1)
     turnover = entrants + exits - np.abs(entrants - exits)
 
-    lag = n_active[:-1][consecutive].astype(float)
-    lead = n_active[1:][consecutive].astype(float)
+    lag = active_count[pre].astype(float)
+    lead = active_count[post].astype(float)
     lag_var = lag.var()
     ar1 = float(np.cov(lag, lead, ddof=0)[0, 1] / lag_var) if lag_var > 0 else float("nan")
     if entrants.var() > 0 and exits.var() > 0:
@@ -353,5 +485,5 @@ def descriptive_stats(panel, config):
         "avg_exits": float(exits.mean()),
         "excess_turnover": float(turnover.mean()),
         "corr_entry_exit": corr,
-        "activity_prob": activity.mean(axis=0),
+        "activity_prob": activity[panel.state].mean(axis=0),
     }

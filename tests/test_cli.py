@@ -218,6 +218,42 @@ class TestExitCodes:
             assert json.loads(lines[0])["error"] == "InvalidArgumentError"
 
 
+EVENTS_HEADER = "market_id,n,k,t,actor,action\n"
+# Each file breaks one data invariant of the K = 24, N = 3 desk game.
+BAD_DATA_FILES = {
+    "event_state_negative": ("continuous", EVENTS_HEADER
+                             + "0,1,-3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
+    "event_state_too_large": ("continuous", EVENTS_HEADER
+                              + "0,1,999,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
+    "event_actor_not_a_player": ("continuous", EVENTS_HEADER
+                                 + "0,1,3,0.5,7,1\n0,2,1,2.0,-2,-1\n"),
+    "events_without_censor_row": ("continuous", EVENTS_HEADER
+                                  + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n1,1,3,0.4,0,1\n"),
+    "panel_rows_interleaved": ("discrete",
+                               "market_id,n,k\n0,0,3\n0,1,4\n1,0,5\n0,2,6\n1,1,5\n"),
+    "non_numeric_field": ("discrete", "market_id,n,k\n0,0,3\n0,1,x\n"),
+    "short_row": ("continuous", EVENTS_HEADER + "0,1,3,0.5,0\n0,2,1,2.0,-2,-1\n"),
+    "missing_file": ("discrete", None),
+}
+
+
+class TestBadDataFiles:
+    @pytest.mark.parametrize("name", sorted(BAD_DATA_FILES))
+    def test_exits_two_with_one_json_line(self, name, tmp_path, capsys):
+        sampling, text = BAD_DATA_FILES[name]
+        path = tmp_path / "data.csv"
+        if text is not None:
+            path.write_text(text)
+        capsys.readouterr()
+        code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                       "--sampling", sampling, "--data", str(path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidArgumentError"
+
+
 class TestMcFailuresRecorded:
     def test_failures_are_recorded_not_raised(self, monkeypatch):
         from ctgames import errors as errors_mod

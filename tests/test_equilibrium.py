@@ -19,7 +19,6 @@ from ctgames.equilibrium import (
     best_response,
     best_response_map,
     check_ccp,
-    expected_instant_payoff,
     expected_instant_payoffs,
     solve_mpe,
     uniform_ccp,
@@ -116,7 +115,7 @@ class TestExpectedInstantPayoff:
         ccp = np.zeros((1, 2, 2))
         ccp[:, 0, :] = 0.3
         ccp[:, 1, :] = 0.7
-        e = expected_instant_payoff(theta, ccp, 0, config)
+        e = expected_instant_payoffs(theta, ccp, config)[0]
         # state 0: firm inactive so entry costs psi_1 = -1
         assert e[0] == pytest.approx(0.48807996695642643, rel=1e-12)
 

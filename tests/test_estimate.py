@@ -147,8 +147,8 @@ class TestExactGradient:
         config, theta, _ = desk_game
         rng = np.random.default_rng(seed)
         probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
-        pseudo = _PseudoLikelihood(desk_data[kind], np.stack([1 - probs, probs], axis=1),
-                                   config)
+        pseudo = _PseudoLikelihood(desk_data[kind], config).linearize(
+            np.stack([1 - probs, probs], axis=1))
         vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
         value, exact = pseudo.value_and_gradient(vec)
         assert value == pseudo.value(vec)
@@ -236,7 +236,7 @@ class TestFastPathMatchesReference:
         panel = sample_discrete(theta, ccp_star, config, 100, periods=1, seed=61)
         probs = rng.uniform(0.2, 0.8, size=(config.n_players, config.n_states))
         ccp_prev = np.stack([1 - probs, probs], axis=1)
-        pseudo = _PseudoLikelihood(panel, ccp_prev, config)
+        pseudo = _PseudoLikelihood(panel, config).linearize(ccp_prev)
         for _ in range(3):
             vec = rng.normal(scale=1.2, size=config.n_players + 3)
             reference = loglik_discrete(Theta.from_vector(vec, config.n_players),
@@ -252,7 +252,7 @@ class TestFastPathMatchesReference:
                                   events_per_market=2)
         probs = rng.uniform(0.2, 0.8, size=(config.n_players, config.n_states))
         ccp_prev = np.stack([1 - probs, probs], axis=1)
-        pseudo = _PseudoLikelihood(log, ccp_prev, config)
+        pseudo = _PseudoLikelihood(log, config).linearize(ccp_prev)
         for _ in range(3):
             vec = rng.normal(scale=1.2, size=config.n_players + 3)
             # the public form evaluates at given probabilities; feed it the
@@ -371,6 +371,31 @@ class TestCtnpl:
         for data in (Panel.from_csv(path), unpaired, no_markets):
             with pytest.raises(InvalidArgumentError):
                 ctnpl(data, config, ccp_star)
+
+    def test_event_data_reduced_once_per_fit(self, mini_game, monkeypatch):
+        config, theta, ccp_star = mini_game
+        log = simulate_continuous(theta, ccp_star, config, 200, seed=65,
+                                  events_per_market=3)
+        calls = []
+        original = SpellStats.from_events.__func__
+
+        def counted(cls, events, config):
+            calls.append(events)
+            return original(cls, events, config)
+
+        monkeypatch.setattr(SpellStats, "from_events", classmethod(counted))
+        result = ctnpl(log, config, uniform_ccp(config), max_stages=3, tol=1e-14)
+        assert len(result.trace) == 3
+        assert len(calls) == 1 and calls[0] is log
+
+    def test_impossible_nature_move_rejected_at_any_start(self, mini_game):
+        # nature toggling a firm's activity bit has rate zero
+        config, _, ccp_star = mini_game
+        log = make_log(markets=[0], horizon=[1.0], final_state=[1],
+                       events=[(0, 1, 0, 0.4, -1, 1)])
+        for start in (ccp_star, uniform_ccp(config)):
+            with pytest.raises(InvalidArgumentError, match="impossible nature"):
+                ctnpl(log, config, start)
 
     def test_non_finite_stage_loglik_raises(self, mini_game, monkeypatch):
         from ctgames import estimate as estimate_mod

@@ -1,10 +1,16 @@
+import operator
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from ctgames import GameConfig, InvalidArgumentError, Theta, transition_matrix
+from ctgames import CTGamesError, GameConfig, InvalidArgumentError, Theta, transition_matrix
 from ctgames.equilibrium import aggregate_generator, solve_mpe, uniform_ccp
 from ctgames.game import state_tables
+from ctgames.likelihood import SpellStats
 from ctgames.simulate import (
     NATURE,
     EventLog,
@@ -259,3 +265,207 @@ class TestDescriptiveStats:
         exact_prob = pi @ tables.activity
         assert summary["avg_active"] == pytest.approx(exact_avg, abs=0.05)
         assert np.abs(summary["activity_prob"] - exact_prob).max() < 0.03
+
+
+# ---------------------------------------------------------------------------
+# Market-segmented readers against per-market loop oracles
+
+# delta = 0.3 is inexact in binary, so event times on the lattice (i * delta)
+# or one ulp past it test the exact "time <= n * delta" comparison
+SEGMENT_CONFIG = GameConfig(n_players=2, market_levels=2, q_up=0.3, q_down=0.3,
+                            delta=0.3)
+
+
+@st.composite
+def event_logs(draw, config=SEGMENT_CONFIG):
+    """Valid event logs: distinct market ids in any order, zero-event
+    markets, event times on and off the lattice, horizons at or after the
+    last event (zero-length final spells included)."""
+    k_total, n = config.n_states, config.n_players
+    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=6))
+    lattice = st.integers(0, 30).map(lambda i: i * config.delta)
+    times_of = st.one_of(lattice, lattice.map(lambda t: float(np.nextafter(t, np.inf))),
+                         st.floats(0.0, 8.0, allow_nan=False))
+    columns = {name: [] for name in ("market_id", "index", "pre_state", "time",
+                                     "actor", "action")}
+    horizon, final_state = [], []
+    for m in ids:
+        times = sorted(draw(st.lists(times_of, max_size=5)))
+        for j, t in enumerate(times, 1):
+            actor = draw(st.integers(NATURE, n - 1))
+            columns["market_id"].append(m)
+            columns["index"].append(j)
+            columns["pre_state"].append(draw(st.integers(0, k_total - 1)))
+            columns["time"].append(t)
+            columns["actor"].append(actor)
+            columns["action"].append(draw(st.integers(0, k_total - 1))
+                                     if actor == NATURE else 1)
+        tail = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_nan=False)))
+        horizon.append((times[-1] if times else 0.0) + tail)
+        final_state.append(draw(st.integers(0, k_total - 1)))
+    arrays = {name: np.array(values, dtype=float if name == "time" else np.int64)
+              for name, values in columns.items()}
+    return EventLog(**arrays, markets=np.array(ids, dtype=np.int64),
+                    horizon=np.array(horizon, dtype=float),
+                    final_state=np.array(final_state, dtype=np.int64))
+
+
+@st.composite
+def panels(draw):
+    ids = draw(st.lists(st.integers(-5, 40), unique=True, max_size=6))
+    market_id, period, state = [], [], []
+    for m in ids:
+        periods = sorted(draw(st.lists(st.integers(-3, 30), unique=True, max_size=6)))
+        market_id += [m] * len(periods)
+        period += periods
+        state += draw(st.lists(st.integers(-2**40, 2**40), min_size=len(periods),
+                               max_size=len(periods)))
+    return Panel(market_id=np.array(market_id, dtype=np.int64),
+                 period=np.array(period, dtype=np.int64),
+                 state=np.array(state, dtype=np.int64))
+
+
+def spell_stats_oracle(events, config):
+    """Per-market loop over an explicit `market_id == m` selection."""
+    k_total = config.n_states
+    exposure = np.zeros(k_total)
+    moves = np.zeros((config.n_players, k_total))
+    nature_moves = np.zeros((k_total, k_total))
+    for pos, m in enumerate(events.markets):
+        sel = np.nonzero(events.market_id == m)[0]
+        edges = np.concatenate([[0.0], events.time[sel], [events.horizon[pos]]])
+        states = np.concatenate([events.pre_state[sel], [events.final_state[pos]]])
+        for state, length in zip(states, np.diff(edges)):
+            exposure[state] += max(length, 0.0)
+        for row in sel:
+            k = events.pre_state[row]
+            if events.actor[row] == NATURE:
+                nature_moves[k, events.action[row]] += 1
+            else:
+                moves[events.actor[row], k] += 1
+    return exposure, moves, nature_moves
+
+
+def to_panel_oracle(events, config, periods=None):
+    """Per-market, per-snapshot search of the market's event times."""
+    rows = []
+    for pos, m in enumerate(events.markets):
+        sel = events.market_id == m
+        times, pres = events.time[sel], events.pre_state[sel]
+        n_max = (periods if periods is not None
+                 else int(np.floor(events.horizon[pos] / config.delta + 1e-12)))
+        for n in range(n_max + 1):
+            after = np.searchsorted(times, n * config.delta, side="right")
+            state = pres[after] if after < len(pres) else events.final_state[pos]
+            rows.append((m, n, state))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+class TestSegmentedReaders:
+    @given(events=event_logs())
+    @settings(max_examples=150)
+    def test_spell_stats_match_per_market_loop(self, events):
+        stats = SpellStats.from_events(events, SEGMENT_CONFIG)
+        exposure, moves, nature_moves = spell_stats_oracle(events, SEGMENT_CONFIG)
+        np.testing.assert_allclose(stats.exposure, exposure, rtol=1e-12, atol=0)
+        assert np.array_equal(stats.moves, moves)
+        assert np.array_equal(stats.nature_moves, nature_moves)
+        assert stats.n_markets == events.n_markets
+
+    @given(events=event_logs(), periods=st.sampled_from([None, 0, 1, 3]))
+    @settings(max_examples=150)
+    def test_to_panel_matches_per_market_loop(self, events, periods):
+        panel = to_panel(events, SEGMENT_CONFIG, periods=periods)
+        expected = to_panel_oracle(events, SEGMENT_CONFIG, periods)
+        got = np.column_stack([panel.market_id, panel.period, panel.state])
+        assert np.array_equal(got.reshape(-1, 3), expected)
+        assert all(a.dtype == np.int64 for a in (panel.market_id, panel.period, panel.state))
+
+    @given(events=event_logs())
+    @settings(max_examples=60)
+    def test_event_log_csv_round_trip_exact(self, events, csv_dir):
+        path = csv_dir / "events.csv"
+        events.to_csv(path)
+        back = EventLog.from_csv(path)
+        for f in fields(EventLog):
+            original, loaded = getattr(events, f.name), getattr(back, f.name)
+            assert np.array_equal(original, loaded) and original.dtype == loaded.dtype
+        assert np.array_equal(events.offsets, back.offsets)
+
+    @given(panel=panels())
+    @settings(max_examples=60)
+    def test_panel_csv_round_trip_exact(self, panel, csv_dir):
+        path = csv_dir / "panel.csv"
+        panel.to_csv(path)
+        back = Panel.from_csv(path)
+        for f in fields(Panel):
+            original, loaded = getattr(panel, f.name), getattr(back, f.name)
+            assert np.array_equal(original, loaded) and original.dtype == loaded.dtype
+
+    @given(text=st.one_of(
+        st.text(alphabet="0123456789-+.,eEnaif x\"#\r\n\t", max_size=300),
+        st.builds(operator.add, st.sampled_from(["market_id,n,k,t,actor,action\n",
+                                                "market_id,n,k\n"]),
+                  st.text(alphabet="0123456789-.,e\n", max_size=200)),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=100)))
+    @settings(max_examples=300)
+    def test_loaders_raise_only_package_errors(self, text, csv_dir):
+        path = csv_dir / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        for loader in (EventLog.from_csv, Panel.from_csv):
+            try:
+                loader(path)
+            except CTGamesError:
+                pass
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+class TestDataInvariants:
+    @pytest.mark.parametrize("change, message", [
+        (dict(market_id=np.array([0, 1, 0]), index=np.array([1, 1, 2])), "contiguous"),
+        (dict(markets=np.array([1, 0]), market_id=np.array([0, 0, 1]),
+              horizon=np.array([3.0, 3.0])), "market order"),
+        (dict(market_id=np.array([0, 0, 2])), "censor row"),
+        (dict(time=np.array([1.0, 0.5, 1.0])), "nondecreasing"),
+        (dict(time=np.array([-1.0, 0.5, 1.0])), "nonnegative"),
+        (dict(horizon=np.array([0.9, 3.0])), "horizon"),
+        (dict(actor=np.array([0, 1])), "one length"),
+        (dict(markets=np.array([0, 0])), "distinct"),
+    ])
+    def test_event_log_rejected_at_construction(self, change, message):
+        fields_ = dict(market_id=np.array([0, 0, 1]), index=np.array([1, 2, 1]),
+                       pre_state=np.array([0, 1, 2]), time=np.array([0.5, 1.0, 0.2]),
+                       actor=np.array([0, NATURE, 1]), action=np.array([1, 3, 1]),
+                       markets=np.array([0, 1]), horizon=np.array([2.0, 3.0]),
+                       final_state=np.array([3, 0]))
+        fields_.update(change)
+        with pytest.raises(InvalidArgumentError, match=message):
+            EventLog(**fields_)
+
+    @pytest.mark.parametrize("actor, action, pre_state", [
+        (2, 1, 0), (-2, 1, 0), (0, 0, 0), (NATURE, 8, 0), (NATURE, -1, 0), (0, 1, 8),
+    ])
+    def test_event_indices_checked_by_readers(self, actor, action, pre_state):
+        log = EventLog(market_id=np.array([0]), index=np.array([1]),
+                       pre_state=np.array([pre_state]), time=np.array([0.5]),
+                       actor=np.array([actor]), action=np.array([action]),
+                       markets=np.array([0]), horizon=np.array([1.0]),
+                       final_state=np.array([0]))
+        for reader in (SpellStats.from_events, to_panel, EventLog.post_state):
+            with pytest.raises(InvalidArgumentError):
+                reader(log, SEGMENT_CONFIG)
+
+    @pytest.mark.parametrize("market_id, period, message", [
+        ([0, 1, 0], [0, 0, 1], "contiguous"),
+        ([0, 0, 1], [1, 1, 0], "strictly increase"),
+        ([0, 0, 1], [2, 1, 0], "strictly increase"),
+        ([0, 0], [0, 1, 2], "one length"),
+    ])
+    def test_panel_rejected_at_construction(self, market_id, period, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            Panel(market_id=np.array(market_id), period=np.array(period),
+                  state=np.zeros(3, dtype=np.int64))
