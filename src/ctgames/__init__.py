@@ -56,17 +56,18 @@ from .simulate import (
 from .likelihood import (
     HazardProfile,
     SpellStats,
+    TransitionCounts,
     hazard_profile,
     loglik_continuous,
     loglik_continuous_parts,
     loglik_discrete,
+    sufficient_statistics,
 )
 from .estimate import (
     EstimationResult,
     LinearizedPolicy,
     ctnpl,
     init_ccp,
-    maximize_pseudo_likelihood,
     rmse_relative,
 )
 from .diagnostics import (

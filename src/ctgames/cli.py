@@ -35,6 +35,7 @@ from .experiments import (
     solve_spec,
 )
 from .game import GameConfig, Theta
+from .likelihood import sufficient_statistics
 from .simulate import EventLog, Panel
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
@@ -69,8 +70,13 @@ def markdown_table(rows, fieldnames, digits=4):
 
 def load_spec_file(path):
     """Parse and schema-validate a JSON experiment file."""
-    with open(path) as handle:
-        raw = json.load(handle)
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except OSError as err:
+        raise InvalidArgumentError(f"cannot read config file {path}: {err.strerror}") from err
+    except ValueError as err:
+        raise InvalidArgumentError(f"config file {path} is not JSON: {err}") from err
     schema = json.loads(resources.files("ctgames.schemas")
                         .joinpath("experiment.schema.json").read_text())
     try:
@@ -178,7 +184,7 @@ def _load_data(path, sampling):
 def cmd_estimate(args):
     spec = build_spec(args)
     out = _outdir(args)
-    data = _load_data(args.data, spec.sampling)
+    data = sufficient_statistics(_load_data(args.data, spec.sampling), spec.config)
     if args.init == "true":
         mpe, _ = solve_spec(spec)
         start = init_ccp("true", None, spec.config, ccp_star=mpe.ccp)
@@ -245,7 +251,11 @@ def cmd_mc(args):
 def cmd_diagnose(args):
     spec = build_spec(args)
     out = _outdir(args)
-    grid = [float(x) for x in args.rn_grid.split(",")]
+    try:
+        grid = [float(x) for x in args.rn_grid.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--rn-grid must be a comma list of numbers, got {args.rn_grid!r}") from None
     rows = stability_sweep(spec.config, spec.theta_true, grid)
     fields = ["rn", "rho", "rho_br", "avg_active", "iterations", "error"]
     write_csv(out / "stability_sweep.csv", rows, fields)

@@ -1,5 +1,9 @@
 """CCP initializers, pseudo-likelihood maximization, and the nested estimator.
 
+All of them read a dataset only through its sufficient statistic
+(`likelihood.sufficient_statistics`) and accept the statistic in its
+place, so a caller fitting several estimators reduces the data once.
+
 The inner maximization never re-solves the value function per candidate
 theta.  Holding the previous-stage choice probabilities fixed, the policy
 values are exactly affine in the parameter vector, ``V_i = W_i @ theta +
@@ -35,9 +39,7 @@ from .equilibrium import (CCP_FLOOR, _policy_system_matrix, _value_equation, che
 from .errors import InvalidArgumentError, NumericalError, OptimizationError
 # flow_design_rows stays importable from here; the payoff design lives in game
 from .game import Theta, entry_design, flow_design_rows  # noqa: F401
-from .likelihood import (SpellStats, continuous_loglik_gradient, discrete_loglik_from_counts,
-                         discrete_loglik_gradient, transition_counts)
-from .simulate import EventLog, Panel, consecutive_pairs
+from .likelihood import SpellStats, TransitionCounts, sufficient_statistics
 
 # Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
 INIT_FLOOR = 1e-6
@@ -92,30 +94,15 @@ class LinearizedPolicy:
 class _PseudoLikelihood:
     """Market-averaged log likelihood of one dataset as a function of theta.
 
-    The data are checked and reduced to their sufficient statistics once,
-    at construction; `linearize` then sets the stage's previous-stage
+    Holds the data's sufficient statistic, reduced and checked once at
+    construction; `linearize` then sets the stage's previous-stage
     probabilities ``ccp_prev`` through their `LinearizedPolicy`.
     """
 
     def __init__(self, data, config):
         self.config = config
+        self.stats = sufficient_statistics(data, config)
         self.policy = None
-        if isinstance(data, EventLog):
-            self.kind = "continuous"
-            if data.n_markets == 0:
-                raise InvalidArgumentError("event log holds no market")
-            self._stats = SpellStats.from_events(data, config)
-            nature = game.nature_generator(config)
-            np.fill_diagonal(nature, 0.0)
-            if np.any((self._stats.nature_moves > 0) & (nature <= 0)):
-                raise InvalidArgumentError("event log contains impossible nature moves")
-        elif isinstance(data, Panel):
-            self.kind = "discrete"
-            self._counts, self._n_markets = transition_counts(data, config.n_states)
-            if not self._counts.any():
-                raise InvalidArgumentError("panel holds no consecutive transition")
-        else:
-            raise InvalidArgumentError(f"unsupported data type: {type(data)!r}")
 
     def linearize(self, ccp_prev):
         """Hold the probabilities at ``ccp_prev`` for the next evaluations."""
@@ -123,11 +110,8 @@ class _PseudoLikelihood:
         return self
 
     def value(self, theta_vec):
-        """Log likelihood at theta; snapshot data take the plain ``expm`` route."""
-        if self.kind == "continuous":
-            return self.value_and_gradient(theta_vec)[0]
-        return discrete_loglik_from_counts(self._counts, self._n_markets,
-                                           self.policy.ccp(theta_vec), self.config)
+        """Log likelihood at theta by the statistic's reference route."""
+        return self.stats.loglik(self.policy.ccp(theta_vec))
 
     def value_and_gradient(self, theta_vec, counters=None):
         """Log likelihood and its exact gradient in theta.
@@ -135,11 +119,7 @@ class _PseudoLikelihood:
         ``counters`` collects the snapshot likelihood's ``clamped_logs``.
         """
         ccp = self.policy.ccp(theta_vec)
-        if self.kind == "continuous":
-            value, action_grad = continuous_loglik_gradient(self._stats, ccp, self.config)
-        else:
-            value, action_grad = discrete_loglik_gradient(
-                self._counts, self._n_markets, ccp, self.config, counters=counters)
+        value, action_grad = self.stats.value_and_gradient(ccp, counters=counters)
         return value, self.policy.chain(ccp, action_grad)
 
 
@@ -208,28 +188,6 @@ def _maximize(pseudo, theta_init=None, gtol=1e-6, max_evals=500, counters=None):
     return result.x, float(-result.fun), pseudo.policy
 
 
-def maximize_pseudo_likelihood(ccp_prev, data, config, theta_init=None,
-                               gtol=1e-6, max_evals=500):
-    """One pseudo-likelihood maximization over theta at fixed probabilities.
-
-    ``data`` selects the likelihood: an `EventLog` uses the event-data form
-    (through its sufficient statistics), a `Panel` the snapshot form.  The
-    default start is the all-ones vector.
-
-    Raises
-    ------
-    OptimizationError
-        On eval-budget exhaustion or non-convergence; carries the best
-        point visited and its gradient norm.
-    InvalidArgumentError
-        If a panel holds no consecutive transition or an event log no market.
-    """
-    init = None if theta_init is None else theta_init.as_vector()
-    vec, _, _ = _maximize(_PseudoLikelihood(data, config).linearize(ccp_prev),
-                          theta_init=init, gtol=gtol, max_evals=max_evals)
-    return Theta.from_vector(vec, config.n_players)
-
-
 @dataclass
 class EstimationResult:
     """Outcome of the nested estimation loop."""
@@ -246,6 +204,7 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
           gtol=1e-6, max_evals=500):
     """Nested pseudo-likelihood estimation from initial probabilities ``ccp0``.
 
+    ``data`` is an `EventLog`, a `Panel` or their `sufficient_statistics`.
     Alternates a theta maximization at the current probabilities with one
     best-response update of the probabilities, stopping once both sup-norm
     deltas drop below ``tol``.  ``max_stages=1`` is the two-step pseudo
@@ -327,22 +286,24 @@ def rmse_relative(results, baseline, theta_true):
 def init_ccp(method, data, config, ccp_star=None, seed=None):
     """First-stage choice probabilities.
 
+    ``data`` is an `EventLog`, a `Panel` or their `sufficient_statistics`;
     ``method`` is one of:
 
     - ``"true"``: return ``ccp_star`` unchanged (infeasible benchmark).
     - ``"random"``: independent Uniform(0,1) action probabilities.
-    - ``"frequency"``: from an `EventLog`, the hazard-identity estimate
+    - ``"frequency"``: from event data, the hazard-identity estimate
       moves / (lam * exposure) per (firm, state), falling back to the
-      firm's pooled rate in unvisited states; from a `Panel`, the add-one
+      firm's pooled rate in unvisited states; from a panel, the add-one
       smoothed frequency of activity toggles between consecutive snapshots
       given the pre-state (crude on purpose -- the nested loop does not
       need a consistent start).
     - ``"logit"``: pooled semi-parametric fit on (firm dummies, demand
       level, ln(1 + active rivals)), with separate coefficients for entry
       and exit states; a logistic regression of the toggle indicator for
-      panels, a logistic-hazard maximum likelihood for event logs.
+      panels, a logistic-hazard maximum likelihood for event data.
 
-    All outputs are clamped inside [1e-6, 1 - 1e-6].
+    The data-driven starts read only the statistic.  All outputs are
+    clamped inside [1e-6, 1 - 1e-6].
     """
     if method == "true":
         if ccp_star is None:
@@ -352,17 +313,12 @@ def init_ccp(method, data, config, ccp_star=None, seed=None):
         rng = np.random.default_rng(seed)
         probs = rng.uniform(size=(config.n_players, config.n_states))
         return _as_ccp(probs, config)
+    if method not in ("frequency", "logit"):
+        raise InvalidArgumentError(f"unknown init method: {method!r}")
     if data is None:
         raise InvalidArgumentError(f"method {method!r} requires data")
-    if method == "frequency":
-        if isinstance(data, EventLog):
-            return _frequency_from_events(data, config)
-        return _frequency_from_panel(data, config)
-    if method == "logit":
-        if isinstance(data, EventLog):
-            return _logit_from_events(data, config)
-        return _logit_from_panel(data, config)
-    raise InvalidArgumentError(f"unknown init method: {method!r}")
+    stats = sufficient_statistics(data, config)
+    return _DATA_STARTS[method, type(stats)](stats)
 
 
 def _as_ccp(action_probs, config):
@@ -373,8 +329,8 @@ def _as_ccp(action_probs, config):
     return ccp
 
 
-def _frequency_from_events(events, config):
-    stats = SpellStats.from_events(events, config)
+def _frequency_from_spells(stats):
+    config = stats.config
     exposure = config.lam * stats.exposure[None, :]
     pooled = stats.moves.sum(axis=1) / np.maximum(config.lam * stats.exposure.sum(), 1e-12)
     probs = np.where(exposure > 0,
@@ -383,24 +339,17 @@ def _frequency_from_events(events, config):
     return _as_ccp(probs, config)
 
 
-def _toggle_observations(panel, config):
-    """Per (transition, firm) toggle indicators with pre-state features."""
-    pre, post = consecutive_pairs(panel, config.n_states)
-    tables = game.state_tables(config)
-    toggled = tables.activity[pre] != tables.activity[post]  # (n, N)
-    return pre, toggled
+def _toggles(stats):
+    """(N, K) counts of snapshot pairs whose activity bit of firm i differs,
+    by pre-state, and the (K,) pre-state visits."""
+    activity = game.state_tables(stats.config).activity          # (K, N)
+    changed = activity[:, None, :] != activity[None, :, :]        # (K, K, N)
+    return np.einsum("kl,kli->ik", stats.counts, changed), stats.counts.sum(axis=1)
 
 
-def _frequency_from_panel(panel, config):
-    pre, toggled = _toggle_observations(panel, config)
-    k_total, n = config.n_states, config.n_players
-    counts = np.zeros((n, k_total))
-    visits = np.zeros(k_total)
-    np.add.at(visits, pre, 1.0)
-    for i in range(n):
-        np.add.at(counts[i], pre, toggled[:, i].astype(float))
-    probs = (counts + 1.0) / (visits[None, :] + 2.0)
-    return _as_ccp(probs, config)
+def _frequency_from_counts(stats):
+    toggles, visits = _toggles(stats)
+    return _as_ccp((toggles + 1.0) / (visits[None, :] + 2.0), stats.config)
 
 
 def _initializer_features(config):
@@ -416,14 +365,12 @@ def _initializer_features(config):
     return np.concatenate([base * (1 - active), base * active], axis=2)
 
 
-def _fit_logistic(features, successes, trials, offsets=None):
+def _fit_logistic(features, successes, trials):
     """Newton (IRLS) fit of successes/trials ~ logistic(features @ beta)."""
     n_feat = features.shape[1]
     beta = np.zeros(n_feat)
-    offsets = np.zeros(len(successes)) if offsets is None else offsets
     for _ in range(100):
-        eta = features @ beta + offsets
-        prob = 1.0 / (1.0 + np.exp(-eta))
+        prob = 1.0 / (1.0 + np.exp(-(features @ beta)))
         weight = trials * prob * (1 - prob)
         grad = features.T @ (successes - trials * prob)
         hessian = features.T @ (features * weight[:, None])
@@ -435,26 +382,26 @@ def _fit_logistic(features, successes, trials, offsets=None):
     return beta
 
 
-def _logit_from_panel(panel, config):
-    pre, toggled = _toggle_observations(panel, config)
-    feats = _initializer_features(config)
-    rows = np.concatenate([feats[i, pre] for i in range(config.n_players)])
-    y = np.concatenate([toggled[:, i].astype(float) for i in range(config.n_players)])
-    beta = _fit_logistic(rows, y, np.ones(len(y)))
+def _logit_from_counts(stats):
+    """Binomial logit of the toggles: one row per (firm, pre-state), with
+    the pre-state's visits as trials."""
+    toggles, visits = _toggles(stats)
+    feats = _initializer_features(stats.config)
+    beta = _fit_logistic(feats.reshape(-1, feats.shape[2]), toggles.ravel(),
+                         np.broadcast_to(visits, toggles.shape).ravel())
     probs = 1.0 / (1.0 + np.exp(-(feats @ beta)))
-    return _as_ccp(probs, config)
+    return _as_ccp(probs, stats.config)
 
 
-def _logit_from_events(events, config):
+def _logit_from_spells(stats):
     """Logistic-link hazard fit: move counts ~ Poisson(lam * sigma * exposure).
 
     Maximizes sum_ik [n_ik ln sigma_ik - lam T_k sigma_ik] over the logistic
     index by BFGS (the exposure term breaks the concavity IRLS relies on).
     """
-    stats = SpellStats.from_events(events, config)
-    feats = _initializer_features(config)
+    feats = _initializer_features(stats.config)
     moves = stats.moves
-    exposure = config.lam * stats.exposure[None, :]
+    exposure = stats.config.lam * stats.exposure[None, :]
 
     def neg_loglik(beta):
         prob = 1.0 / (1.0 + np.exp(-(feats @ beta)))
@@ -464,4 +411,11 @@ def _logit_from_events(events, config):
     result = minimize(neg_loglik, np.zeros(feats.shape[2]), method="BFGS",
                       options={"gtol": 1e-8, "maxiter": 500})
     probs = 1.0 / (1.0 + np.exp(-(feats @ result.x)))
-    return _as_ccp(probs, config)
+    return _as_ccp(probs, stats.config)
+
+
+# The data-driven starts by (method, statistic type).
+_DATA_STARTS = {("frequency", SpellStats): _frequency_from_spells,
+                ("frequency", TransitionCounts): _frequency_from_counts,
+                ("logit", SpellStats): _logit_from_spells,
+                ("logit", TransitionCounts): _logit_from_counts}

@@ -20,6 +20,7 @@ from .equilibrium import aggregate_generator, solve_mpe
 from .errors import CTGamesError, InvalidArgumentError
 from .estimate import ctnpl, init_ccp
 from .game import GameConfig, Theta, state_tables
+from .likelihood import sufficient_statistics
 from .markov import stationary_distribution
 from .simulate import sample_discrete, simulate_continuous
 
@@ -113,31 +114,20 @@ def simulate_dataset(spec, ccp_star, rep_seed):
 def run_estimators(spec, data, ccp_star, rep_seed):
     """Fit every estimator named in the spec on one dataset.
 
-    Two-step estimators are single-stage runs from their initializer;
-    the nested estimator iterates up to ``spec.ctnpl_stages`` stages from
+    ``data`` is a dataset or its statistic, reduced once for all of them.
+    Two-step estimators are single-stage runs from their initializer; the
+    nested estimator iterates up to ``spec.ctnpl_stages`` stages from
     ``spec.ctnpl_init``.  Returns {name: EstimationResult}.
     """
+    data = sufficient_statistics(data, spec.config)
+    # (init method, stages, seed of a random start) per estimator
+    plans = {"2S-True": ("true", 1, None), "2S-Freq": ("frequency", 1, None),
+             "2S-Logit": ("logit", 1, None), "2S-Random": ("random", 1, rep_seed + 101),
+             "CTNPL": (spec.ctnpl_init, spec.ctnpl_stages, rep_seed + 103)}
     out = {}
     for name in spec.estimators:
-        if name == "2S-True":
-            start, stages = init_ccp("true", None, spec.config, ccp_star=ccp_star), 1
-        elif name == "2S-Freq":
-            start, stages = init_ccp("frequency", data, spec.config), 1
-        elif name == "2S-Logit":
-            start, stages = init_ccp("logit", data, spec.config), 1
-        elif name == "2S-Random":
-            start = init_ccp("random", None, spec.config, seed=rep_seed + 101)
-            stages = 1
-        elif name == "CTNPL":
-            if spec.ctnpl_init == "random":
-                start = init_ccp("random", None, spec.config, seed=rep_seed + 103)
-            elif spec.ctnpl_init == "true":
-                start = init_ccp("true", None, spec.config, ccp_star=ccp_star)
-            else:
-                start = init_ccp(spec.ctnpl_init, data, spec.config)
-            stages = spec.ctnpl_stages
-        else:  # pragma: no cover - guarded by ExperimentSpec validation
-            raise InvalidArgumentError(f"unknown estimator {name!r}")
+        method, stages, seed = plans[name]
+        start = init_ccp(method, data, spec.config, ccp_star=ccp_star, seed=seed)
         out[name] = ctnpl(data, spec.config, start, max_stages=stages,
                           tol=spec.ctnpl_tol)
     return out
@@ -165,9 +155,14 @@ class McResults:
 def run_monte_carlo(spec, ccp_star=None, verbose=False):
     """Simulate-and-estimate replications under a paired design.
 
-    Per-replication failures are recorded in ``failures`` and the
-    replication is dropped for that estimator only (never silently).
+    Each replication's dataset is reduced to its statistic once for all
+    the estimators.  Per-replication failures are recorded in ``failures``
+    and the replication is dropped for that estimator only (never
+    silently).  At least two replications are needed for the standard
+    deviations.
     """
+    if spec.replications < 2:
+        raise InvalidArgumentError("a Monte Carlo run needs >= 2 replications")
     if ccp_star is None:
         mpe, _ = solve_spec(spec)
         ccp_star = mpe.ccp
@@ -176,7 +171,7 @@ def run_monte_carlo(spec, ccp_star=None, verbose=False):
     failures = []
     for rep in range(spec.replications):
         rep_seed = spec.seed + rep
-        data = simulate_dataset(spec, ccp_star, rep_seed)
+        data = sufficient_statistics(simulate_dataset(spec, ccp_star, rep_seed), spec.config)
         for name in spec.estimators:
             try:
                 single = replace(spec, estimators=(name,))
@@ -248,7 +243,10 @@ def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
     Returns a dict with before/after means and sds of the active-firm
     count and the percentage change; a policy that maps to a zero shift
     (entry cost zero) is flagged ``degenerate`` and reports no change.
+    At least two draws are needed for the standard deviations.
     """
+    if n_draws < 2:
+        raise InvalidArgumentError(f"n_draws must be >= 2, got {n_draws}")
     theta = spec.theta_true
     config = spec.config
     tables = state_tables(config)

@@ -1,24 +1,26 @@
 """Log pseudo-likelihoods for event-level and snapshot data.
 
-Both likelihoods are market averages.  The event-data likelihood factors
-into survival, player-action and nature terms through a small set of
-sufficient statistics (state exposures and move counts), which also makes
-repeated evaluation in an estimation loop cheap.  The snapshot likelihood
-scores transitions against ``expm(delta * Q)`` evaluated at the
-best-response probabilities implied by ``(theta, ccp)`` -- that one
-best-response application inside is what makes it a function of theta.
-Both also come with their exact gradient in the action probabilities, for
-the estimator to chain through to theta.
+Both likelihoods are market averages that read the data only through a
+sufficient statistic, built once per dataset by `sufficient_statistics`:
+`SpellStats` (state exposures and move counts) for an event log, whose
+likelihood factors into survival, player-action and nature terms, and
+`TransitionCounts` (the K x K consecutive-snapshot counts) for a panel,
+whose transitions are scored against ``expm(delta * Q)`` at best-response
+probabilities.  Each statistic gives its log likelihood at given action
+probabilities and, with it, the exact gradient in those probabilities for
+the estimator to chain through to theta; the theta-free nature term of the
+event-data likelihood is computed once per statistic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import game, markov
 from .equilibrium import aggregate_generator, best_response_map, check_ccp
 from .errors import InvalidArgumentError
-from .simulate import NATURE, consecutive_pairs
+from .simulate import NATURE, EventLog, Panel, consecutive_pairs
 
 # Transition probabilities below this floor are clamped before the log.
 LOG_FLOOR = 1e-300
@@ -33,10 +35,13 @@ class HazardProfile:
     player: np.ndarray  # (N, K) lam * ccp[i, 1, k]
 
 
-def hazard_profile(ccp, config):
+def hazard_profile(ccp, config, nature=None):
+    """Exit hazards at ``ccp``; ``nature`` passes nature's off-diagonal
+    rates when the caller already holds them."""
     ccp = check_ccp(ccp, config)
-    nature = game.nature_generator(config)
-    np.fill_diagonal(nature, 0.0)
+    if nature is None:
+        nature = game.nature_generator(config)
+        np.fill_diagonal(nature, 0.0)
     player = config.lam * ccp[:, 1, :]
     return HazardProfile(total=nature.sum(axis=1) + player.sum(axis=0),
                          nature=nature, player=player)
@@ -50,6 +55,7 @@ class SpellStats:
     moves: np.ndarray         # (N, K) firm action counts by pre-state
     nature_moves: np.ndarray  # (K, K) nature transition counts
     n_markets: int
+    config: game.GameConfig
 
     @classmethod
     def from_events(cls, events, config):
@@ -74,48 +80,57 @@ class SpellStats:
         nature_moves = _pair_counts(events.pre_state[nature], events.action[nature],
                                     (k_total, k_total))
         return cls(exposure=exposure, moves=moves, nature_moves=nature_moves,
-                   n_markets=events.n_markets)
+                   n_markets=events.n_markets, config=config)
+
+    @cached_property
+    def _nature(self):
+        """Nature's off-diagonal rates and its summed log-rate term; neither
+        depends on the choice probabilities, so they are computed once."""
+        rates = game.nature_generator(self.config)
+        np.fill_diagonal(rates, 0.0)
+        if np.any((self.nature_moves > 0) & (rates <= 0)):
+            return rates, -np.inf
+        log_rates = np.where(self.nature_moves > 0,
+                             np.log(np.where(rates > 0, rates, 1.0)), 0.0)
+        return rates, (self.nature_moves * log_rates).sum()
+
+    def require_information(self):
+        """Raise `InvalidArgumentError` unless the data can be fit."""
+        if self.n_markets == 0:
+            raise InvalidArgumentError("event log holds no market")
+        if self._nature[1] == -np.inf:
+            raise InvalidArgumentError("event log contains impossible nature moves")
+
+    def loglik_parts(self, ccp):
+        """(player, nature, survival) terms at ``ccp``, each divided by the
+        market count; a nature move of zero rate makes the first two -inf."""
+        rates, nature = self._nature
+        hazards = hazard_profile(ccp, self.config, nature=rates)
+        survival = -(self.exposure * hazards.total).sum() / self.n_markets
+        if nature == -np.inf:
+            return -np.inf, -np.inf, survival
+        with np.errstate(divide="ignore"):
+            log_player = np.where(self.moves > 0, np.log(hazards.player), 0.0)
+        player = (self.moves * log_player).sum()
+        return player / self.n_markets, nature / self.n_markets, survival
+
+    def loglik(self, ccp):
+        """Average log likelihood of the event data at ``ccp``."""
+        return float(sum(self.loglik_parts(ccp)))
+
+    def value_and_gradient(self, ccp, counters=None):
+        """`loglik` and its (N, K) gradient in ``ccp[:, 1, :]``: the firm terms
+        ``moves ln(lam sigma) - exposure lam sigma`` give
+        ``(moves / sigma - lam exposure) / M``.  Nothing is clamped."""
+        grad = ((self.moves / ccp[:, 1, :] - self.config.lam * self.exposure)
+                / self.n_markets)
+        return self.loglik(ccp), grad
 
 
 def _pair_counts(rows, cols, shape):
     """Occurrences of every (row, col) pair as a float array of ``shape``."""
     flat = np.bincount(np.ravel_multi_index((rows, cols), shape), minlength=shape[0] * shape[1])
     return flat.reshape(shape).astype(float)
-
-
-def continuous_loglik_from_stats(stats, hazards, n_markets):
-    """Evaluate the event-data likelihood from sufficient statistics.
-
-    Returns the triple (player terms, nature terms, survival terms), each
-    already divided by the market count; their sum is the log likelihood.
-    An observed move with zero hazard yields -inf (a domain flag).
-    """
-    survival = -(stats.exposure * hazards.total).sum()
-    with np.errstate(divide="ignore"):
-        log_player = np.where(stats.moves > 0, np.log(hazards.player), 0.0)
-        log_nature = np.where(stats.nature_moves > 0,
-                              np.log(np.where(hazards.nature > 0, hazards.nature, 1.0)),
-                              0.0)
-    impossible = (stats.nature_moves > 0) & (hazards.nature <= 0)
-    if np.any(impossible):
-        return -np.inf, -np.inf, survival / n_markets
-    player = (stats.moves * log_player).sum()
-    nature = (stats.nature_moves * log_nature).sum()
-    return player / n_markets, nature / n_markets, survival / n_markets
-
-
-def continuous_loglik_gradient(stats, ccp, config):
-    """Event-data likelihood and its gradient in the action probabilities.
-
-    Returns the log likelihood of `continuous_loglik_from_stats` at ``ccp``
-    and its (N, K) gradient in ``ccp[:, 1, :]``: the firm terms
-    ``moves ln(lam sigma) - exposure lam sigma`` give
-    ``(moves / sigma - lam exposure) / M``; nature's terms do not depend on
-    ``ccp``.
-    """
-    parts = continuous_loglik_from_stats(stats, hazard_profile(ccp, config), stats.n_markets)
-    grad = (stats.moves / ccp[:, 1, :] - config.lam * stats.exposure) / stats.n_markets
-    return float(sum(parts)), grad
 
 
 def loglik_continuous_parts(ccp, events, config):
@@ -125,14 +140,12 @@ def loglik_continuous_parts(ccp, events, config):
     estimated); the payoff parameters enter only through the choice
     probabilities supplied by the caller.
     """
-    stats = SpellStats.from_events(events, config)
-    hazards = hazard_profile(ccp, config)
-    return continuous_loglik_from_stats(stats, hazards, events.n_markets)
+    return SpellStats.from_events(events, config).loglik_parts(ccp)
 
 
 def loglik_continuous(ccp, events, config):
     """Average log likelihood of an event log: survival + event-type terms."""
-    return float(sum(loglik_continuous_parts(ccp, events, config)))
+    return SpellStats.from_events(events, config).loglik(ccp)
 
 
 def transition_counts(panel, k_total):
@@ -162,23 +175,61 @@ def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, delta=None,
     return float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
 
 
-def discrete_loglik_gradient(counts, n_markets, ccp_br, config, counters=None):
-    """Snapshot likelihood and its gradient in the action probabilities.
+@dataclass(frozen=True)
+class TransitionCounts:
+    """Sufficient statistics of a snapshot panel for the snapshot likelihood."""
 
-    Returns the value of `discrete_loglik_from_counts` (``expm`` route) and
-    the (N, K) gradient in ``ccp_br[:, 1, :]``.  With ``G = C / (M P)`` on
-    unclamped entries, the gradient in the generator is the adjoint
-    ``Gbar = delta L(delta Q^T, G)``; firm i's action rate in state k adds
-    ``lam`` to ``Q[k, toggle_i(k)]`` and subtracts it from ``Q[k, k]``.
-    """
-    q = aggregate_generator(ccp_br, config)
-    p, pullback = markov.transition_matrix_pullback(q, config.delta)
-    value = float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
-    g = np.where(p >= LOG_FLOOR, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
-    gbar = pullback(g)
-    ks = np.arange(config.n_states)
-    toggle = game.state_tables(config).toggle
-    return value, config.lam * (gbar[ks, toggle] - gbar[ks, ks])
+    counts: np.ndarray  # (K, K) consecutive-snapshot transition counts
+    n_markets: int
+    config: game.GameConfig
+
+    @classmethod
+    def from_panel(cls, panel, config):
+        return cls(*transition_counts(panel, config.n_states), config)
+
+    def require_information(self):
+        """Raise `InvalidArgumentError` unless the data can be fit."""
+        if not self.counts.any():
+            raise InvalidArgumentError("panel holds no consecutive transition")
+
+    def loglik(self, ccp_br):
+        """`discrete_loglik_from_counts` at the best responses ``ccp_br``."""
+        return discrete_loglik_from_counts(self.counts, self.n_markets, ccp_br, self.config)
+
+    def value_and_gradient(self, ccp_br, counters=None):
+        """`loglik` and its (N, K) gradient in ``ccp_br[:, 1, :]``.
+
+        With ``G = C / (M P)`` on unclamped entries, the gradient in the
+        generator is the adjoint ``Gbar = delta L(delta Q^T, G)``; firm i's
+        action rate in state k adds ``lam`` to ``Q[k, toggle_i(k)]`` and
+        subtracts it from ``Q[k, k]``.
+        """
+        config, counts, n_markets = self.config, self.counts, self.n_markets
+        q = aggregate_generator(ccp_br, config)
+        p, pullback = markov.transition_matrix_pullback(q, config.delta)
+        value = float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
+        g = np.where(p >= LOG_FLOOR, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
+        gbar = pullback(g)
+        ks = np.arange(config.n_states)
+        toggle = game.state_tables(config).toggle
+        return value, config.lam * (gbar[ks, toggle] - gbar[ks, ks])
+
+
+def sufficient_statistics(data, config):
+    """`SpellStats` of an `EventLog` or `TransitionCounts` of a `Panel`; a
+    statistic passes through.  Raises `InvalidArgumentError` for any other
+    type, a statistic of another game, or data that cannot be fit: no
+    market, no consecutive transition, or a nature move of zero rate."""
+    if isinstance(data, EventLog):
+        data = SpellStats.from_events(data, config)
+    elif isinstance(data, Panel):
+        data = TransitionCounts.from_panel(data, config)
+    elif not isinstance(data, (SpellStats, TransitionCounts)):
+        raise InvalidArgumentError(f"unsupported data type: {type(data)!r}")
+    elif data.config != config:
+        raise InvalidArgumentError("sufficient statistic belongs to another game")
+    data.require_information()
+    return data
 
 
 def loglik_discrete(theta, ccp, panel, config, delta=None,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestCliCounterfactual:
         record = dict(zip(header, row))
         assert float(record["pct_change"]) > 0
 
+    @pytest.mark.parametrize("n_draws", [-5, 0, 1])
+    def test_fewer_than_two_draws_rejected(self, n_draws):
+        from ctgames import InvalidArgumentError
+
+        spec = experiment_spec(2, scale="desk")
+        with pytest.raises(InvalidArgumentError, match="n_draws"):
+            counterfactual(spec, n_draws=n_draws)
+
     def test_entry_cost_zero_experiment_is_degenerate(self):
         spec = experiment_spec(4, scale="desk")
         result = counterfactual(spec, fc_shift=-0.2, n_draws=2000, seed=3)
@@ -218,6 +227,35 @@ class TestExitCodes:
             assert json.loads(lines[0])["error"] == "InvalidArgumentError"
 
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--config", "{tmp}/missing.json"),
+        ("solve", "--config", "{tmp}/not_json.json"),
+        ("diagnose", "--rn-grid", "a,b"),
+        ("diagnose", "--rn-grid", ""),
+        ("counterfactual", "--draws", "0"),
+        ("counterfactual", "--draws", "1"),
+        ("counterfactual", "--draws", "-5"),
+        ("mc", "--replications", "1"),
+    ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
+            "draws_zero", "draws_one", "draws_negative", "mc_one_replication"])
+    def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
+        (tmp_path / "not_json.json").write_text("{experiment: 2,\n")
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--config" not in argv:
+            argv += ["--experiment", "2", "--scale", "desk", "--markets", "40"]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--out", str(out))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidArgumentError"
+        # rejected before any work: no partial artifacts
+        assert not out.exists() or not any(out.iterdir())
+
+
 EVENTS_HEADER = "market_id,n,k,t,actor,action\n"
 # Each file breaks one data invariant of the K = 24, N = 3 desk game.
 BAD_DATA_FILES = {
@@ -252,6 +290,20 @@ class TestBadDataFiles:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InvalidArgumentError"
+
+
+class TestMcReplications:
+    def test_one_replication_rejected_before_any_fit(self, monkeypatch):
+        from ctgames import InvalidArgumentError
+        from ctgames import experiments as experiments_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no replication may run")
+
+        monkeypatch.setattr(experiments_mod, "simulate_dataset", never)
+        spec = experiment_spec(2, scale="desk", n_markets=40, replications=1)
+        with pytest.raises(InvalidArgumentError, match="replications"):
+            run_monte_carlo(spec)
 
 
 class TestMcFailuresRecorded:

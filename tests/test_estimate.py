@@ -19,23 +19,22 @@ from ctgames.equilibrium import (
 from ctgames.estimate import (
     LinearizedPolicy,
     _PseudoLikelihood,
+    _fit_logistic,
+    _initializer_features,
     central_difference_gradient,
     ctnpl,
     init_ccp,
-    maximize_pseudo_likelihood,
     rmse_relative,
 )
-from ctgames.game import flow_payoff, instant_payoff
+from ctgames.game import flow_payoff, instant_payoff, state_tables
 from ctgames.likelihood import (
     SpellStats,
-    continuous_loglik_from_stats,
-    continuous_loglik_gradient,
+    TransitionCounts,
     discrete_loglik_from_counts,
-    discrete_loglik_gradient,
-    hazard_profile,
+    sufficient_statistics,
 )
 from ctgames.markov import transition_matrix
-from ctgames.simulate import Panel, sample_discrete, simulate_continuous
+from ctgames.simulate import Panel, consecutive_pairs, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
 
@@ -109,17 +108,16 @@ class TestScoreAtTruth:
         stats = SpellStats(exposure=pi,
                            moves=pi[None, :] * config.lam * ccp_star[:, 1, :],
                            nature_moves=pi[:, None] * q0,
-                           n_markets=1)
+                           n_markets=1, config=config)
         policy = LinearizedPolicy(ccp_star, config)
 
         def loglik(vec):
-            hz = hazard_profile(policy.ccp(vec), config)
-            return sum(continuous_loglik_from_stats(stats, hz, 1))
+            return stats.loglik(policy.ccp(vec))
 
         grad = central_difference_gradient(loglik, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
         ccp = policy.ccp(theta.as_vector())
-        exact = policy.chain(ccp, continuous_loglik_gradient(stats, ccp, config)[1])
+        exact = policy.chain(ccp, stats.value_and_gradient(ccp)[1])
         assert np.abs(exact).max() < 1e-6
 
     def test_discrete_expected_score_vanishes(self, desk_game):
@@ -135,7 +133,8 @@ class TestScoreAtTruth:
         grad = central_difference_gradient(loglik, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
         ccp = policy.ccp(theta.as_vector())
-        exact = policy.chain(ccp, discrete_loglik_gradient(counts, 1, ccp, config)[1])
+        stats = TransitionCounts(counts=counts, n_markets=1, config=config)
+        exact = policy.chain(ccp, stats.value_and_gradient(ccp)[1])
         assert np.abs(exact).max() < 1e-6
 
 
@@ -227,6 +226,118 @@ class TestInitCcp:
             init_ccp("true", None, config)
 
 
+# Per-observation oracles of the panel starts, which read the count matrix:
+# one indicator (and one logistic row) per snapshot pair and firm.
+def toggle_observations_oracle(panel, config):
+    pre, post = consecutive_pairs(panel, config.n_states)
+    activity = state_tables(config).activity
+    return pre, activity[pre] != activity[post]  # (n_pairs, N)
+
+
+def frequency_from_panel_oracle(panel, config):
+    pre, toggled = toggle_observations_oracle(panel, config)
+    counts = np.zeros((config.n_players, config.n_states))
+    visits = np.zeros(config.n_states)
+    np.add.at(visits, pre, 1.0)
+    for i in range(config.n_players):
+        np.add.at(counts[i], pre, toggled[:, i].astype(float))
+    return np.clip((counts + 1.0) / (visits[None, :] + 2.0), 1e-6, 1 - 1e-6)
+
+
+def logit_from_panel_oracle(panel, config):
+    pre, toggled = toggle_observations_oracle(panel, config)
+    feats = _initializer_features(config)
+    rows = np.concatenate([feats[i, pre] for i in range(config.n_players)])
+    y = np.concatenate([toggled[:, i].astype(float) for i in range(config.n_players)])
+    beta = _fit_logistic(rows, y, np.ones(len(y)))
+    return np.clip(1.0 / (1.0 + np.exp(-(feats @ beta))), 1e-6, 1 - 1e-6)
+
+
+PANEL_CONFIG = desk_config()
+
+
+def spanning_states(config):
+    """States whose (firm, state) feature rows span the logit design."""
+    feats = _initializer_features(config)
+    chosen, rank = [], 0
+    for k in range(config.n_states):
+        grown = np.linalg.matrix_rank(feats[:, chosen + [k]].reshape(-1, feats.shape[2]))
+        if grown > rank:
+            chosen, rank = chosen + [k], grown
+    return chosen
+
+
+@st.composite
+def panels(draw):
+    """Panels of 1-6 drawn markets with 1-6 snapshots each, gaps between
+    periods allowed and states drawn from the whole space.
+
+    For every pre-state that is visited or in `spanning_states`, and every
+    firm, two-snapshot markets are appended: one where nothing changes and
+    one where only that firm toggles.  Each visited (firm, pre-state) cell
+    then holds both outcomes and the visited cells span the design, so the
+    logit maximum likelihood exists and is unique, also in the pre-states
+    that stay unvisited.
+    """
+    config = PANEL_CONFIG
+    market_id, period, state = [], [], []
+    for m in range(draw(st.integers(1, 6))):
+        periods = sorted(draw(st.sets(st.integers(0, 8), min_size=1, max_size=6)))
+        market_id += [m] * len(periods)
+        period += periods
+        state += draw(st.lists(st.integers(0, config.n_states - 1),
+                               min_size=len(periods), max_size=len(periods)))
+    drawn = Panel(market_id=np.array(market_id), period=np.array(period),
+                  state=np.array(state))
+    visited = np.union1d(consecutive_pairs(drawn, config.n_states)[0], spanning_states(config))
+    toggle = state_tables(config).toggle
+    for k in visited:
+        for post in (k, *toggle[:, k]):
+            market_id += [market_id[-1] + 1] * 2
+            period += [0, 1]
+            state += [k, post]
+    return Panel(market_id=np.array(market_id), period=np.array(period),
+                 state=np.array(state))
+
+
+class TestPanelStartsFromCounts:
+    @given(panel=panels())
+    @settings(max_examples=60)
+    def test_match_per_observation_oracles(self, panel):
+        config = PANEL_CONFIG
+        freq = init_ccp("frequency", panel, config)
+        assert np.array_equal(freq[:, 1, :], frequency_from_panel_oracle(panel, config))
+        assert np.array_equal(freq[:, 0, :], 1 - freq[:, 1, :])
+        logit = init_ccp("logit", panel, config)
+        assert np.abs(logit[:, 1, :] - logit_from_panel_oracle(panel, config)).max() <= 1e-10
+
+
+class TestStatisticInPlaceOfData:
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    def test_init_and_ctnpl_equal_raw_data(self, desk_game, desk_data, kind):
+        config, _, _ = desk_game
+        data = desk_data[kind]
+        stats = sufficient_statistics(data, config)
+        assert sufficient_statistics(stats, config) is stats
+        for method in ("frequency", "logit"):
+            start = init_ccp(method, data, config)
+            assert np.array_equal(init_ccp(method, stats, config), start)
+        raw = ctnpl(data, config, start, max_stages=3)
+        reduced = ctnpl(stats, config, start, max_stages=3)
+        assert np.array_equal(reduced.theta_hat.as_vector(), raw.theta_hat.as_vector())
+        assert np.array_equal(reduced.ccp_hat, raw.ccp_hat)
+        assert reduced.loglik == raw.loglik and reduced.trace == raw.trace
+
+    def test_statistic_of_another_game_rejected(self, desk_game, desk_data):
+        config, _, _ = desk_game
+        stats = sufficient_statistics(desk_data["discrete"], config)
+        other = desk_config(delta=0.5)
+        with pytest.raises(InvalidArgumentError, match="another game"):
+            ctnpl(stats, other, uniform_ccp(other))
+        with pytest.raises(InvalidArgumentError, match="unsupported data"):
+            init_ccp("frequency", stats.counts, config)
+
+
 class TestFastPathMatchesReference:
     def test_discrete_objective_equals_public_likelihood(self, mini_game, rng):
         from ctgames.estimate import _PseudoLikelihood
@@ -267,15 +378,15 @@ class TestMaximizePseudoLikelihood:
         config, theta, ccp_star = mini_game
         log = simulate_continuous(theta, ccp_star, config, 4000, seed=41,
                                   events_per_market=1)
-        theta_hat = maximize_pseudo_likelihood(ccp_star, log, config)
+        theta_hat = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
         assert np.abs(theta_hat.as_vector() - theta.as_vector()).max() < 0.35
 
     def test_start_insensitive(self, mini_game):
         config, theta, ccp_star = mini_game
         log = simulate_continuous(theta, ccp_star, config, 500, seed=43,
                                   events_per_market=1)
-        a = maximize_pseudo_likelihood(ccp_star, log, config)
-        b = maximize_pseudo_likelihood(ccp_star, log, config, theta_init=theta)
+        a = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
+        b = ctnpl(log, config, ccp_star, max_stages=1, theta_init=theta).theta_hat
         assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-4
 
     def test_gradient_zero_at_truth_on_expected_data(self, desk_game):
@@ -286,14 +397,8 @@ class TestMaximizePseudoLikelihood:
         pi = stationary_distribution(q)
         counts = pi[:, None] * transition_matrix(q, config.delta)
 
-        from ctgames.estimate import _PseudoLikelihood
-
-        pseudo = _PseudoLikelihood.__new__(_PseudoLikelihood)
-        pseudo.config = config
-        pseudo.policy = LinearizedPolicy(ccp_star, config)
-        pseudo.kind = "discrete"
-        pseudo._counts = counts
-        pseudo._n_markets = 1
+        stats = TransitionCounts(counts=counts, n_markets=1, config=config)
+        pseudo = _PseudoLikelihood(stats, config).linearize(ccp_star)
         grad = central_difference_gradient(pseudo.value, theta.as_vector())
         assert np.abs(grad).max() < 1e-6
         assert np.abs(pseudo.value_and_gradient(theta.as_vector())[1]).max() < 1e-6
@@ -304,9 +409,22 @@ class TestCtnpl:
         config, theta, ccp_star = mini_game
         panel = sample_discrete(theta, ccp_star, config, 400, periods=1, seed=51)
         result = ctnpl(panel, config, ccp_star, max_stages=1)
-        direct = maximize_pseudo_likelihood(ccp_star, panel, config)
         assert result.iterations == 1
-        assert np.allclose(result.theta_hat.as_vector(), direct.as_vector(), atol=1e-10)
+        # one stage maximizes the public pseudo-likelihood at ccp_star ...
+        from ctgames.likelihood import loglik_discrete
+
+        def loglik(vec):
+            return loglik_discrete(Theta.from_vector(vec, config.n_players), ccp_star,
+                                   panel, config)
+
+        vec = result.theta_hat.as_vector()
+        assert result.loglik == pytest.approx(loglik(vec), abs=1e-10)
+        assert np.abs(central_difference_gradient(loglik, vec)).max() < 1e-5
+        assert np.allclose(result.ccp_hat, best_response_map(result.theta_hat, ccp_star, config),
+                           atol=1e-10)
+        # ... and is the first stage of the nested loop
+        nested = ctnpl(panel, config, ccp_star, max_stages=2, tol=0.0)
+        assert nested.trace[0]["loglik"] == result.loglik
 
     def test_single_agent_converges_from_random_start(self):
         config = GameConfig(n_players=1, market_levels=3, lam=1.0, rho=0.05,
@@ -387,6 +505,25 @@ class TestCtnpl:
         result = ctnpl(log, config, uniform_ccp(config), max_stages=3, tol=1e-14)
         assert len(result.trace) == 3
         assert len(calls) == 1 and calls[0] is log
+
+    def test_monte_carlo_reduces_event_data_once_per_replication(self, monkeypatch):
+        # one SpellStats for all five estimators and both data-driven starts
+        from ctgames.experiments import experiment_spec, run_monte_carlo
+
+        spec = experiment_spec(2, scale="desk", sampling="continuous", n_markets=60,
+                               replications=2, seed=9)
+        calls = []
+        original = SpellStats.from_events.__func__
+
+        def counted(cls, events, config):
+            calls.append(events)
+            return original(cls, events, config)
+
+        monkeypatch.setattr(SpellStats, "from_events", classmethod(counted))
+        mc = run_monte_carlo(spec)
+        assert not mc.failures
+        assert all(arr.shape[0] == 2 for arr in mc.estimates.values())
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_impossible_nature_move_rejected_at_any_start(self, mini_game):
         # nature toggling a firm's activity bit has rate zero

@@ -70,6 +70,34 @@ class TestContinuous:
         value = loglik_continuous(ccp, log, config)
         assert value == pytest.approx(-0.5 * 1.4 + math.log(0.4), abs=1e-12)
 
+    def test_nature_move_hand_value(self, two_firm_game):
+        # Nature moves demand up (rate 0.3) out of state 0 at t = 0.5 into
+        # state 4; at uniform ccps both states exit at 0.3 + 2 * 0.5 = 1.3.
+        config, _ = two_firm_game
+        log = make_log(markets=[0], horizon=[1.0], final_state=[4],
+                       events=[(0, 1, 0, 0.5, NATURE, 4)])
+        parts = loglik_continuous_parts(uniform_ccp(config), log, config)
+        assert parts == pytest.approx((0.0, math.log(0.3), -1.3), abs=1e-12)
+
+    def test_evaluations_reuse_the_nature_term(self, two_firm_game, monkeypatch):
+        # nature's rates do not depend on the ccps: built once per statistic
+        from ctgames import game
+
+        config, theta = two_firm_game
+        mpe = solve_mpe(theta, config, tol=1e-12)
+        log = simulate_continuous(theta, mpe.ccp, config, 40, seed=3,
+                                  events_per_market=5)
+        stats = SpellStats.from_events(log, config)
+        first = stats.value_and_gradient(mpe.ccp)
+
+        def forbidden(config):
+            raise AssertionError("nature generator rebuilt")
+
+        monkeypatch.setattr(game, "nature_generator", forbidden)
+        again = stats.value_and_gradient(mpe.ccp)
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+        assert stats.loglik(uniform_ccp(config)) < first[0]
+
     def test_decomposition_and_parts(self, two_firm_game):
         config, theta = two_firm_game
         mpe = solve_mpe(theta, config, tol=1e-12)
