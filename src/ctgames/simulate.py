@@ -22,6 +22,7 @@ takes the game configuration calls first.  Any violation raises
 
 import csv
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -287,6 +288,22 @@ def _market_rngs(seed, n_markets):
             for child in np.random.SeedSequence(seed).spawn(n_markets)]
 
 
+def _state_moves(ccp, config):
+    """Per state: total exit rate, cumulative rates and (actor, action, next
+    state) of each move, nature's then each firm's, as plain Python values."""
+    q0 = game.nature_generator(config)
+    toggle = game.state_tables(config).toggle
+    player_rates = config.lam * ccp[:, 1, :]
+    moves = []
+    for k in range(config.n_states):
+        targets = [int(j) for j in np.flatnonzero(q0[k]) if j != k]
+        rates = np.concatenate([q0[k, targets], player_rates[:, k]])
+        outcomes = ([(NATURE, j, j) for j in targets]
+                    + [(i, 1, int(toggle[i, k])) for i in range(config.n_players)])
+        moves.append((float(rates.sum()), np.cumsum(rates).tolist(), outcomes))
+    return moves
+
+
 def simulate_continuous(theta, ccp_star, config, n_markets, seed,
                         horizon=None, events_per_market=1):
     """Draw continuous-time event histories from the equilibrium process.
@@ -307,14 +324,7 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
     ccp = _require_equilibrium(theta, ccp_star, config)
     if horizon is None and events_per_market < 1:
         raise InvalidArgumentError("events_per_market must be >= 1")
-    k_total = config.n_states
-    q0 = game.nature_generator(config)
-    tables = game.state_tables(config)
-    nature_targets = [np.nonzero(q0[k])[0] for k in range(k_total)]
-    nature_targets = [t[t != k] for k, t in enumerate(nature_targets)]
-    nature_rates = [q0[k, t] for k, t in enumerate(nature_targets)]
-    player_rates = config.lam * ccp[:, 1, :]
-
+    moves = _state_moves(ccp, config)
     pi = markov.stationary_distribution(aggregate_generator(ccp, config))
     cum_pi = np.cumsum(pi)
 
@@ -323,12 +333,11 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
     finals = np.empty(n_markets, dtype=np.int64)
 
     for m, rng in enumerate(_market_rngs(seed, n_markets)):
-        k = min(int(np.searchsorted(cum_pi, rng.random())), k_total - 1)
+        k = min(int(np.searchsorted(cum_pi, rng.random())), config.n_states - 1)
         t = 0.0
         count = 0
         while True:
-            rates = np.concatenate([nature_rates[k], player_rates[:, k]])
-            total = rates.sum()
+            total, cum, outcomes = moves[k]
             if total <= 0.0:
                 t = horizon if horizon is not None else t
                 break
@@ -337,24 +346,15 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
                 t = horizon
                 break
             t += wait
-            cum = np.cumsum(rates)
-            pick = int(np.searchsorted(cum, rng.random() * total))
-            pick = min(pick, len(rates) - 1)
+            pick = min(bisect_left(cum, rng.random() * total), len(cum) - 1)
+            who, what, target = outcomes[pick]
             count += 1
             market_id.append(m)
             index.append(count)
             pre_state.append(k)
             time.append(t)
-            n_nature = len(nature_targets[k])
-            if pick < n_nature:
-                target = int(nature_targets[k][pick])
-                actor.append(NATURE)
-                action.append(target)
-            else:
-                firm = pick - n_nature
-                target = int(tables.toggle[firm, k])
-                actor.append(firm)
-                action.append(1)
+            actor.append(who)
+            action.append(what)
             k = target
             if horizon is None and count >= events_per_market:
                 break
