@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .diagnostics import best_response_jacobian, stability_sweep
+from .diagnostics import _policy_jacobians, stability_sweep
 from .equilibrium import value_function
 from .errors import CTGamesError, InvalidArgumentError, NotIrreducibleError
 from .estimate import ctnpl, init_ccp
@@ -155,7 +155,7 @@ def cmd_solve(args):
     print(f"equilibrium solved in {mpe.iterations} iterations, "
           f"residual {mpe.residual:.3e}")
     if spec.config.n_players == 1:
-        jac = best_response_jacobian(spec.theta_true, mpe.ccp, spec.config)
+        _, jac, _ = _policy_jacobians(spec.theta_true, mpe.ccp, spec.config)
         print(f"single-agent zero-Jacobian diagnostic: "
               f"max |dBR/dccp| = {np.abs(jac).max():.3e}")
     return EXIT_OK

@@ -17,7 +17,7 @@ two choices.  Central differences (`best_response_jacobian`) and power
 iteration (`_power_estimate`) are kept as the tests' independent oracles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -286,11 +286,10 @@ def stability_report(theta, ccp, config):
                            jacobian_dim=jac.shape[0], norm_bound=bound)
 
 
-def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10):
+def stability_sweep(config, theta_base, rn_grid):
     """Equilibrium stability along a grid of competition-effect values.
 
-    For each value on the grid: solve the equilibrium (retrying with
-    damping on non-convergence) and report
+    For each value on the grid: solve the equilibrium and report
 
     - ``rho``: spectral radius of the annihilator-projected probability
       Jacobian at the fixed point -- the local convergence rate of the
@@ -298,7 +297,8 @@ def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10):
     - ``rho_br``: raw best-response radius, the contraction rate of plain
       successive approximation (can exceed one where the projected radius
       stays below it);
-    - ``avg_active``: steady-state average number of active firms.
+    - ``avg_active``: steady-state average number of active firms;
+    - ``iterations``: the solve's best-response evaluations, as in `MpeResult`.
 
     Rows are dicts; failures are recorded under ``error`` and the sweep
     continues.
@@ -309,17 +309,8 @@ def stability_sweep(config, theta_base, rn_grid, solver_tol=1e-10):
     for rn in rn_grid:
         row = {"rn": float(rn)}
         try:
-            theta = Theta(fc=theta_base.fc, rs=theta_base.rs, rn=float(rn),
-                          ec=theta_base.ec)
-            result = None
-            for damping in (1.0, 0.5, 0.25):
-                try:
-                    result = solve_mpe(theta, config, tol=solver_tol, damping=damping)
-                    break
-                except ConvergenceError:
-                    continue
-            if result is None:
-                raise ConvergenceError("equilibrium solver failed at all dampings")
+            theta = replace(theta_base, rn=float(rn))
+            result = solve_mpe(theta, config)
             report = stability_report(theta, result.ccp, config)
             pi = markov.stationary_distribution(aggregate_generator(result.ccp, config))
             row["rho"] = report.rho_npl_update

@@ -22,6 +22,11 @@ EULER_GAMMA = float(np.euler_gamma)
 # and in best-response output; the expected-payoff term diverges at 0.
 CCP_FLOOR = 1e-12
 
+# Stall rule of `solve_mpe`: at 0.9 per 50 steps, 10000 steps take 0.5 only to 3.5e-10.
+STALL_WINDOW = 50
+STALL_RATIO = 0.9
+MIN_STEP = 0.25
+
 
 def uniform_ccp(config):
     """The 1/J choice-probability array, the default equilibrium-solver start."""
@@ -139,41 +144,47 @@ def best_response_map(theta, ccp, config):
 
 
 class MpeResult(NamedTuple):
+    """An equilibrium; ``iterations == len(trace)`` counts every best-response evaluation."""
+
     ccp: np.ndarray
     iterations: int
     residual: float
     trace: list
 
 
-def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000, damping=1.0):
-    """Markov perfect equilibrium by (damped) successive approximation.
+def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
+    """Markov perfect equilibrium by successive approximation, halving the step on a stall.
 
-    Iterates ``ccp <- (1 - damping) * ccp + damping * map(ccp)`` from the
-    uniform policy (or ``init``) until the sup-norm fixed-point residual
-    drops below ``tol``.
+    Iterates ``ccp <- ccp + step * (map(ccp) - ccp)`` from the uniform policy
+    (or ``init``) until the sup-norm fixed-point residual drops below ``tol``.
+    ``step`` starts at 1, but best-response iteration need not contract: a run
+    whose residual has not fallen by 10% over its last ``STALL_WINDOW``
+    iterations restarts from the start point at half the step, down to ``MIN_STEP``.
 
     Returns
     -------
     MpeResult
-        Equilibrium CCPs, iteration count, final residual, and the
-        per-iteration residual trace.
+        Equilibrium CCPs, best-response evaluations (abandoned runs
+        included), final residual, and the per-evaluation residual trace.
 
     Raises
     ------
     ConvergenceError
-        If the residual is still above ``tol`` after ``max_iter`` steps.
+        If the residual is still above ``tol`` after ``max_iter`` evaluations.
     """
-    if not 0 < damping <= 1:
-        raise InvalidArgumentError(f"damping must be in (0, 1], got {damping}")
-    ccp = uniform_ccp(config) if init is None else check_ccp(init, config)
-    trace = []
-    for iteration in range(1, max_iter + 1):
+    start = uniform_ccp(config) if init is None else check_ccp(init, config)
+    ccp, step, run_start, trace = start, 1.0, 0, []
+    while len(trace) < max_iter:
         updated = best_response_map(theta, ccp, config)
         residual = float(np.abs(updated - ccp).max())
         trace.append(residual)
         if residual < tol:
-            return MpeResult(ccp=ccp, iterations=iteration, residual=residual, trace=trace)
-        ccp = ccp + damping * (updated - ccp)
+            return MpeResult(ccp=ccp, iterations=len(trace), residual=residual, trace=trace)
+        if (step > MIN_STEP and len(trace) - run_start > STALL_WINDOW
+                and residual > STALL_RATIO * trace[-1 - STALL_WINDOW]):
+            ccp, step, run_start = start, step / 2, len(trace)
+        else:
+            ccp = ccp + step * (updated - ccp)
     raise ConvergenceError(
         f"no equilibrium after {max_iter} iterations, residual {trace[-1]:g}",
         residual=trace[-1], iterations=max_iter)

@@ -94,9 +94,9 @@ def experiment_spec(experiment, scale="paper", sampling="discrete",
                           config=config, sampling=sampling, seed=seed, **defaults)
 
 
-def solve_spec(spec, tol=1e-10, max_iter=10000):
+def solve_spec(spec):
     """Solve the experiment's equilibrium; returns (mpe result, stationary pi)."""
-    mpe = solve_mpe(spec.theta_true, spec.config, tol=tol, max_iter=max_iter)
+    mpe = solve_mpe(spec.theta_true, spec.config)
     pi = stationary_distribution(aggregate_generator(mpe.ccp, spec.config))
     return mpe, pi
 
@@ -230,7 +230,7 @@ def mc_rmse_rows(mc, baseline="2S-True"):
 
 
 def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
-                   shift_entry_cost=False, solver_tol=1e-10):
+                   shift_entry_cost=False):
     """Steady-state impact of a cost subsidy.
 
     ``fc_shift`` is the policy change in units of the experiment's entry
@@ -254,8 +254,7 @@ def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
     rng = np.random.default_rng(seed)
 
     def steady_draws(theta_at):
-        mpe = solve_mpe(theta_at, config, tol=solver_tol)
-        pi = stationary_distribution(aggregate_generator(mpe.ccp, config))
+        _, pi = solve_spec(replace(spec, theta_true=theta_at))
         states = rng.choice(config.n_states, size=n_draws, p=pi)
         counts = n_active[states]
         return float(counts.mean()), float(counts.std(ddof=1))
@@ -265,13 +264,11 @@ def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
            "before_mean": before_mean, "before_sd": before_sd}
 
     if shift_entry_cost:
-        shifted = Theta(fc=theta.fc, rs=theta.rs, rn=theta.rn,
-                        ec=theta.ec + fc_shift)
+        shifted = replace(theta, ec=theta.ec + fc_shift)
         effective = fc_shift
     else:
         effective = fc_shift * theta.ec
-        shifted = Theta(fc=tuple(f - effective for f in theta.fc),
-                        rs=theta.rs, rn=theta.rn, ec=theta.ec)
+        shifted = replace(theta, fc=tuple(f - effective for f in theta.fc))
     if abs(effective) < 1e-12:
         out.update({"degenerate": True, "after_mean": float("nan"),
                     "after_sd": float("nan"), "pct_change": float("nan")})

@@ -165,6 +165,21 @@ class TestConfigFile:
         code = run_cli("solve", "--config", str(path), "--out", str(out))
         assert code == 0
 
+    def test_single_agent_solve_prints_exact_zero_jacobian(self, tmp_path, capsys):
+        # At a single-agent fixed point the sigma-Jacobian vanishes; the exact
+        # route shows round-off, where central differences showed ~1e-9 noise.
+        config = {
+            "game": {"n_players": 1, "market_levels": 3, "lambda": 1.0,
+                     "rho": 0.05, "q_up": 0.3, "q_down": 0.3, "delta": 1.0},
+            "theta": {"fc": [-1.2], "rs": 1.0, "rn": 0.0, "ec": 1.0},
+        }
+        path = tmp_path / "solo.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("solve", "--config", str(path), "--out", str(tmp_path / "o")) == 0
+        line = next(row for row in capsys.readouterr().out.splitlines()
+                    if "max |dBR/dccp|" in row)
+        assert float(line.rsplit("=", 1)[1]) <= 1e-12
+
     def test_schema_violation_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"experiment": 12}))

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctgames import (
@@ -15,6 +16,8 @@ from ctgames import (
 )
 from ctgames.equilibrium import (
     EULER_GAMMA,
+    STALL_RATIO,
+    STALL_WINDOW,
     aggregate_generator,
     best_response,
     best_response_map,
@@ -24,6 +27,7 @@ from ctgames.equilibrium import (
     uniform_ccp,
     value_function,
 )
+from ctgames.experiments import experiment_spec
 from ctgames.game import state_tables
 
 from conftest import DESK_THETA, desk_config
@@ -34,6 +38,22 @@ def single_agent_config(levels=1, **overrides):
                 q_up=0.3 if levels > 1 else 0.0, q_down=0.3 if levels > 1 else 0.0)
     base.update(overrides)
     return GameConfig(**base)
+
+
+def successive_approximation(theta, config, step, tol=1e-10, max_iter=10000):
+    """Fixed-step successive approximation from the uniform policy.
+
+    Returns ``(ccp, trace)``; ``ccp`` is None when ``max_iter`` iterations
+    do not reach ``tol``.
+    """
+    ccp, trace = uniform_ccp(config), []
+    for _ in range(max_iter):
+        updated = best_response_map(theta, ccp, config)
+        trace.append(float(np.abs(updated - ccp).max()))
+        if trace[-1] < tol:
+            return ccp, trace
+        ccp = ccp + step * (updated - ccp)
+    return None, trace
 
 
 def per_firm_generator(ccp, config):
@@ -284,6 +304,40 @@ class TestSolveMpe:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_mpe(DESK_THETA, config, max_iter=2)
         assert excinfo.value.residual > 0
+
+    def test_stalled_solve_restarts_at_half_step(self):
+        # Paper experiment 1 at rn = 5: plain best-response iteration locks
+        # into a 2-cycle, so the solve restarts from the uniform policy at
+        # step 1/2 and then performs exactly the damped iteration.
+        spec = experiment_spec(1, scale="paper")
+        theta, config = replace(spec.theta_true, rn=5.0), spec.config
+        result = solve_mpe(theta, config)
+        damped, damped_trace = successive_approximation(theta, config, 0.5)
+        assert damped is not None
+        assert np.array_equal(result.ccp, damped)
+
+        _, plain_trace = successive_approximation(theta, config, 1.0,
+                                                  max_iter=STALL_WINDOW + 1)
+        assert plain_trace[-1] > STALL_RATIO * plain_trace[0]
+        assert result.trace == plain_trace + damped_trace
+        assert result.iterations == len(result.trace)
+        assert result.residual == damped_trace[-1]
+
+    @given(n_players=st.integers(1, 3), levels=st.integers(2, 3),
+           rn=st.floats(0.0, 3.0), ec=st.floats(0.0, 3.0), lam=st.floats(0.5, 2.0),
+           fc=st.lists(st.floats(-2.5, 0.0), min_size=3, max_size=3))
+    @settings(max_examples=30)
+    def test_contracting_solves_are_plain_successive_approximation(
+            self, n_players, levels, rn, ec, lam, fc):
+        config = GameConfig(n_players=n_players, market_levels=levels, lam=lam,
+                            rho=0.05, q_up=0.3, q_down=0.3)
+        theta = Theta(fc=fc[:n_players], rs=1.0, rn=rn, ec=ec)
+        plain, plain_trace = successive_approximation(theta, config, 1.0, max_iter=2000)
+        assume(plain is not None)
+        result = solve_mpe(theta, config, max_iter=2000)
+        assert np.array_equal(result.ccp, plain)
+        assert result.iterations == len(plain_trace)
+        assert result.trace == plain_trace
 
 
 class TestZeroJacobianAtFixedPoint:
