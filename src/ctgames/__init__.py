@@ -19,12 +19,9 @@ from .game import (
     GameConfig,
     Theta,
     calibrate_nature_rates,
-    continuation_state,
     decode_state,
     encode_state,
-    flow_payoff,
     flow_payoffs,
-    instant_payoff,
     instant_payoffs,
     nature_generator,
     state_tables,
@@ -34,13 +31,11 @@ from .markov import (
     stationary_distribution,
     transition_matrix,
     uniformization_matrix,
-    uniformization_probability,
 )
 from .equilibrium import (
     aggregate_generator,
     best_response,
     best_response_map,
-    expected_instant_payoffs,
     solve_mpe,
     uniform_ccp,
     value_function,
@@ -54,12 +49,8 @@ from .simulate import (
     to_panel,
 )
 from .likelihood import (
-    HazardProfile,
     SpellStats,
     TransitionCounts,
-    hazard_profile,
-    loglik_continuous,
-    loglik_continuous_parts,
     loglik_discrete,
     sufficient_statistics,
 )
@@ -72,7 +63,6 @@ from .estimate import (
 )
 from .diagnostics import (
     StabilityReport,
-    best_response_jacobian,
     spectral_radius,
     stability_objects,
     stability_report,

@@ -13,8 +13,8 @@ the free probability coordinates (the action probability per (firm,
 state); the complementary continuation probability moves oppositely,
 respecting the simplex).  Where full (firm, choice, state) coordinates are
 required, free-coordinate rows are expanded with opposite signs for the
-two choices.  Central differences (`best_response_jacobian`) and power
-iteration (`_power_estimate`) are kept as the tests' independent oracles.
+two choices.  Central differences (`best_response_jacobian`) are kept as
+the tests' independent oracle of both Jacobians.
 """
 
 from dataclasses import dataclass, replace
@@ -146,17 +146,15 @@ class StabilityObjects(NamedTuple):
     ccp_jacobian: np.ndarray
 
 
-def stability_objects(theta, ccp, config, delta=None):
+def stability_objects(theta, ccp, config):
     """Assemble the selector, weight, annihilator and exact Jacobians at ``(theta, ccp)``.
 
     The weight uses the transition matrix at the best response to
-    ``(theta, ccp)`` over one sampling interval; every transition
-    probability the selector touches must be positive (guaranteed for an
-    irreducible chain).
+    ``(theta, ccp)`` over one sampling interval ``config.delta``; every
+    transition probability the selector touches must be positive
+    (guaranteed for an irreducible chain).
     """
     n, j_total, k_total = config.n_players, config.n_choices, config.n_states
-    delta = config.delta if delta is None else delta
-
     rows = n * j_total * k_total
     dest = game.state_tables(config).continuation
     cols = (np.arange(k_total) * k_total + dest).reshape(-1)
@@ -164,7 +162,7 @@ def stability_objects(theta, ccp, config, delta=None):
                           shape=(rows, k_total * k_total))
 
     br, ccp_jac, theta_free = _policy_jacobians(theta, ccp, config)
-    p_matrix = markov.transition_matrix(aggregate_generator(br, config), delta)
+    p_matrix = markov.transition_matrix(aggregate_generator(br, config), config.delta)
     p_vec = p_matrix.reshape(-1)
     touched = p_vec[cols]
     if touched.min() <= 0.0:
@@ -183,58 +181,6 @@ def stability_objects(theta, ccp, config, delta=None):
     annihilator = np.eye(rows) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
     return StabilityObjects(selector=selector, weight=weight, annihilator=annihilator,
                             theta_jacobian=theta_jac, ccp_jacobian=ccp_jac)
-
-
-def _dominant_pair_estimate(matrix, vec):
-    """Largest |eigenvalue| of the 2x2 Hessenberg projection on span{v, Av}.
-
-    Exact once the Krylov pair locks onto the dominant invariant subspace,
-    which also covers +/- pairs and complex pairs where the raw norm-growth
-    sequence of power iteration oscillates forever.
-    """
-    av = matrix @ vec
-    h11 = vec @ av
-    residual = av - h11 * vec
-    h21 = np.linalg.norm(residual)
-    if h21 <= 1e-14 * max(1.0, abs(h11)):
-        return abs(h11), av
-    q2 = residual / h21
-    aq2 = matrix @ q2
-    h12 = vec @ aq2
-    h22 = q2 @ aq2
-    half_trace = 0.5 * (h11 + h22)
-    disc = complex(half_trace * half_trace - (h11 * h22 - h12 * h21))
-    root = np.sqrt(disc)
-    return float(max(abs(half_trace + root), abs(half_trace - root))), av
-
-
-def _power_estimate(matrix, restarts, tol, max_iter, seed):
-    """Power iteration with a two-dimensional Krylov readout per step (test oracle)."""
-    dim = matrix.shape[0]
-    scale = np.abs(matrix).max()
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    any_converged = False
-    for _ in range(restarts):
-        vec = rng.normal(size=dim)
-        vec /= np.linalg.norm(vec)
-        previous = np.inf
-        estimate = 0.0
-        converged = False
-        for _ in range(max(max_iter // restarts, 50)):
-            estimate, av = _dominant_pair_estimate(matrix, vec)
-            norm = np.linalg.norm(av)
-            if norm <= scale * 1e-300:
-                estimate, converged = 0.0, True
-                break
-            if abs(estimate - previous) <= tol * max(1.0, estimate):
-                converged = True
-                break
-            previous = estimate
-            vec = av / norm
-        best = max(best, estimate)
-        any_converged = any_converged or converged
-    return best, any_converged
 
 
 def spectral_radius(matrix):

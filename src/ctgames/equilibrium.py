@@ -21,6 +21,8 @@ EULER_GAMMA = float(np.euler_gamma)
 # Probabilities are clamped to [CCP_FLOOR, 1 - CCP_FLOOR] inside logarithms
 # and in best-response output; the expected-payoff term diverges at 0.
 CCP_FLOOR = 1e-12
+# Largest accepted deviation of a (player, state) probability sum from one.
+CCP_SUM_TOL = 1e-12
 
 # Stall rule of `solve_mpe`: at 0.9 per 50 steps, 10000 steps take 0.5 only to 3.5e-10.
 STALL_WINDOW = 50
@@ -34,7 +36,7 @@ def uniform_ccp(config):
     return np.full(shape, 1.0 / config.n_choices)
 
 
-def check_ccp(ccp, config, tol=1e-12):
+def check_ccp(ccp, config):
     """Validate an (N, J, K) choice-probability array; returns it as float."""
     ccp = np.asarray(ccp, dtype=float)
     expected = (config.n_players, config.n_choices, config.n_states)
@@ -42,7 +44,7 @@ def check_ccp(ccp, config, tol=1e-12):
         raise InvalidArgumentError(f"ccp must have shape {expected}, got {ccp.shape}")
     if ccp.min() <= 0.0 or ccp.max() >= 1.0:
         raise InvalidArgumentError("choice probabilities must lie strictly inside (0, 1)")
-    if np.abs(ccp.sum(axis=1) - 1.0).max() > tol:
+    if np.abs(ccp.sum(axis=1) - 1.0).max() > CCP_SUM_TOL:
         raise InvalidArgumentError("choice probabilities must sum to one per (player, state)")
     return ccp
 
@@ -67,20 +69,6 @@ def aggregate_generator(ccp, config):
         q[ks, tables.toggle[i]] += rates
         q[ks, ks] -= rates
     return q
-
-
-def expected_instant_payoffs(theta, ccp, config):
-    """All players' ex-ante expected choice payoffs as an (N, K) array.
-
-    Under extreme-value taste shocks the expectation has the closed form
-    ``sum_j ccp_ijk * (psi_ijk + euler_gamma - ln ccp_ijk)``.
-    """
-    ccp = np.asarray(ccp, dtype=float)
-    if ccp.min() <= 0.0:
-        raise InvalidArgumentError("expected payoff requires strictly positive probabilities")
-    psi = game.instant_payoffs(theta, config)
-    logs = np.log(np.clip(ccp, CCP_FLOOR, 1.0 - CCP_FLOOR))
-    return (ccp * (psi + EULER_GAMMA - logs)).sum(axis=1)
 
 
 def _policy_system_matrix(ccp, config):
@@ -169,9 +157,13 @@ def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
 
     Raises
     ------
+    InvalidArgumentError
+        If ``max_iter`` is below 1.
     ConvergenceError
         If the residual is still above ``tol`` after ``max_iter`` evaluations.
     """
+    if max_iter < 1:
+        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
     start = uniform_ccp(config) if init is None else check_ccp(init, config)
     ccp, step, run_start, trace = start, 1.0, 0, []
     while len(trace) < max_iter:

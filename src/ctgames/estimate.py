@@ -37,12 +37,15 @@ from . import game
 from .equilibrium import (CCP_FLOOR, _policy_system_matrix, _value_equation, check_ccp,
                           interior_softmax)
 from .errors import InvalidArgumentError, NumericalError, OptimizationError
-# flow_design_rows stays importable from here; the payoff design lives in game
-from .game import Theta, entry_design, flow_design_rows  # noqa: F401
+from .game import Theta, entry_design
 from .likelihood import SpellStats, TransitionCounts, sufficient_statistics
 
 # Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
 INIT_FLOOR = 1e-6
+# Each inner BFGS maximization stops at this gradient sup-norm, and fails
+# after MAX_EVALS likelihood evaluations.
+BFGS_GTOL = 1e-6
+MAX_EVALS = 500
 
 
 class LinearizedPolicy:
@@ -140,7 +143,7 @@ class _EvalBudgetExceeded(Exception):
     pass
 
 
-def _maximize(pseudo, theta_init=None, gtol=1e-6, max_evals=500, counters=None):
+def _maximize(pseudo, theta_init=None, counters=None):
     """Inner maximization at the linearized ``pseudo``; returns (theta
     vector, loglik, linearized policy).
 
@@ -157,7 +160,7 @@ def _maximize(pseudo, theta_init=None, gtol=1e-6, max_evals=500, counters=None):
 
     def objective(x):
         state["evals"] += 1
-        if state["evals"] > max_evals:
+        if state["evals"] > MAX_EVALS:
             raise _EvalBudgetExceeded
         value, grad = pseudo.value_and_gradient(x, counters=counters)
         if value > state["best_f"]:
@@ -166,11 +169,11 @@ def _maximize(pseudo, theta_init=None, gtol=1e-6, max_evals=500, counters=None):
 
     try:
         result = minimize(objective, x0, jac=True, method="BFGS",
-                          options={"gtol": gtol, "maxiter": max_evals})
+                          options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS})
     except _EvalBudgetExceeded:
         grad_norm = float(np.abs(pseudo.value_and_gradient(state["best_x"])[1]).max())
         raise OptimizationError(
-            f"pseudo-likelihood maximization exceeded {max_evals} evaluations "
+            f"pseudo-likelihood maximization exceeded {MAX_EVALS} evaluations "
             f"(gradient sup-norm {grad_norm:g})",
             best_point=Theta.from_vector(state["best_x"], config.n_players),
             gradient_norm=grad_norm) from None
@@ -200,8 +203,7 @@ class EstimationResult:
     trace: list = field(default_factory=list)
 
 
-def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
-          gtol=1e-6, max_evals=500):
+def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
     """Nested pseudo-likelihood estimation from initial probabilities ``ccp0``.
 
     ``data`` is an `EventLog`, a `Panel` or their `sufficient_statistics`.
@@ -234,7 +236,6 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None,
         counts = {}
         try:
             vec, loglik, policy = _maximize(pseudo.linearize(ccp), theta_init=theta_prev,
-                                            gtol=gtol, max_evals=max_evals,
                                             counters=counts)
         except OptimizationError as err:
             raise OptimizationError(

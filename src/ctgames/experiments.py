@@ -63,6 +63,8 @@ class ExperimentSpec:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise InvalidArgumentError(f"unknown estimators: {sorted(unknown)}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.n_markets < 1 or self.replications < 1:
             raise InvalidArgumentError("n_markets and replications must be >= 1")
         if not 1 <= self.ctnpl_stages <= 100:

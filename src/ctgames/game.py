@@ -24,6 +24,11 @@ from scipy.optimize import minimize
 from . import markov
 from .errors import InvalidArgumentError
 
+# Largest state space a game may have.  The solvers are dense: one K x K
+# float64 matrix takes 512 MiB at this size, and the Pade set-up of `expm`
+# holds about a dozen of them.
+MAX_STATES = 2 ** 13
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -32,7 +37,8 @@ class GameConfig:
     Parameters
     ----------
     n_players : int
-        Number of firms N.
+        Number of firms N; the state count ``market_levels * 2**N`` may
+        not exceed `MAX_STATES`.
     market_levels : int
         Number of demand levels (5 in the benchmark game).
     lam : float
@@ -61,6 +67,9 @@ class GameConfig:
             raise InvalidArgumentError(f"n_players must be >= 1, got {self.n_players}")
         if self.market_levels < 1:
             raise InvalidArgumentError(f"market_levels must be >= 1, got {self.market_levels}")
+        if self.n_players >= MAX_STATES.bit_length() or self.n_states > MAX_STATES:
+            raise InvalidArgumentError(f"more than {MAX_STATES} states: "
+                                       f"{self.market_levels} levels x 2**{self.n_players}")
         if not self.lam > 0:
             raise InvalidArgumentError(f"move arrival rate must be positive, got {self.lam}")
         if not self.rho > 0:
@@ -170,36 +179,6 @@ def decode_state(k, config):
     return int(tables.demand[k]), tables.activity[k].copy()
 
 
-def continuation_state(i, j, k, config):
-    """State reached when firm ``i`` takes choice ``j`` in state ``k``.
-
-    Choice 0 continues in place; choice 1 toggles firm i's activity bit
-    (entry if inactive, exit if active).  The demand level never changes.
-    """
-    if not 0 <= i < config.n_players:
-        raise InvalidArgumentError(f"player index out of range: {i}")
-    if j not in (0, 1):
-        raise InvalidArgumentError(f"choice must be 0 or 1, got {j}")
-    if not 0 <= k < config.n_states:
-        raise InvalidArgumentError(f"state index out of range: {k}")
-    return int(state_tables(config).continuation[i, j, k])
-
-
-def flow_payoff(theta, i, k, config):
-    """Flow profit of firm ``i`` in state ``k``.
-
-    An active firm earns ``rs*d - rn*ln(1 + active rivals) + fc_i`` (the
-    stored fixed costs are negative); an inactive firm earns zero flow and
-    only pays the lump-sum entry cost on entering, via `instant_payoff`.
-    """
-    tables = state_tables(config)
-    if not tables.activity[k, i]:
-        return 0.0
-    return (theta.rs * tables.demand[k]
-            - theta.rn * math.log1p(tables.n_rivals[i, k])
-            + theta.fc[i])
-
-
 def flow_design_rows(config):
     """(N, K, P) design rows z with flow payoff u = z @ theta_vector.
 
@@ -228,15 +207,12 @@ def entry_design(config):
 
 
 def flow_payoffs(theta, config):
-    """All flow payoffs as an (N, K) array: the flow design applied to theta."""
+    """All flow payoffs as an (N, K) array: the flow design applied to theta.
+
+    An inactive firm earns zero flow; it pays the lump-sum entry cost only
+    on entering, via `instant_payoffs`.
+    """
     return flow_design_rows(config) @ theta.as_vector()
-
-
-def instant_payoff(theta, i, j, k, config):
-    """Lump-sum payoff of choice ``j``: -ec on entry (toggle while inactive), else 0."""
-    if j == 1 and not state_tables(config).activity[k, i]:
-        return -theta.ec
-    return 0.0
 
 
 def instant_payoffs(theta, config):
@@ -269,14 +245,19 @@ class CalibratedRates(NamedTuple):
     residual: float
 
 
-def calibrate_nature_rates(target_p, delta=1.0, grid_max=2.0, grid_step=0.05):
+# Rates scanned, in each direction, by `calibrate_nature_rates` before its
+# simplex refinement: 0, 0.05, ..., 2.
+CALIBRATION_GRID = np.arange(0.0, 2.0 + 0.05 / 2, 0.05)
+
+
+def calibrate_nature_rates(target_p, delta=1.0):
     """Fit (q_up, q_down) so exp(delta*G) best matches a one-period demand matrix.
 
     A constant-rate birth-death generator cannot reproduce a general
     tridiagonal stochastic matrix exactly, so the rates minimize the
-    Frobenius distance, found by a coarse grid scan followed by a local
-    simplex refinement (deterministic).  Returns the fitted rates and the
-    remaining Frobenius residual.
+    Frobenius distance, found by a scan of `CALIBRATION_GRID` followed by
+    a local simplex refinement (deterministic).  Returns the fitted rates
+    and the remaining Frobenius residual.
     """
     target_p = np.asarray(target_p, dtype=float)
     if target_p.ndim != 2 or target_p.shape[0] != target_p.shape[1]:
@@ -297,12 +278,11 @@ def calibrate_nature_rates(target_p, delta=1.0, grid_max=2.0, grid_step=0.05):
         np.fill_diagonal(gen, -gen.sum(axis=1))
         return np.linalg.norm(markov.expm(delta * gen) - target_p, "fro")
 
-    grid = np.arange(0.0, grid_max + grid_step / 2, grid_step)
     best, best_val = (0.0, 0.0), objective((0.0, 0.0))
     if best_val == 0.0:
         return CalibratedRates(0.0, 0.0, 0.0)
-    for qu in grid:
-        for qd in grid:
+    for qu in CALIBRATION_GRID:
+        for qd in CALIBRATION_GRID:
             val = objective((qu, qd))
             if val < best_val:
                 best, best_val = (qu, qd), val

@@ -7,9 +7,11 @@ likelihood factors into survival, player-action and nature terms, and
 `TransitionCounts` (the K x K consecutive-snapshot counts) for a panel,
 whose transitions are scored against ``expm(delta * Q)`` at best-response
 probabilities.  Each statistic gives its log likelihood at given action
-probabilities and, with it, the exact gradient in those probabilities for
-the estimator to chain through to theta; the theta-free nature term of the
-event-data likelihood is computed once per statistic.
+probabilities (``SpellStats.from_events(log, config).loglik(ccp)``, or
+``loglik_parts`` for its three terms) and, with it, the exact gradient in
+those probabilities for the estimator to chain through to theta; the
+theta-free nature term of the event-data likelihood is computed once per
+statistic.
 """
 
 from dataclasses import dataclass
@@ -27,29 +29,9 @@ LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class HazardProfile:
-    """Per-state exit hazards: nature's rates and each firm's action rate."""
-
-    total: np.ndarray   # (K,) total exit hazard per state
-    nature: np.ndarray  # (K, K) nature's off-diagonal rates
-    player: np.ndarray  # (N, K) lam * ccp[i, 1, k]
-
-
-def hazard_profile(ccp, config, nature=None):
-    """Exit hazards at ``ccp``; ``nature`` passes nature's off-diagonal
-    rates when the caller already holds them."""
-    ccp = check_ccp(ccp, config)
-    if nature is None:
-        nature = game.nature_generator(config)
-        np.fill_diagonal(nature, 0.0)
-    player = config.lam * ccp[:, 1, :]
-    return HazardProfile(total=nature.sum(axis=1) + player.sum(axis=0),
-                         nature=nature, player=player)
-
-
-@dataclass(frozen=True)
 class SpellStats:
-    """Sufficient statistics of an event log for the continuous likelihood."""
+    """Sufficient statistics of an event log for the continuous likelihood;
+    nature's rates are known, taken from the configuration."""
 
     exposure: np.ndarray      # (K,) time spent in each state
     moves: np.ndarray         # (N, K) firm action counts by pre-state
@@ -104,13 +86,15 @@ class SpellStats:
     def loglik_parts(self, ccp):
         """(player, nature, survival) terms at ``ccp``, each divided by the
         market count; a nature move of zero rate makes the first two -inf."""
-        rates, nature = self._nature
-        hazards = hazard_profile(ccp, self.config, nature=rates)
-        survival = -(self.exposure * hazards.total).sum() / self.n_markets
+        ccp = check_ccp(ccp, self.config)
+        nature_rates, nature = self._nature
+        action_rates = self.config.lam * ccp[:, 1, :]
+        exit_hazard = nature_rates.sum(axis=1) + action_rates.sum(axis=0)
+        survival = -(self.exposure * exit_hazard).sum() / self.n_markets
         if nature == -np.inf:
             return -np.inf, -np.inf, survival
         with np.errstate(divide="ignore"):
-            log_player = np.where(self.moves > 0, np.log(hazards.player), 0.0)
+            log_player = np.where(self.moves > 0, np.log(action_rates), 0.0)
         player = (self.moves * log_player).sum()
         return player / self.n_markets, nature / self.n_markets, survival
 
@@ -131,21 +115,6 @@ def _pair_counts(rows, cols, shape):
     """Occurrences of every (row, col) pair as a float array of ``shape``."""
     flat = np.bincount(np.ravel_multi_index((rows, cols), shape), minlength=shape[0] * shape[1])
     return flat.reshape(shape).astype(float)
-
-
-def loglik_continuous_parts(ccp, events, config):
-    """Player, nature, and survival components of the event-data likelihood.
-
-    Nature's rates are taken from the configuration (treated as known, not
-    estimated); the payoff parameters enter only through the choice
-    probabilities supplied by the caller.
-    """
-    return SpellStats.from_events(events, config).loglik_parts(ccp)
-
-
-def loglik_continuous(ccp, events, config):
-    """Average log likelihood of an event log: survival + event-type terms."""
-    return SpellStats.from_events(events, config).loglik(ccp)
 
 
 def transition_counts(panel, k_total):

@@ -3,12 +3,12 @@
 A generator (intensity matrix) is a K x K array with nonnegative
 off-diagonal rates and rows summing to zero.  The transition matrix over a
 horizon ``delta`` is ``expm(delta * Q)``.  Two independent routes to that
-matrix are provided -- a Pade approximant (`expm`) and a Poisson-mixture
-series (`uniformization_probability`) -- so each can serve as an oracle for
-the other.  The Pade code also yields the Frechet derivative of the
-exponential from the same set-up; `transition_matrix_pullback` uses it for
-the adjoint that pulls a gradient in ``exp(delta * Q)`` back to ``Q``
-(scipy's ``expm_frechet`` is its test oracle).
+matrix are provided -- a Pade approximant (`expm`, `transition_matrix`) and
+a Poisson-mixture series (`uniformization_matrix`) -- so each can serve as
+an oracle for the other.  The Pade code also yields the Frechet derivative
+of the exponential from the same set-up; `transition_matrix_pullback` uses
+it for the adjoint that pulls a gradient in ``exp(delta * Q)`` back to
+``Q`` (scipy's ``expm_frechet`` is its test oracle).
 """
 
 import numpy as np
@@ -32,6 +32,9 @@ _THETA13 = 5.371920351148152
 GENERATOR_ROWSUM_TOL = 1e-12
 # Transition-matrix entries below this are treated as roundoff and clipped.
 NEGATIVE_PROB_TOL = 1e-10
+# `uniformization_matrix` truncates its series once the Poisson tail mass
+# is below this.
+UNIFORMIZATION_TAIL = 1e-13
 
 
 def check_generator(q):
@@ -167,20 +170,18 @@ def _transition(q, delta, exponential):
     return p, frechet
 
 
-def uniformization_matrix(q, delta, truncation_tol=1e-13):
+def uniformization_matrix(q, delta):
     """Transition matrix by uniformization (Poisson mixture of jump-chain powers).
 
     Independent oracle for `transition_matrix`: the series
     ``sum_r Poisson(r; Lambda*delta) Z**r`` with ``Z = I + Q/Lambda`` and
     ``Lambda`` the largest total exit rate, truncated once the Poisson tail
-    mass drops below ``truncation_tol``.  Long horizons are split in halves
-    (exact semigroup property) to keep the Poisson weights in range.
+    mass drops below `UNIFORMIZATION_TAIL`.  Long horizons are split in
+    halves (exact semigroup property) to keep the Poisson weights in range.
     """
     q = check_generator(q)
     if not np.isfinite(delta) or delta < 0:
         raise InvalidArgumentError(f"delta must be nonnegative, got {delta}")
-    if truncation_tol <= 0:
-        raise InvalidArgumentError("truncation_tol must be positive")
     k = q.shape[0]
     rate = float(np.max(-np.diag(q)))
     if delta == 0 or rate == 0.0:
@@ -200,7 +201,7 @@ def uniformization_matrix(q, delta, truncation_tol=1e-13):
     power = np.eye(k)
     total = weight * power
     r = 0
-    while 1.0 - covered > truncation_tol:
+    while 1.0 - covered > UNIFORMIZATION_TAIL:
         r += 1
         power = power @ z
         weight *= rate * step / r
@@ -211,18 +212,6 @@ def uniformization_matrix(q, delta, truncation_tol=1e-13):
     for _ in range(halvings):
         total = total @ total
     return total
-
-
-def uniformization_probability(q, delta, from_state, to_state, truncation_tol=1e-13):
-    """Single transition probability computed by the uniformization series.
-
-    Returns the same value as ``transition_matrix(q, delta)[from_state,
-    to_state]`` up to ``truncation_tol``.
-    """
-    k = np.asarray(q).shape[0]
-    if not (0 <= from_state < k and 0 <= to_state < k):
-        raise InvalidArgumentError("state index out of range")
-    return float(uniformization_matrix(q, delta, truncation_tol)[from_state, to_state])
 
 
 def stationary_distribution(q):

@@ -1,0 +1,127 @@
+"""Reference implementations the tests compare the library against.
+
+Each one computes a quantity the library computes some other way: scalar
+payoffs and continuation states from the documented state encoding rather
+than the precomputed tables and design rows, the expected choice payoff in
+closed form rather than split inside the value equation, and the spectral
+radius by power iteration rather than the dense LAPACK spectrum.
+"""
+
+import math
+
+import numpy as np
+
+from ctgames import InvalidArgumentError
+from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA
+from ctgames.game import instant_payoffs
+
+
+def _demand_and_activity(k, config):
+    """Demand level and activity bits of state ``k`` by the index formula
+    ``k = (d - 1) * 2**N + sum_i activity_i * 2**i``."""
+    block = 2 ** config.n_players
+    return k // block + 1, [(k >> i) & 1 for i in range(config.n_players)]
+
+
+def continuation_state(i, j, k, config):
+    """State reached when firm ``i`` takes choice ``j`` in state ``k``.
+
+    Choice 0 continues in place; choice 1 toggles firm i's activity bit
+    (entry if inactive, exit if active).  The demand level never changes.
+    """
+    if not 0 <= i < config.n_players:
+        raise InvalidArgumentError(f"player index out of range: {i}")
+    if j not in (0, 1):
+        raise InvalidArgumentError(f"choice must be 0 or 1, got {j}")
+    if not 0 <= k < config.n_states:
+        raise InvalidArgumentError(f"state index out of range: {k}")
+    return k ^ (j << i)
+
+
+def flow_payoff(theta, i, k, config):
+    """Flow profit of firm ``i`` in state ``k``.
+
+    An active firm earns ``rs*d - rn*ln(1 + active rivals) + fc_i`` (the
+    stored fixed costs are negative); an inactive firm earns zero flow and
+    only pays the lump-sum entry cost on entering, via `instant_payoff`.
+    """
+    demand, activity = _demand_and_activity(k, config)
+    if not activity[i]:
+        return 0.0
+    return (theta.rs * demand
+            - theta.rn * math.log1p(sum(activity) - activity[i])
+            + theta.fc[i])
+
+
+def instant_payoff(theta, i, j, k, config):
+    """Lump-sum payoff of choice ``j``: -ec on entry (toggle while inactive), else 0."""
+    if j == 1 and not _demand_and_activity(k, config)[1][i]:
+        return -theta.ec
+    return 0.0
+
+
+def expected_instant_payoffs(theta, ccp, config):
+    """All players' ex-ante expected choice payoffs as an (N, K) array.
+
+    Under extreme-value taste shocks the expectation has the closed form
+    ``sum_j ccp_ijk * (psi_ijk + euler_gamma - ln ccp_ijk)``.
+    """
+    ccp = np.asarray(ccp, dtype=float)
+    if ccp.min() <= 0.0:
+        raise InvalidArgumentError("expected payoff requires strictly positive probabilities")
+    psi = instant_payoffs(theta, config)
+    logs = np.log(np.clip(ccp, CCP_FLOOR, 1.0 - CCP_FLOOR))
+    return (ccp * (psi + EULER_GAMMA - logs)).sum(axis=1)
+
+
+def dominant_pair_estimate(matrix, vec):
+    """Largest |eigenvalue| of the 2x2 Hessenberg projection on span{v, Av}.
+
+    Exact once the Krylov pair locks onto the dominant invariant subspace,
+    which also covers +/- pairs and complex pairs where the raw norm-growth
+    sequence of power iteration oscillates forever.
+    """
+    av = matrix @ vec
+    h11 = vec @ av
+    residual = av - h11 * vec
+    h21 = np.linalg.norm(residual)
+    if h21 <= 1e-14 * max(1.0, abs(h11)):
+        return abs(h11), av
+    q2 = residual / h21
+    aq2 = matrix @ q2
+    h12 = vec @ aq2
+    h22 = q2 @ aq2
+    half_trace = 0.5 * (h11 + h22)
+    disc = complex(half_trace * half_trace - (h11 * h22 - h12 * h21))
+    root = np.sqrt(disc)
+    return float(max(abs(half_trace + root), abs(half_trace - root))), av
+
+
+def power_estimate(matrix, restarts, tol, max_iter, seed):
+    """Spectral radius by power iteration with a two-dimensional Krylov
+    readout per step; returns ``(estimate, converged)``."""
+    dim = matrix.shape[0]
+    scale = np.abs(matrix).max()
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    any_converged = False
+    for _ in range(restarts):
+        vec = rng.normal(size=dim)
+        vec /= np.linalg.norm(vec)
+        previous = np.inf
+        estimate = 0.0
+        converged = False
+        for _ in range(max(max_iter // restarts, 50)):
+            estimate, av = dominant_pair_estimate(matrix, vec)
+            norm = np.linalg.norm(av)
+            if norm <= scale * 1e-300:
+                estimate, converged = 0.0, True
+                break
+            if abs(estimate - previous) <= tol * max(1.0, estimate):
+                converged = True
+                break
+            previous = estimate
+            vec = av / norm
+        best = max(best, estimate)
+        any_converged = any_converged or converged
+    return best, any_converged

@@ -251,10 +251,18 @@ class TestExitCodes:
         ("counterfactual", "--draws", "1"),
         ("counterfactual", "--draws", "-5"),
         ("mc", "--replications", "1"),
+        ("simulate", "--seed", "-1"),
+        ("solve", "--config", "{tmp}/forty_firms.json"),
     ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
-            "draws_zero", "draws_one", "draws_negative", "mc_one_replication"])
+            "draws_zero", "draws_one", "draws_negative", "mc_one_replication",
+            "seed_negative", "state_space_too_large"])
     def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
         (tmp_path / "not_json.json").write_text("{experiment: 2,\n")
+        # 5 * 2**40 states: rejected by the game before any array is built
+        (tmp_path / "forty_firms.json").write_text(json.dumps({
+            "game": {"n_players": 40, "market_levels": 5, "lambda": 1.0, "rho": 0.05,
+                     "q_up": 0.2, "q_down": 0.2},
+            "theta": {"fc": [-1.5] * 40, "rs": 1.0, "rn": 1.0, "ec": 1.0}}))
         out = tmp_path / "out"
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if "--config" not in argv:

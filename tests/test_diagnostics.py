@@ -7,7 +7,6 @@ from ctgames import GameConfig, Theta
 from ctgames.diagnostics import (
     _expand_rows,
     _policy_jacobians,
-    _power_estimate,
     best_response_jacobian,
     spectral_radius,
     stability_objects,
@@ -17,6 +16,7 @@ from ctgames.diagnostics import (
 from ctgames.equilibrium import best_response_map, solve_mpe, uniform_ccp
 
 from conftest import desk_config
+from oracles import power_estimate
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ class TestSpectralRadius:
         # Jacobian we compute
         config, theta, ccp = mini_fixed_point
         jac = best_response_jacobian(theta, ccp, config)
-        estimate, converged = _power_estimate(jac, 20, 1e-12, 50000, 0)
+        estimate, converged = power_estimate(jac, 20, 1e-12, 50000, 0)
         dense = np.abs(np.linalg.eigvals(jac)).max()
         assert converged
         assert estimate == pytest.approx(dense, rel=1e-8)
@@ -76,7 +76,7 @@ class TestSpectralRadius:
         core[2:, 2:] = np.diag(rng.uniform(-0.5, 0.5, size=dim - 2) * radius)
         basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         matrix = basis @ core @ basis.T
-        estimate, converged = _power_estimate(matrix, 20, 1e-12, 50000, 0)
+        estimate, converged = power_estimate(matrix, 20, 1e-12, 50000, 0)
         assert converged
         assert spectral_radius(matrix) == pytest.approx(radius, rel=1e-10)
         assert spectral_radius(matrix) == pytest.approx(estimate, rel=1e-8)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ctgames import (
     ConvergenceError,
     GameConfig,
+    InvalidArgumentError,
     Theta,
-    continuation_state,
     encode_state,
     nature_generator,
 )
@@ -22,7 +22,6 @@ from ctgames.equilibrium import (
     best_response,
     best_response_map,
     check_ccp,
-    expected_instant_payoffs,
     solve_mpe,
     uniform_ccp,
     value_function,
@@ -31,6 +30,7 @@ from ctgames.experiments import experiment_spec
 from ctgames.game import state_tables
 
 from conftest import DESK_THETA, desk_config
+from oracles import continuation_state, expected_instant_payoffs
 
 
 def single_agent_config(levels=1, **overrides):
@@ -304,6 +304,17 @@ class TestSolveMpe:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_mpe(DESK_THETA, config, max_iter=2)
         assert excinfo.value.residual > 0
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iteration_budget_is_rejected(self, max_iter, monkeypatch):
+        from ctgames import equilibrium
+
+        def forbidden(*args):
+            raise AssertionError("best response evaluated")
+
+        monkeypatch.setattr(equilibrium, "best_response_map", forbidden)
+        with pytest.raises(InvalidArgumentError):
+            solve_mpe(DESK_THETA, desk_config(), max_iter=max_iter)
 
     def test_stalled_solve_restarts_at_half_step(self):
         # Paper experiment 1 at rn = 5: plain best-response iteration locks

@@ -26,7 +26,7 @@ from ctgames.estimate import (
     init_ccp,
     rmse_relative,
 )
-from ctgames.game import flow_payoff, instant_payoff, state_tables
+from ctgames.game import entry_design, flow_design_rows, state_tables
 from ctgames.likelihood import (
     SpellStats,
     TransitionCounts,
@@ -37,6 +37,7 @@ from ctgames.markov import transition_matrix
 from ctgames.simulate import Panel, consecutive_pairs, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
+from oracles import flow_payoff, instant_payoff
 
 from test_likelihood import make_log
 
@@ -82,8 +83,6 @@ class TestLinearizedPolicy:
     def test_flow_design_rows_reproduce_payoffs(self, desk_game):
         # the vector payoffs are the designs applied to theta; the scalar
         # forms are the independent oracle
-        from ctgames.estimate import entry_design, flow_design_rows
-
         config, theta, _ = desk_game
         flow = flow_design_rows(config) @ theta.as_vector()
         entry = theta.ec * entry_design(config)
@@ -356,7 +355,6 @@ class TestFastPathMatchesReference:
 
     def test_continuous_objective_equals_public_likelihood(self, mini_game, rng):
         from ctgames.estimate import _PseudoLikelihood
-        from ctgames.likelihood import loglik_continuous
 
         config, theta, ccp_star = mini_game
         log = simulate_continuous(theta, ccp_star, config, 80, seed=63,
@@ -369,7 +367,7 @@ class TestFastPathMatchesReference:
             # the public form evaluates at given probabilities; feed it the
             # best response the optimizer's objective uses internally
             br = pseudo.policy.ccp(vec)
-            reference = loglik_continuous(br, log, config)
+            reference = SpellStats.from_events(log, config).loglik(br)
             assert pseudo.value(vec) == pytest.approx(reference, abs=1e-10)
 
 

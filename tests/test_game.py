@@ -10,13 +10,12 @@ from ctgames import (
     InvalidArgumentError,
     Theta,
     calibrate_nature_rates,
-    continuation_state,
     decode_state,
     encode_state,
-    flow_payoff,
     flow_payoffs,
-    instant_payoff,
+    instant_payoffs,
     nature_generator,
+    state_tables,
 )
 from ctgames.game import BENCHMARK_DEMAND_MATRIX
 
@@ -68,22 +67,24 @@ class TestContinuation:
     def test_entry_sets_bit(self):
         config = benchmark_config()
         k = encode_state(3, [1, 0, 1, 0, 0], config)
-        target = continuation_state(1, 1, k, config)
+        target = state_tables(config).continuation[1, 1, k]
         demand, activity = decode_state(target, config)
         assert demand == 3
         assert list(activity) == [1, 1, 1, 0, 0]
 
     def test_continuation_choice_is_identity(self):
         config = benchmark_config()
+        continuation = state_tables(config).continuation
         for k in range(config.n_states):
-            assert continuation_state(0, 0, k, config) == k
+            assert continuation[0, 0, k] == k
 
     def test_toggle_is_involution_and_moves_one_bit(self):
         config = benchmark_config()
+        continuation = state_tables(config).continuation
         for k in range(config.n_states):
             for i in range(config.n_players):
-                target = continuation_state(i, 1, k, config)
-                assert continuation_state(i, 1, target, config) == k
+                target = continuation[i, 1, k]
+                assert continuation[i, 1, target] == k
                 d0, a0 = decode_state(k, config)
                 d1, a1 = decode_state(target, config)
                 assert d0 == d1
@@ -97,14 +98,14 @@ class TestPayoffs:
         config = benchmark_config()
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=1.0, ec=1.0)
         k = encode_state(1, [1, 0, 0, 0, 0], config)
-        assert flow_payoff(theta, 0, k, config) == pytest.approx(-0.9)
+        assert flow_payoffs(theta, config)[0, k] == pytest.approx(-0.9)
 
     def test_rival_independent_when_rn_zero(self):
         config = benchmark_config()
         theta = BENCH_THETA  # rn = 0
         ks = [encode_state(3, a, config) for a in
               ([1, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 1, 0, 1, 0])]
-        values = [flow_payoff(theta, 0, k, config) for k in ks]
+        values = [flow_payoffs(theta, config)[0, k] for k in ks]
         assert values == pytest.approx([3.0 * theta.rs + theta.fc[0]] * 3)
 
     def test_crowded_market_value(self):
@@ -112,14 +113,15 @@ class TestPayoffs:
         config = benchmark_config()
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=1.0, ec=1.0)
         k = encode_state(2, [1, 1, 1, 1, 1], config)
-        assert flow_payoff(theta, 0, k, config) == pytest.approx(2.0 - math.log(5) - 1.9)
+        assert flow_payoffs(theta, config)[0, k] == pytest.approx(2.0 - math.log(5) - 1.9)
 
     def test_inactive_firm_earns_no_flow(self):
         config = benchmark_config()
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=1.0, ec=1.0)
         k = encode_state(4, [0, 1, 1, 0, 1], config)
-        assert flow_payoff(theta, 0, k, config) == 0.0
-        assert flow_payoff(theta, 3, k, config) == 0.0
+        u = flow_payoffs(theta, config)
+        assert u[0, k] == 0.0
+        assert u[3, k] == 0.0
 
     def test_monotone_in_rival_count(self):
         # Strictly decreasing in rivals for an active firm when rn > 0; an
@@ -149,9 +151,10 @@ class TestPayoffs:
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=0.0, ec=1.0)
         k_out = encode_state(1, [0, 0, 0, 0, 0], config)
         k_in = encode_state(1, [1, 0, 0, 0, 0], config)
-        assert instant_payoff(theta, 0, 1, k_out, config) == pytest.approx(-1.0)
-        assert instant_payoff(theta, 0, 0, k_out, config) == 0.0
-        assert instant_payoff(theta, 0, 1, k_in, config) == 0.0
+        psi = instant_payoffs(theta, config)
+        assert psi[0, 1, k_out] == pytest.approx(-1.0)
+        assert psi[0, 0, k_out] == 0.0
+        assert psi[0, 1, k_in] == 0.0
 
 
 class TestNatureGenerator:

@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ctgames import GameConfig, Theta
+from ctgames import GameConfig, Theta, nature_generator
 from ctgames.equilibrium import solve_mpe, uniform_ccp
-from ctgames.likelihood import (
-    SpellStats,
-    hazard_profile,
-    loglik_continuous,
-    loglik_continuous_parts,
-    loglik_discrete,
-    transition_counts,
-)
+from ctgames.likelihood import SpellStats, loglik_discrete, transition_counts
 from ctgames.simulate import NATURE, EventLog, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
@@ -46,16 +39,16 @@ class TestContinuous:
     def test_empty_log_is_zero(self, two_firm_game):
         config, _ = two_firm_game
         log = make_log(markets=[0], horizon=[0.0], final_state=[0])
-        assert loglik_continuous(uniform_ccp(config), log, config) == 0.0
+        assert SpellStats.from_events(log, config).loglik(uniform_ccp(config)) == 0.0
 
     def test_pure_survival_spell(self, two_firm_game):
         config, _ = two_firm_game
         ccp = uniform_ccp(config)
         k, tau = 2, 1.7
         log = make_log(markets=[0], horizon=[tau], final_state=[k])
-        hazards = hazard_profile(ccp, config)
-        expected = -tau * hazards.total[k]
-        assert loglik_continuous(ccp, log, config) == pytest.approx(expected)
+        total_hazard = -nature_generator(config)[k, k] + config.lam * ccp[:, 1, k].sum()
+        expected = -tau * total_hazard
+        assert SpellStats.from_events(log, config).loglik(ccp) == pytest.approx(expected)
 
     def test_single_action_hand_value(self, two_firm_game):
         # Total hazard 1.4 = nature 0.3 + firm moves 0.4 + 0.7; firm 0 acts
@@ -67,7 +60,7 @@ class TestContinuous:
         k = 0  # demand level 1: only q_up = 0.3 active
         log = make_log(markets=[0], horizon=[0.5], final_state=[1],
                        events=[(0, 1, k, 0.5, 0, 1)])
-        value = loglik_continuous(ccp, log, config)
+        value = SpellStats.from_events(log, config).loglik(ccp)
         assert value == pytest.approx(-0.5 * 1.4 + math.log(0.4), abs=1e-12)
 
     def test_nature_move_hand_value(self, two_firm_game):
@@ -76,7 +69,7 @@ class TestContinuous:
         config, _ = two_firm_game
         log = make_log(markets=[0], horizon=[1.0], final_state=[4],
                        events=[(0, 1, 0, 0.5, NATURE, 4)])
-        parts = loglik_continuous_parts(uniform_ccp(config), log, config)
+        parts = SpellStats.from_events(log, config).loglik_parts(uniform_ccp(config))
         assert parts == pytest.approx((0.0, math.log(0.3), -1.3), abs=1e-12)
 
     def test_evaluations_reuse_the_nature_term(self, two_firm_game, monkeypatch):
@@ -103,8 +96,9 @@ class TestContinuous:
         mpe = solve_mpe(theta, config, tol=1e-12)
         log = simulate_continuous(theta, mpe.ccp, config, 40, seed=3,
                                   events_per_market=5)
-        parts = loglik_continuous_parts(mpe.ccp, log, config)
-        total = loglik_continuous(mpe.ccp, log, config)
+        stats = SpellStats.from_events(log, config)
+        parts = stats.loglik_parts(mpe.ccp)
+        total = stats.loglik(mpe.ccp)
         assert total == pytest.approx(sum(parts), rel=1e-12)
         assert np.isfinite(total)
 
@@ -123,10 +117,12 @@ class TestContinuous:
                             markets=log.markets[keep], horizon=log.horizon[keep],
                             final_state=log.final_state[keep])
 
+        def loglik(events):
+            return SpellStats.from_events(events, config).loglik(mpe.ccp)
+
         first, second = restrict(np.arange(12)), restrict(np.arange(12, 30))
-        total = loglik_continuous(mpe.ccp, log, config) * 30
-        split = (loglik_continuous(mpe.ccp, first, config) * 12
-                 + loglik_continuous(mpe.ccp, second, config) * 18)
+        total = loglik(log) * 30
+        split = loglik(first) * 12 + loglik(second) * 18
         assert total == pytest.approx(split, rel=1e-12)
 
     def test_impossible_nature_transition_flags_domain(self, two_firm_game):
@@ -135,7 +131,7 @@ class TestContinuous:
         k0 = 0
         log = make_log(markets=[0], horizon=[1.0], final_state=[1],
                        events=[(0, 1, k0, 0.4, NATURE, 1)])
-        value = loglik_continuous(uniform_ccp(config), log, config)
+        value = SpellStats.from_events(log, config).loglik(uniform_ccp(config))
         assert value == -np.inf
 
 

@@ -13,7 +13,6 @@ from ctgames import (
     stationary_distribution,
     transition_matrix,
     uniformization_matrix,
-    uniformization_probability,
 )
 from ctgames.markov import _pade13, transition_matrix_pullback
 
@@ -119,8 +118,9 @@ class TestFrechet:
 class TestUniformization:
     def test_zero_horizon_indicator(self, rng):
         q = random_generator(rng, 5)
-        assert uniformization_probability(q, 0.0, 2, 2) == 1.0
-        assert uniformization_probability(q, 0.0, 2, 3) == 0.0
+        p = uniformization_matrix(q, 0.0)
+        assert p[2, 2] == 1.0
+        assert p[2, 3] == 0.0
 
     def test_agrees_with_pade_on_random_generators(self, rng):
         for trial in range(50):
@@ -132,7 +132,7 @@ class TestUniformization:
 
     def test_two_state_analytic(self):
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        value = uniformization_probability(q, 1.0, 0, 0)
+        value = uniformization_matrix(q, 1.0)[0, 0]
         assert value == pytest.approx((1 + math.exp(-2)) / 2, abs=1e-12)
 
     def test_long_horizon(self, rng):
