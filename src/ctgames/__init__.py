@@ -15,10 +15,8 @@ from .errors import (
     OptimizationError,
 )
 from .game import (
-    BENCHMARK_DEMAND_MATRIX,
     GameConfig,
     Theta,
-    calibrate_nature_rates,
     decode_state,
     encode_state,
     flow_payoffs,

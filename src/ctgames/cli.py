@@ -181,6 +181,12 @@ def _load_data(path, sampling):
     return Panel.from_csv(path)
 
 
+def _parameter_columns(config):
+    """CSV column names of the parameter vector (fc_1..fc_N, rs, rn, ec)."""
+    return ([f"theta_fc{i + 1}" for i in range(config.n_players)]
+            + ["theta_rs", "theta_rn", "theta_ec"])
+
+
 def cmd_estimate(args):
     spec = build_spec(args)
     out = _outdir(args)
@@ -196,8 +202,7 @@ def cmd_estimate(args):
     vec = result.theta_hat.as_vector()
     row = {"experiment": spec.name, "init": args.init, "stages": result.iterations,
            "converged": result.converged, "loglik": result.loglik}
-    names = ([f"theta_fc{i + 1}" for i in range(spec.config.n_players)]
-             + ["theta_rs", "theta_rn", "theta_ec"])
+    names = _parameter_columns(spec.config)
     row.update({name: vec[i] for i, name in enumerate(names)})
     write_csv(out / "estimate.csv", [row],
               ["experiment", "init", "stages", "converged", "loglik", *names])
@@ -213,8 +218,7 @@ def cmd_mc(args):
     out = _outdir(args)
     mc = run_monte_carlo(spec, verbose=args.verbose)
 
-    names = ([f"theta_fc{i + 1}" for i in range(spec.config.n_players)]
-             + ["theta_rs", "theta_rn", "theta_ec"])
+    names = _parameter_columns(spec.config)
     raw_rows = []
     for estimator, arr in mc.estimates.items():
         for rep, vec in zip(mc.replication_ids[estimator], arr):

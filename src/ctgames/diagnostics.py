@@ -8,13 +8,12 @@ contracts locally when the spectral radius of (projector @ probability
 Jacobian) is below one; in single-agent models that Jacobian vanishes at
 the fixed point, so the loop always converges locally.
 
-Both Jacobians are exact, read off one `LinearizedPolicy` at the point, over
-the free probability coordinates (the action probability per (firm,
-state); the complementary continuation probability moves oppositely,
-respecting the simplex).  Where full (firm, choice, state) coordinates are
-required, free-coordinate rows are expanded with opposite signs for the
-two choices.  Central differences (`best_response_jacobian`) are kept as
-the tests' independent oracle of both Jacobians.
+All objects live in the free coordinates: one action probability per
+(firm, state), row ``i*K + k``; the continuation probability moves
+oppositely.  Both Jacobians are exact, read off one `LinearizedPolicy`.
+The projector is the full (firm, choice, state) one restricted exactly,
+``A_full E = E A_free`` (see `StabilityObjects`).  Central differences
+(`best_response_jacobian`) are the tests' oracle of both Jacobians.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_solve
-from scipy.sparse import csr_matrix
 
 from . import game, markov
 from .equilibrium import (CCP_FLOOR, aggregate_generator, best_response_map, check_ccp,
@@ -75,17 +73,6 @@ def best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=DEFAULT_FD_S
     raise InvalidArgumentError(f"wrt must be 'sigma' or 'theta', got {wrt!r}")
 
 
-def _expand_rows(free_rows, config):
-    """Free-coordinate rows (NK, .) to full (N*J*K, .) rows: +1 on action, -1 on stay."""
-    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
-    full = np.zeros((n * j_total * k_total, free_rows.shape[1]))
-    for i in range(n):
-        block = free_rows[i * k_total:(i + 1) * k_total]
-        full[(i * j_total + 1) * k_total:(i * j_total + 2) * k_total] = block
-        full[i * j_total * k_total:(i * j_total + 1) * k_total] = -block
-    return full
-
-
 def _policy_jacobians(theta, ccp, config):
     """Best response and its exact free-coordinate Jacobians at ``(theta, ccp)``.
 
@@ -126,20 +113,23 @@ def _policy_jacobians(theta, ccp, config):
 
 
 class StabilityObjects(NamedTuple):
-    """Ingredients of the local convergence condition at a point.
+    """Ingredients of the local convergence condition, in free coordinates.
 
-    - ``selector``: sparse (NJK, K^2) matrix with a single 1 per row,
-      marking the continuation state of each (firm, choice, state).
-    - ``weight``: (NJK, NJK) information-style weight,
-      selector @ diag(vec P)^-1 @ selector'.
-    - ``annihilator``: (NJK, NJK) oblique projector
+    - ``weight``: (NK, NK) weight ``E' S diag(vec P)^-1 S' E``, in closed
+      form ``1 / P[k, toggle_i(k)]`` on the diagonal plus ``1 / P[k, k]``
+      on every pair of firms sharing state k.  P is the transition matrix
+      at the best response, S marks the continuation cell of P of each
+      (firm, choice, state), and E maps free to full coordinates (+1 on
+      the action, -1 on the stay).
+    - ``annihilator``: (NK, NK) oblique projector
       I - J_theta (J_theta' W J_theta)^-1 J_theta' W
-      that kills the parameter directions of the best-response map.
-    - ``theta_jacobian``: (NJK, P) full-coordinate parameter Jacobian.
-    - ``ccp_jacobian``: (NK, NK) free-coordinate probability Jacobian.
+      that kills the parameter directions of the best-response map.  The
+      full-coordinate projector satisfies ``A_full E = E A_free``, so the
+      action rows of the full projected map are ``A_free J_sigma``.
+    - ``theta_jacobian``: (NK, P) parameter Jacobian.
+    - ``ccp_jacobian``: (NK, NK) probability Jacobian.
     """
 
-    selector: csr_matrix
     weight: np.ndarray
     annihilator: np.ndarray
     theta_jacobian: np.ndarray
@@ -147,39 +137,32 @@ class StabilityObjects(NamedTuple):
 
 
 def stability_objects(theta, ccp, config):
-    """Assemble the selector, weight, annihilator and exact Jacobians at ``(theta, ccp)``.
+    """Assemble the weight, annihilator and exact Jacobians at ``(theta, ccp)``.
 
     The weight uses the transition matrix at the best response to
     ``(theta, ccp)`` over one sampling interval ``config.delta``; every
-    transition probability the selector touches must be positive
-    (guaranteed for an irreducible chain).
+    continuation probability it reads (staying in k, and each firm's
+    toggle from k) must be positive (guaranteed for an irreducible chain).
     """
-    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
-    rows = n * j_total * k_total
-    dest = game.state_tables(config).continuation
-    cols = (np.arange(k_total) * k_total + dest).reshape(-1)
-    selector = csr_matrix((np.ones(rows), (np.arange(rows), cols)),
-                          shape=(rows, k_total * k_total))
-
-    br, ccp_jac, theta_free = _policy_jacobians(theta, ccp, config)
+    n, k_total = config.n_players, config.n_states
+    toggle = game.state_tables(config).toggle
+    br, ccp_jac, theta_jac = _policy_jacobians(theta, ccp, config)
     p_matrix = markov.transition_matrix(aggregate_generator(br, config), config.delta)
-    p_vec = p_matrix.reshape(-1)
-    touched = p_vec[cols]
-    if touched.min() <= 0.0:
+    p_stay = np.diag(p_matrix)
+    p_toggle = p_matrix[np.arange(k_total), toggle]  # [i, k]: P[k, toggle_i(k)]
+    if np.minimum(p_stay, p_toggle).min() <= 0.0:
         raise InvalidArgumentError(
             "transition matrix vanishes on a continuation state; chain not irreducible")
-    inv = np.zeros_like(p_vec)
-    inv[cols] = 1.0 / p_vec[cols]
-    weight = (selector.multiply(inv[None, :]) @ selector.T).toarray()
+    weight = (np.kron(np.ones((n, n)), np.diag(1.0 / p_stay))
+              + np.diag(1.0 / p_toggle.reshape(-1)))
 
-    theta_jac = _expand_rows(theta_free, config)
     gram = theta_jac.T @ weight @ theta_jac
     rank = np.linalg.matrix_rank(gram)
     if rank < gram.shape[0]:
         raise NumericalError(
             f"parameter-direction Gram matrix is singular (rank {rank} of {gram.shape[0]})")
-    annihilator = np.eye(rows) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
-    return StabilityObjects(selector=selector, weight=weight, annihilator=annihilator,
+    annihilator = np.eye(n * k_total) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
+    return StabilityObjects(weight=weight, annihilator=annihilator,
                             theta_jacobian=theta_jac, ccp_jacobian=ccp_jac)
 
 
@@ -215,16 +198,8 @@ def stability_report(theta, ccp, config):
     objects = stability_objects(theta, ccp, config)
     jac = objects.ccp_jacobian
     rho_br = spectral_radius(jac)
-    # The projected map annihilator @ J acts on full coordinates, but J's
-    # columns for the continuation choices are zero (a simplex-tangent
-    # perturbation is identified by its action component), so its spectrum
-    # is that of the action block plus zeros.
-    expanded = _expand_rows(jac, config)
-    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
-    action = np.arange(n * j_total * k_total).reshape(n, j_total, k_total)[:, 1].reshape(-1)
-    rho_npl = spectral_radius(objects.annihilator[action] @ expanded)
-    bound = float(np.linalg.norm(objects.annihilator, "fro")
-                  * np.linalg.norm(expanded, "fro"))
+    rho_npl = spectral_radius(objects.annihilator @ jac)
+    bound = float(np.linalg.norm(objects.annihilator, "fro") * np.linalg.norm(jac, "fro"))
     if rho_npl > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(
             f"spectral radius {rho_npl:g} exceeds its norm bound {bound:g}")

@@ -301,7 +301,8 @@ def init_ccp(method, data, config, ccp_star=None, seed=None):
     - ``"logit"``: pooled semi-parametric fit on (firm dummies, demand
       level, ln(1 + active rivals)), with separate coefficients for entry
       and exit states; a logistic regression of the toggle indicator for
-      panels, a logistic-hazard maximum likelihood for event data.
+      panels (`NumericalError` when it does not converge, as on separated
+      data), a logistic-hazard maximum likelihood for event data.
 
     The data-driven starts read only the statistic.  All outputs are
     clamped inside [1e-6, 1 - 1e-6].
@@ -367,7 +368,11 @@ def _initializer_features(config):
 
 
 def _fit_logistic(features, successes, trials):
-    """Newton (IRLS) fit of successes/trials ~ logistic(features @ beta)."""
+    """Newton (IRLS) fit of successes/trials ~ logistic(features @ beta).
+
+    Raises `NumericalError` when 100 steps do not converge, as on data the
+    features separate (no maximum likelihood estimate exists).
+    """
     n_feat = features.shape[1]
     beta = np.zeros(n_feat)
     for _ in range(100):
@@ -379,8 +384,9 @@ def _fit_logistic(features, successes, trials):
         step = np.linalg.solve(hessian, grad)
         beta = beta + step
         if np.abs(step).max() < 1e-10:
-            break
-    return beta
+            return beta
+    raise NumericalError("logit start did not converge in 100 Newton steps; "
+                         "the data may be separated by the features")
 
 
 def _logit_from_counts(stats):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibrium import aggregate_generator, solve_mpe
 from .errors import CTGamesError, InvalidArgumentError
-from .estimate import ctnpl, init_ccp
+from .estimate import ctnpl, init_ccp, rmse_relative
 from .game import GameConfig, Theta, state_tables
 from .likelihood import sufficient_statistics
 from .markov import stationary_distribution
@@ -217,8 +217,6 @@ def mc_summary_rows(mc):
 
 def mc_rmse_rows(mc, baseline="2S-True"):
     """Relative RMSE rows against the baseline estimator."""
-    from .estimate import rmse_relative
-
     ratios = rmse_relative(mc.estimates, baseline, mc.spec.theta_true)
     idx = reported_parameter_indices(mc.spec.config)
     rows = []

@@ -19,9 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from . import markov
 from .errors import InvalidArgumentError
 
 # Largest state space a game may have.  The solvers are dense: one K x K
@@ -238,66 +236,3 @@ def nature_generator(config):
     np.fill_diagonal(q, -q.sum(axis=1))
     return q
 
-
-class CalibratedRates(NamedTuple):
-    q_up: float
-    q_down: float
-    residual: float
-
-
-# Rates scanned, in each direction, by `calibrate_nature_rates` before its
-# simplex refinement: 0, 0.05, ..., 2.
-CALIBRATION_GRID = np.arange(0.0, 2.0 + 0.05 / 2, 0.05)
-
-
-def calibrate_nature_rates(target_p, delta=1.0):
-    """Fit (q_up, q_down) so exp(delta*G) best matches a one-period demand matrix.
-
-    A constant-rate birth-death generator cannot reproduce a general
-    tridiagonal stochastic matrix exactly, so the rates minimize the
-    Frobenius distance, found by a scan of `CALIBRATION_GRID` followed by
-    a local simplex refinement (deterministic).  Returns the fitted rates
-    and the remaining Frobenius residual.
-    """
-    target_p = np.asarray(target_p, dtype=float)
-    if target_p.ndim != 2 or target_p.shape[0] != target_p.shape[1]:
-        raise InvalidArgumentError("target matrix must be square")
-    if target_p.min() < 0 or np.abs(target_p.sum(axis=1) - 1).max() > 1e-8:
-        raise InvalidArgumentError("target matrix must be row-stochastic")
-    band = np.triu(np.abs(target_p), 2) + np.tril(np.abs(target_p), -2)
-    if band.max() > 0:
-        raise InvalidArgumentError("target matrix must be tridiagonal")
-    levels = target_p.shape[0]
-
-    def objective(rates):
-        q_up, q_down = max(rates[0], 0.0), max(rates[1], 0.0)
-        gen = np.zeros((levels, levels))
-        idx = np.arange(levels - 1)
-        gen[idx, idx + 1] = q_up
-        gen[idx + 1, idx] = q_down
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        return np.linalg.norm(markov.expm(delta * gen) - target_p, "fro")
-
-    best, best_val = (0.0, 0.0), objective((0.0, 0.0))
-    if best_val == 0.0:
-        return CalibratedRates(0.0, 0.0, 0.0)
-    for qu in CALIBRATION_GRID:
-        for qd in CALIBRATION_GRID:
-            val = objective((qu, qd))
-            if val < best_val:
-                best, best_val = (qu, qd), val
-    res = minimize(objective, x0=np.array(best), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
-    q_up, q_down = max(res.x[0], 0.0), max(res.x[1], 0.0)
-    return CalibratedRates(float(q_up), float(q_down), float(objective((q_up, q_down))))
-
-
-# One-period demand transition matrix of the benchmark five-level game
-# (band matrix with 0.8/0.2 at the edges and 0.6/0.2 inside).
-BENCHMARK_DEMAND_MATRIX = np.array([
-    [0.8, 0.2, 0.0, 0.0, 0.0],
-    [0.2, 0.6, 0.2, 0.0, 0.0],
-    [0.0, 0.2, 0.6, 0.2, 0.0],
-    [0.0, 0.0, 0.2, 0.6, 0.2],
-    [0.0, 0.0, 0.0, 0.2, 0.8],
-])

@@ -12,7 +12,7 @@ settings.load_profile("ctgames")
 # Benchmark nature rate: the one-period up/down probability of the
 # five-level demand matrix taken as the instantaneous rate.  This choice
 # reproduces the published steady state of the benchmark game almost
-# exactly; the Frobenius fit (~0.2956) is tested separately in test_game.
+# exactly.
 BENCHMARK_Q = 0.2
 
 # Paper-scale benchmark game: five heterogeneous firms, five demand levels.

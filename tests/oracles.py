@@ -3,17 +3,22 @@
 Each one computes a quantity the library computes some other way: scalar
 payoffs and continuation states from the documented state encoding rather
 than the precomputed tables and design rows, the expected choice payoff in
-closed form rather than split inside the value equation, and the spectral
-radius by power iteration rather than the dense LAPACK spectrum.
+closed form rather than split inside the value equation, the spectral
+radius by power iteration rather than the dense LAPACK spectrum, and the
+NPL projection on the full (firm, choice, state) coordinates rather than
+the free ones.
 """
 
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from ctgames import InvalidArgumentError
-from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA
-from ctgames.game import instant_payoffs
+from ctgames import InvalidArgumentError, NumericalError
+from ctgames.diagnostics import _policy_jacobians
+from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, aggregate_generator
+from ctgames.game import instant_payoffs, state_tables
+from ctgames.markov import transition_matrix
 
 
 def _demand_and_activity(k, config):
@@ -125,3 +130,53 @@ def power_estimate(matrix, restarts, tol, max_iter, seed):
         best = max(best, estimate)
         any_converged = any_converged or converged
     return best, any_converged
+
+
+def full_coordinate_projection(theta, ccp, config):
+    """The NPL projection on the full (firm, choice, state) coordinates.
+
+    Expands the exact free-coordinate Jacobians by the (NJK, NK) map E
+    (+1 on the action row, -1 on the stay row) and weights them by
+    ``S diag(vec P)^-1 S'``, where the sparse (NJK, K^2) selector S has a
+    single 1 per row at the continuation cell of the transition matrix P.
+    Returns ``(expansion, weight, annihilator, radius)``: the radius is
+    that of the projected map on full coordinates, whose stay columns are
+    zero (a simplex-tangent perturbation acts through its action
+    component).  Raises as `stability_report` does.
+    """
+    br, ccp_jac, theta_free = _policy_jacobians(theta, ccp, config)
+    n, j_total, k_total = config.n_players, config.n_choices, config.n_states
+    rows = n * j_total * k_total
+    cols = (np.arange(k_total) * k_total + state_tables(config).continuation).reshape(-1)
+    selector = csr_matrix((np.ones(rows), (np.arange(rows), cols)),
+                          shape=(rows, k_total * k_total))
+    p_vec = transition_matrix(aggregate_generator(br, config), config.delta).reshape(-1)
+    if p_vec[cols].min() <= 0.0:
+        raise InvalidArgumentError(
+            "transition matrix vanishes on a continuation state; chain not irreducible")
+    inv = np.zeros_like(p_vec)
+    inv[cols] = 1.0 / p_vec[cols]
+    weight = (selector.multiply(inv[None, :]) @ selector.T).toarray()
+
+    expansion = np.zeros((rows, n * k_total))
+    for i in range(n):
+        free = slice(i * k_total, (i + 1) * k_total)
+        expansion[(i * j_total + 1) * k_total:(i * j_total + 2) * k_total, free] = np.eye(k_total)
+        expansion[i * j_total * k_total:(i * j_total + 1) * k_total, free] = -np.eye(k_total)
+    theta_jac = expansion @ theta_free
+    gram = theta_jac.T @ weight @ theta_jac
+    rank = np.linalg.matrix_rank(gram)
+    if rank < gram.shape[0]:
+        raise NumericalError(
+            f"parameter-direction Gram matrix is singular (rank {rank} of {gram.shape[0]})")
+    annihilator = np.eye(rows) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
+
+    expanded = expansion @ ccp_jac
+    full_map = np.zeros((rows, rows))
+    action = np.arange(rows).reshape(n, j_total, k_total)[:, 1].reshape(-1)
+    full_map[:, action] = expanded
+    radius = float(np.abs(np.linalg.eigvals(annihilator @ full_map)).max())
+    bound = float(np.linalg.norm(annihilator, "fro") * np.linalg.norm(expanded, "fro"))
+    if radius > bound * (1 + 1e-8) + 1e-12:
+        raise NumericalError(f"spectral radius {radius:g} exceeds its norm bound {bound:g}")
+    return expansion, weight, annihilator, radius

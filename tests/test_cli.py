@@ -12,6 +12,8 @@ from ctgames.experiments import (
     run_monte_carlo,
 )
 
+from test_estimate import STILL_PANEL_CSV
+
 
 class TestPresets:
     def test_paper_presets_match_benchmark_parameterization(self):
@@ -208,6 +210,18 @@ class TestExitCodes:
         code = run_cli("solve", "--experiment", "1", "--scale", "desk",
                        "--out", str(tmp_path))
         assert code == 3
+
+    def test_logit_start_without_toggles_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "still.csv"
+        path.write_text(STILL_PANEL_CSV)
+        capsys.readouterr()
+        code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                       "--data", str(path), "--init", "logit",
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NumericalError"
 
     def test_reducible_game_is_config_error(self, tmp_path, capsys):
         # frozen demand (no nature moves across three levels) leaves the

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctgames import GameConfig, Theta
+from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta
 from ctgames.diagnostics import (
-    _expand_rows,
     _policy_jacobians,
     best_response_jacobian,
     spectral_radius,
@@ -16,7 +15,7 @@ from ctgames.diagnostics import (
 from ctgames.equilibrium import best_response_map, solve_mpe, uniform_ccp
 
 from conftest import desk_config
-from oracles import power_estimate
+from oracles import full_coordinate_projection, power_estimate
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +161,6 @@ class TestJacobians:
 
 
 class TestStabilityObjects:
-    def test_selector_rows_have_single_one(self, mini_fixed_point):
-        config, theta, ccp = mini_fixed_point
-        objects = stability_objects(theta, ccp, config)
-        dense = objects.selector.toarray()
-        assert set(np.unique(dense)) <= {0.0, 1.0}
-        assert np.all(dense.sum(axis=1) == 1.0)
-
     def test_annihilator_is_projector(self, mini_fixed_point):
         config, theta, ccp = mini_fixed_point
         objects = stability_objects(theta, ccp, config)
@@ -190,20 +182,29 @@ class TestStabilityReport:
         assert 0 <= report.rho_npl_update <= report.norm_bound + 1e-9
         assert report.jacobian_dim == config.n_players * config.n_states
 
-    def test_action_block_radius_equals_full_map_radius(self, mini_fixed_point):
-        # the projected map on full coordinates has zero continuation
-        # columns, so its radius is the action block's
-        config, theta, ccp = mini_fixed_point
-        n, j_total, k_total = config.n_players, config.n_choices, config.n_states
+    @given(n_players=st.integers(1, 3), levels=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_action_block_radius_equals_full_map_radius(self, n_players, levels, seed):
+        # the free-coordinate projection is the full-coordinate one seen
+        # through the +/-1 expansion E: same errors, A_full E = E A_free,
+        # E' W_full E = W_free and the same radius
+        config, theta, ccp = random_game(n_players, levels, seed)
+        try:
+            expansion, weight, annihilator, radius = full_coordinate_projection(
+                theta, ccp, config)
+        except (InvalidArgumentError, NumericalError) as err:
+            with pytest.raises(type(err)) as raised:
+                stability_report(theta, ccp, config)
+            assert str(raised.value) == str(err)
+            return
         objects = stability_objects(theta, ccp, config)
-        rows = _expand_rows(objects.ccp_jacobian, config)
-        full = np.zeros((n * j_total * k_total, n * j_total * k_total))
-        for m in range(n):
-            action_cols = slice((m * j_total + 1) * k_total, (m * j_total + 2) * k_total)
-            full[:, action_cols] = rows[:, m * k_total:(m + 1) * k_total]
-        dense = np.abs(np.linalg.eigvals(objects.annihilator @ full)).max()
         report = stability_report(theta, ccp, config)
-        assert report.rho_npl_update == pytest.approx(dense, rel=1e-10, abs=1e-14)
+        lhs, rhs = annihilator @ expansion, expansion @ objects.annihilator
+        assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
+        projected = expansion.T @ weight @ expansion
+        assert np.abs(projected - objects.weight).max() <= 1e-10 * np.abs(projected).max()
+        assert report.rho_npl_update == pytest.approx(radius, rel=1e-10, abs=1e-14)
 
 
 class TestStabilitySweep:

@@ -42,6 +42,10 @@ from oracles import flow_payoff, instant_payoff
 from test_likelihood import make_log
 
 
+# A desk-game panel of three two-snapshot markets in which nothing toggles.
+STILL_PANEL_CSV = "market_id,n,k\n0,0,3\n0,1,3\n1,0,5\n1,1,5\n2,0,0\n2,1,0\n"
+
+
 @pytest.fixture(scope="module")
 def mini_game():
     config = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
@@ -214,6 +218,14 @@ class TestInitCcp:
                                   events_per_market=5)
         out = init_ccp("logit", log, config)
         assert np.abs(out[:, 1, :] - ccp_star[:, 1, :]).max() < 0.08
+
+    def test_logit_on_panel_without_toggles_raises(self, tmp_path):
+        # three two-snapshot markets in which no firm moves: every toggle
+        # count is zero, so the logit has no maximum likelihood estimate
+        path = tmp_path / "still.csv"
+        path.write_text(STILL_PANEL_CSV)
+        with pytest.raises(NumericalError, match="logit start did not converge"):
+            init_ccp("logit", Panel.from_csv(path), desk_config())
 
     def test_requires_data_for_sample_methods(self, mini_game):
         config, _, _ = mini_game

@@ -9,7 +9,6 @@ from ctgames import (
     GameConfig,
     InvalidArgumentError,
     Theta,
-    calibrate_nature_rates,
     decode_state,
     encode_state,
     flow_payoffs,
@@ -17,7 +16,6 @@ from ctgames import (
     nature_generator,
     state_tables,
 )
-from ctgames.game import BENCHMARK_DEMAND_MATRIX
 
 from conftest import BENCH_THETA, benchmark_config
 
@@ -184,29 +182,6 @@ class TestNatureGenerator:
                 assert abs(d2 - demand) == 1
                 assert np.array_equal(activity, a2)
                 assert row[target] == pytest.approx(0.3)
-
-
-class TestCalibration:
-    def test_identity_target_gives_zero_rates(self):
-        fit = calibrate_nature_rates(np.eye(5))
-        assert fit.q_up == 0.0 and fit.q_down == 0.0 and fit.residual == 0.0
-
-    def test_calibrate_benchmark(self):
-        # Oracle: 2-d grid over [0, 2]^2 at step 1e-3 plus local refinement
-        # gives q_up = q_down = 0.2956188 with Frobenius residual 0.0953465.
-        fit = calibrate_nature_rates(BENCHMARK_DEMAND_MATRIX, delta=1.0)
-        assert fit.q_up == pytest.approx(0.2956188, abs=2e-4)
-        assert fit.q_down == pytest.approx(0.2956188, abs=2e-4)
-        assert fit.residual == pytest.approx(0.0953465, abs=1e-5)
-
-    def test_symmetric_target_gives_equal_rates(self):
-        fit = calibrate_nature_rates(BENCHMARK_DEMAND_MATRIX)
-        assert abs(fit.q_up - fit.q_down) < 1e-6
-
-    def test_rejects_non_stochastic_target(self):
-        bad = np.eye(5) * 0.9
-        with pytest.raises(InvalidArgumentError):
-            calibrate_nature_rates(bad)
 
 
 class TestTheta:
