@@ -31,6 +31,7 @@ from .markov import (
     uniformization_matrix,
 )
 from .equilibrium import (
+    LinearizedPolicy,
     aggregate_generator,
     best_response,
     best_response_map,
@@ -54,7 +55,6 @@ from .likelihood import (
 )
 from .estimate import (
     EstimationResult,
-    LinearizedPolicy,
     ctnpl,
     init_ccp,
     rmse_relative,

@@ -18,8 +18,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .diagnostics import _policy_jacobians, stability_sweep
-from .equilibrium import value_function
+from .diagnostics import stability_sweep
+from .equilibrium import LinearizedPolicy, value_function
 from .errors import CTGamesError, InvalidArgumentError, NotIrreducibleError
 from .estimate import ctnpl, init_ccp
 from .experiments import (
@@ -155,7 +155,7 @@ def cmd_solve(args):
     print(f"equilibrium solved in {mpe.iterations} iterations, "
           f"residual {mpe.residual:.3e}")
     if spec.config.n_players == 1:
-        _, jac, _ = _policy_jacobians(spec.theta_true, mpe.ccp, spec.config)
+        _, jac, _ = LinearizedPolicy(mpe.ccp, spec.config).jacobians(spec.theta_true)
         print(f"single-agent zero-Jacobian diagnostic: "
               f"max |dBR/dccp| = {np.abs(jac).max():.3e}")
     return EXIT_OK

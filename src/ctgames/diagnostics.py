@@ -10,7 +10,8 @@ the fixed point, so the loop always converges locally.
 
 All objects live in the free coordinates: one action probability per
 (firm, state), row ``i*K + k``; the continuation probability moves
-oppositely.  Both Jacobians are exact, read off one `LinearizedPolicy`.
+oppositely.  Both Jacobians are exact: `stability_objects` reads them from
+`equilibrium.LinearizedPolicy.jacobians` at the candidate fixed point.
 The projector is the full (firm, choice, state) one restricted exactly,
 ``A_full E = E A_free`` (see `StabilityObjects`).  Central differences
 (`best_response_jacobian`) are the tests' oracle of both Jacobians.
@@ -20,13 +21,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from . import game, markov
-from .equilibrium import (CCP_FLOOR, aggregate_generator, best_response_map, check_ccp,
-                          interior_softmax, solve_mpe)
+from .equilibrium import (LinearizedPolicy, aggregate_generator, best_response_map, check_ccp,
+                          solve_mpe)
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError
-from .estimate import LinearizedPolicy
 from .game import Theta
 
 DEFAULT_FD_STEP = 1e-6
@@ -73,45 +72,6 @@ def best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=DEFAULT_FD_S
     raise InvalidArgumentError(f"wrt must be 'sigma' or 'theta', got {wrt!r}")
 
 
-def _policy_jacobians(theta, ccp, config):
-    """Best response and its exact free-coordinate Jacobians at ``(theta, ccp)``.
-
-    Returns ``(br, ccp_jac, theta_jac)``: the (N, J, K) best response and
-    the (NK, NK) probability and (NK, P) parameter Jacobians laid out as in
-    `best_response_jacobian`.  With ``s_ik = br_i1k br_i0k``, ``w`` the
-    policy's choice-value weights and ``X`` the inverse of the policy
-    system matrix,
-
-    - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``;
-    - ``ccp_jac[(i, k'), (m, k)] = s_ik' (X[l_i(k'), k] - X[k', k]) lam
-      [delta_im (psi_i1k - psi_i0k - ln ccp_i1k + ln ccp_i0k)
-      - (V_i[k] - V_i[l_m(k)])]``, because ``ccp_m1k`` enters the value
-      equation only in row k (through the system matrix and, for m = i,
-      the expected choice payoff).
-    """
-    ccp = check_ccp(ccp, config)
-    n, k_total = config.n_players, config.n_states
-    toggle = game.state_tables(config).toggle
-    policy = LinearizedPolicy(ccp, config)
-    choice_values = policy.weights @ theta.as_vector() + policy.offsets  # (N, J, K)
-    br = interior_softmax(choice_values, axis=1)
-    slope = br[:, 1] * br[:, 0]
-    theta_jac = slope[:, :, None] * (policy.weights[:, 1] - policy.weights[:, 0])
-
-    values = choice_values[:, 0]  # choice 0 stays in place and pays nothing
-    psi = game.instant_payoffs(theta, config)
-    logs = np.log(np.clip(ccp, CCP_FLOOR, 1.0 - CCP_FLOOR))
-    coef = values[:, toggle] - values[:, None, :]  # [i, m, k]: V_i[l_m(k)] - V_i[k]
-    players = np.arange(n)
-    coef[players, players] += psi[:, 1] - psi[:, 0] - logs[:, 1] + logs[:, 0]
-    coef *= config.lam
-    inverse = lu_solve(policy.factor, np.eye(k_total))
-    gap = inverse[toggle] - inverse  # [i, k', k]: X[l_i(k'), k] - X[k', k]
-    ccp_jac = slope[:, :, None, None] * gap[:, :, None, :] * coef[:, None]
-    rows = n * k_total
-    return br, ccp_jac.reshape(rows, rows), theta_jac.reshape(rows, -1)
-
-
 class StabilityObjects(NamedTuple):
     """Ingredients of the local convergence condition, in free coordinates.
 
@@ -146,7 +106,7 @@ def stability_objects(theta, ccp, config):
     """
     n, k_total = config.n_players, config.n_states
     toggle = game.state_tables(config).toggle
-    br, ccp_jac, theta_jac = _policy_jacobians(theta, ccp, config)
+    br, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
     p_matrix = markov.transition_matrix(aggregate_generator(br, config), config.delta)
     p_stay = np.diag(p_matrix)
     p_toggle = p_matrix[np.arange(k_total), toggle]  # [i, k]: P[k, toggle_i(k)]
@@ -222,8 +182,15 @@ def stability_sweep(config, theta_base, rn_grid):
     - ``iterations``: the solve's best-response evaluations, as in `MpeResult`.
 
     Rows are dicts; failures are recorded under ``error`` and the sweep
-    continues.
+    continues.  A game with one firm or one demand level raises
+    `InvalidArgumentError` up front, as the projector needs every parameter:
+    rn acts only through rivals, and with one level the rs direction is the
+    sum of the fixed-cost directions.
     """
+    if config.n_players == 1 or config.market_levels == 1:
+        name = "rn" if config.n_players == 1 else "rs"
+        raise InvalidArgumentError(
+            f"stability sweep needs 2 firms and 2 demand levels: {name} is not identified")
     tables = game.state_tables(config)
     n_active = tables.activity.sum(axis=1)
     rows = []

@@ -1,4 +1,4 @@
-"""Value functions, best responses, and Markov perfect equilibria.
+"""Value functions, best responses, Markov perfect equilibria, and their derivatives.
 
 Choice probabilities (CCPs) are stored as an (N, J, K) array ``ccp`` with
 ``ccp[i, j, k]`` the probability that firm ``i`` picks choice ``j`` when a
@@ -7,11 +7,18 @@ fixed point of the map "value the current policy, then best-respond":
 solving one K x K linear system per player and applying the logit formula.
 Everything here is a pure function of its inputs; per-player solves share a
 single factorization of the common system matrix.
+
+This module owns policy valuation and its derivatives.  At fixed
+probabilities the policy values are affine in theta, so `LinearizedPolicy`
+gives the best response at every theta from one factorization, its
+gradient chain for the estimator, and its exact Jacobians for the
+diagnostics.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from . import game
 from .errors import ConvergenceError, InvalidArgumentError
@@ -49,14 +56,22 @@ def check_ccp(ccp, config):
     return ccp
 
 
-def interior_softmax(values, axis=0):
-    """Overflow-safe softmax clamped to [CCP_FLOOR, 1 - CCP_FLOOR] and renormalized."""
-    shifted = values - values.max(axis=axis, keepdims=True)
+def interior_softmax(values):
+    """Overflow-safe softmax over the choice axis (axis 1) of (N, J, K) choice
+    values, clamped to [CCP_FLOOR, 1 - CCP_FLOOR] and renormalized."""
+    shifted = values - values.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
-    probs = weights / weights.sum(axis=axis, keepdims=True)
+    probs = weights / weights.sum(axis=1, keepdims=True)
     np.clip(probs, CCP_FLOOR, 1.0 - CCP_FLOOR, out=probs)
-    probs /= probs.sum(axis=axis, keepdims=True)
+    probs /= probs.sum(axis=1, keepdims=True)
     return probs
+
+
+def _logistic_slope(ccp):
+    """(N, K) slope ``ccp1 * ccp0`` of the two-choice logistic, zero where
+    `interior_softmax` clamped: its clamped entries come back exactly at
+    ``CCP_FLOOR``, and there the probabilities do not move with the values."""
+    return np.where(ccp.min(axis=1) > CCP_FLOOR, ccp[:, 1] * ccp[:, 0], 0.0)
 
 
 def aggregate_generator(ccp, config):
@@ -123,12 +138,94 @@ def best_response(theta, values, config):
     dest = game.state_tables(config).continuation
     players = np.arange(config.n_players)[:, None, None]
     choice_values = game.instant_payoffs(theta, config) + values[players, dest]
-    return interior_softmax(choice_values, axis=1)
+    return interior_softmax(choice_values)
 
 
 def best_response_map(theta, ccp, config):
     """One policy-valuation-plus-improvement step; MPE are its fixed points."""
     return best_response(theta, value_function(theta, ccp, config), config)
+
+
+class LinearizedPolicy:
+    """Best-response probabilities as an exact function of theta.
+
+    Built at fixed previous-stage probabilities ``ccp_prev``; `ccp(vec)`
+    equals ``best_response_map(Theta.from_vector(vec), ccp_prev, config)``
+    for every parameter vector.  ``weights @ vec + offsets`` are the (N, J, K)
+    choice values ``psi_ijk + V_i[l(i, j, k)]``, and ``factor`` holds the LU
+    factors of the policy system matrix at ``ccp_prev``.
+    """
+
+    def __init__(self, ccp_prev, config):
+        self.ccp_prev = check_ccp(ccp_prev, config)
+        self.config = config
+        n, k_total = config.n_players, config.n_states
+        design, offset = _value_equation(self.ccp_prev, config)
+        p = design.shape[2]
+
+        self.factor = lu_factor(_policy_system_matrix(self.ccp_prev, config))
+        # one solve for every player's P weight columns and offset column
+        rhs = np.concatenate([design, offset[:, :, None]], axis=2)
+        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1))
+        solved = solved.reshape(k_total, n, p + 1).transpose(1, 0, 2)  # (N, K, P+1)
+
+        dest = game.state_tables(config).continuation
+        at_dest = solved[np.arange(n)[:, None, None], dest]             # (N, J, K, P+1)
+        self.weights = at_dest[..., :p].copy()
+        self.weights[..., -1] += game.entry_design(config)
+        self.offsets = at_dest[..., p].copy()
+
+    def ccp(self, theta_vec):
+        """Best-response probabilities at this parameter vector."""
+        values = self.weights @ np.asarray(theta_vec, dtype=float) + self.offsets
+        return interior_softmax(values)
+
+    def chain(self, ccp, action_grad):
+        """Gradient in theta from an (N, K) gradient in ``ccp[:, 1, :]``.
+
+        Through the two-choice logistic, ``d ccp[:, 1] / d theta`` is
+        `_logistic_slope` times ``W1 - W0``.
+        """
+        return np.einsum("nk,nkp->p", action_grad * _logistic_slope(ccp),
+                         self.weights[:, 1] - self.weights[:, 0])
+
+    def jacobians(self, theta):
+        """Best response at `Theta` ``theta`` and its exact free-coordinate Jacobians.
+
+        Returns ``(br, ccp_jac, theta_jac)``: the (N, J, K) best response and
+        the (NK, NK) probability and (NK, P) parameter Jacobians, row and
+        column ``i*K + k`` for firm i's action probability in state k (the
+        stay probability moves oppositely).  With ``s_ik`` the
+        `_logistic_slope` of ``br``, ``w`` the choice-value weights and ``X``
+        the inverse of the policy system matrix,
+
+        - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``;
+        - ``ccp_jac[(i, k'), (m, k)] = s_ik' (X[l_i(k'), k] - X[k', k]) lam
+          [delta_im (psi_i1k - psi_i0k - ln ccp_i1k + ln ccp_i0k)
+          - (V_i[k] - V_i[l_m(k)])]``, because ``ccp_m1k`` enters the value
+          equation only in row k (through the system matrix and, for m = i,
+          the expected choice payoff).
+        """
+        config = self.config
+        n, k_total = config.n_players, config.n_states
+        toggle = game.state_tables(config).toggle
+        choice_values = self.weights @ theta.as_vector() + self.offsets  # (N, J, K)
+        br = interior_softmax(choice_values)
+        slope = _logistic_slope(br)
+        theta_jac = slope[:, :, None] * (self.weights[:, 1] - self.weights[:, 0])
+
+        values = choice_values[:, 0]  # choice 0 stays in place and pays nothing
+        psi = game.instant_payoffs(theta, config)
+        logs = np.log(np.clip(self.ccp_prev, CCP_FLOOR, 1.0 - CCP_FLOOR))
+        coef = values[:, toggle] - values[:, None, :]  # [i, m, k]: V_i[l_m(k)] - V_i[k]
+        players = np.arange(n)
+        coef[players, players] += psi[:, 1] - psi[:, 0] - logs[:, 1] + logs[:, 0]
+        coef *= config.lam
+        inverse = lu_solve(self.factor, np.eye(k_total))
+        gap = inverse[toggle] - inverse  # [i, k', k]: X[l_i(k'), k] - X[k', k]
+        ccp_jac = slope[:, :, None, None] * gap[:, :, None, :] * coef[:, None]
+        rows = n * k_total
+        return br, ccp_jac.reshape(rows, rows), theta_jac.reshape(rows, -1)
 
 
 class MpeResult(NamedTuple):

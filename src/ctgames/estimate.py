@@ -5,22 +5,16 @@ All of them read a dataset only through its sufficient statistic
 place, so a caller fitting several estimators reduces the data once.
 
 The inner maximization never re-solves the value function per candidate
-theta.  Holding the previous-stage choice probabilities fixed, the policy
-values are exactly affine in the parameter vector, ``V_i = W_i @ theta +
-offset_i``: the system matrix depends only on those probabilities, the flow
-payoff is linear in theta through its design rows, and the expected choice
-payoff splits into an entry-cost term linear in theta plus a known entropy
-term.  `LinearizedPolicy` solves the value equation that
-`equilibrium.value_function` uses, for all of its affine columns at once
-(one factorization, one multi-column solve per stage), and reproduces the
-best-response map exactly at every theta; the likelihood is then maximized
-over theta by BFGS with exact gradients.  The event-data gradient is in
-closed form; the snapshot gradient is an adjoint, one Frechet derivative of
-``expm`` that shares the Pade set-up of the likelihood value, chained
-through the logistic choice probabilities and the affine weights.
-Central differences (`central_difference_gradient`) serve only as the test
-oracle.  The same object gives the exact Jacobians of the convergence
-diagnostics.
+theta.  Each stage builds one `equilibrium.LinearizedPolicy` at the
+previous-stage probabilities, which reproduces the best-response map
+exactly at every theta from one factorization, and composes the statistic
+with it: the log likelihood of the statistic at ``policy.ccp(theta)`` is
+maximized over theta by BFGS with exact gradients, the statistic's
+gradient in the action probabilities chained through the policy.  The
+event-data gradient is in closed form; the snapshot gradient is an
+adjoint, one Frechet derivative of ``expm`` that shares the Pade set-up of
+the likelihood value.  Central differences (`central_difference_gradient`)
+serve only as the test oracle.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -30,14 +24,12 @@ single stage is the two-step pseudo maximum likelihood estimator.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import minimize
 
 from . import game
-from .equilibrium import (CCP_FLOOR, _policy_system_matrix, _value_equation, check_ccp,
-                          interior_softmax)
+from .equilibrium import LinearizedPolicy, check_ccp
 from .errors import InvalidArgumentError, NumericalError, OptimizationError
-from .game import Theta, entry_design
+from .game import Theta
 from .likelihood import SpellStats, TransitionCounts, sufficient_statistics
 
 # Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
@@ -46,84 +38,6 @@ INIT_FLOOR = 1e-6
 # after MAX_EVALS likelihood evaluations.
 BFGS_GTOL = 1e-6
 MAX_EVALS = 500
-
-
-class LinearizedPolicy:
-    """Best-response probabilities as an exact function of theta.
-
-    Built at fixed previous-stage probabilities ``ccp_prev``; `ccp(vec)`
-    equals ``best_response_map(Theta.from_vector(vec), ccp_prev, config)``
-    for every parameter vector.  ``weights @ vec + offsets`` are the (N, J, K)
-    choice values ``psi_ijk + V_i[l(i, j, k)]``, and ``factor`` holds the LU
-    factors of the policy system matrix at ``ccp_prev``.
-    """
-
-    def __init__(self, ccp_prev, config):
-        ccp_prev = check_ccp(ccp_prev, config)
-        self.config = config
-        n, k_total = config.n_players, config.n_states
-        design, offset = _value_equation(ccp_prev, config)
-        p = design.shape[2]
-
-        self.factor = lu_factor(_policy_system_matrix(ccp_prev, config))
-        # one solve for every player's P weight columns and offset column
-        rhs = np.concatenate([design, offset[:, :, None]], axis=2)
-        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1))
-        solved = solved.reshape(k_total, n, p + 1).transpose(1, 0, 2)  # (N, K, P+1)
-
-        dest = game.state_tables(config).continuation
-        at_dest = solved[np.arange(n)[:, None, None], dest]             # (N, J, K, P+1)
-        self.weights = at_dest[..., :p].copy()
-        self.weights[..., -1] += entry_design(config)
-        self.offsets = at_dest[..., p].copy()
-
-    def ccp(self, theta_vec):
-        """Best-response probabilities at this parameter vector."""
-        values = self.weights @ np.asarray(theta_vec, dtype=float) + self.offsets
-        return interior_softmax(values, axis=1)
-
-    def chain(self, ccp, action_grad):
-        """Gradient in theta from an (N, K) gradient in ``ccp[:, 1, :]``.
-
-        Through the two-choice logistic, ``d ccp[:, 1] / d theta`` is
-        ``ccp1 * ccp0 * (W1 - W0)``, and zero where `interior_softmax`
-        clamped: its clamped entries come back exactly at ``CCP_FLOOR``.
-        """
-        slope = np.where(ccp.min(axis=1) > CCP_FLOOR, ccp[:, 1] * ccp[:, 0], 0.0)
-        return np.einsum("nk,nkp->p", action_grad * slope,
-                         self.weights[:, 1] - self.weights[:, 0])
-
-
-class _PseudoLikelihood:
-    """Market-averaged log likelihood of one dataset as a function of theta.
-
-    Holds the data's sufficient statistic, reduced and checked once at
-    construction; `linearize` then sets the stage's previous-stage
-    probabilities ``ccp_prev`` through their `LinearizedPolicy`.
-    """
-
-    def __init__(self, data, config):
-        self.config = config
-        self.stats = sufficient_statistics(data, config)
-        self.policy = None
-
-    def linearize(self, ccp_prev):
-        """Hold the probabilities at ``ccp_prev`` for the next evaluations."""
-        self.policy = LinearizedPolicy(ccp_prev, self.config)
-        return self
-
-    def value(self, theta_vec):
-        """Log likelihood at theta by the statistic's reference route."""
-        return self.stats.loglik(self.policy.ccp(theta_vec))
-
-    def value_and_gradient(self, theta_vec, counters=None):
-        """Log likelihood and its exact gradient in theta.
-
-        ``counters`` collects the snapshot likelihood's ``clamped_logs``.
-        """
-        ccp = self.policy.ccp(theta_vec)
-        value, action_grad = self.stats.value_and_gradient(ccp, counters=counters)
-        return value, self.policy.chain(ccp, action_grad)
 
 
 def central_difference_gradient(fun, x, rel_step=1e-6):
@@ -143,14 +57,25 @@ class _EvalBudgetExceeded(Exception):
     pass
 
 
-def _maximize(pseudo, theta_init=None, counters=None):
-    """Inner maximization at the linearized ``pseudo``; returns (theta
-    vector, loglik, linearized policy).
+def _loglik_and_gradient(stats, policy, vec, counters=None):
+    """Log likelihood of the statistic ``stats`` at ``policy.ccp(vec)`` and its
+    exact gradient in theta.
+
+    ``counters`` collects the snapshot likelihood's ``clamped_logs``.
+    """
+    ccp = policy.ccp(vec)
+    value, action_grad = stats.value_and_gradient(ccp, counters=counters)
+    return value, policy.chain(ccp, action_grad)
+
+
+def _maximize(stats, policy, theta_init=None, counters=None):
+    """Maximize the log likelihood of ``stats`` over theta through the
+    `LinearizedPolicy` ``policy``; returns (theta vector, loglik).
 
     ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
     the snapshot likelihood's ``clamped_logs``.
     """
-    config = pseudo.config
+    config = policy.config
     p = config.n_players + 3
     x0 = np.ones(p) if theta_init is None else np.asarray(theta_init, dtype=float)
     counters = {} if counters is None else counters
@@ -162,7 +87,7 @@ def _maximize(pseudo, theta_init=None, counters=None):
         state["evals"] += 1
         if state["evals"] > MAX_EVALS:
             raise _EvalBudgetExceeded
-        value, grad = pseudo.value_and_gradient(x, counters=counters)
+        value, grad = _loglik_and_gradient(stats, policy, x, counters=counters)
         if value > state["best_f"]:
             state["best_f"], state["best_x"] = value, x.copy()
         return -value, -grad
@@ -171,7 +96,7 @@ def _maximize(pseudo, theta_init=None, counters=None):
         result = minimize(objective, x0, jac=True, method="BFGS",
                           options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS})
     except _EvalBudgetExceeded:
-        grad_norm = float(np.abs(pseudo.value_and_gradient(state["best_x"])[1]).max())
+        grad_norm = float(np.abs(_loglik_and_gradient(stats, policy, state["best_x"])[1]).max())
         raise OptimizationError(
             f"pseudo-likelihood maximization exceeded {MAX_EVALS} evaluations "
             f"(gradient sup-norm {grad_norm:g})",
@@ -188,7 +113,7 @@ def _maximize(pseudo, theta_init=None, counters=None):
             f"(gradient sup-norm {grad_norm:g})",
             best_point=Theta.from_vector(state["best_x"], config.n_players),
             gradient_norm=grad_norm)
-    return result.x, float(-result.fun), pseudo.policy
+    return result.x, float(-result.fun)
 
 
 @dataclass
@@ -228,15 +153,15 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
     ccp = ccp / ccp.sum(axis=1, keepdims=True)
     check_ccp(ccp, config)
 
-    pseudo = _PseudoLikelihood(data, config)
+    stats = sufficient_statistics(data, config)
     theta_prev = None if theta_init is None else theta_init.as_vector()
     trace = []
     best = None
     for stage in range(1, max_stages + 1):
         counts = {}
+        policy = LinearizedPolicy(ccp, config)
         try:
-            vec, loglik, policy = _maximize(pseudo.linearize(ccp), theta_init=theta_prev,
-                                            counters=counts)
+            vec, loglik = _maximize(stats, policy, theta_init=theta_prev, counters=counts)
         except OptimizationError as err:
             raise OptimizationError(
                 f"stage {stage}: {err}", best_point=err.best_point,

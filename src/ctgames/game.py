@@ -47,8 +47,6 @@ class GameConfig:
         Nature's rates for demand moving one level up or down.
     delta : float
         Snapshot sampling interval for discretely observed data.
-    n_choices : int
-        Choices per decision (fixed at 2: continue or toggle activity).
     """
 
     n_players: int
@@ -58,7 +56,8 @@ class GameConfig:
     q_up: float = 0.0
     q_down: float = 0.0
     delta: float = 1.0
-    n_choices: int = 2
+    # Choices per decision, a class constant: continue or toggle activity.
+    n_choices = 2
 
     def __post_init__(self):
         if self.n_players < 1:
@@ -76,8 +75,6 @@ class GameConfig:
             raise InvalidArgumentError("nature rates must be nonnegative")
         if not self.delta > 0:
             raise InvalidArgumentError(f"sampling interval must be positive, got {self.delta}")
-        if self.n_choices != 2:
-            raise InvalidArgumentError("the entry/exit game has exactly 2 choices per firm")
 
     @property
     def n_states(self):

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from ctgames import InvalidArgumentError, NumericalError
-from ctgames.diagnostics import _policy_jacobians
-from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, aggregate_generator
+from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, LinearizedPolicy, aggregate_generator
 from ctgames.game import instant_payoffs, state_tables
 from ctgames.markov import transition_matrix
 
@@ -144,7 +143,7 @@ def full_coordinate_projection(theta, ccp, config):
     zero (a simplex-tangent perturbation acts through its action
     component).  Raises as `stability_report` does.
     """
-    br, ccp_jac, theta_free = _policy_jacobians(theta, ccp, config)
+    br, ccp_jac, theta_free = LinearizedPolicy(ccp, config).jacobians(theta)
     n, j_total, k_total = config.n_players, config.n_choices, config.n_states
     rows = n * j_total * k_total
     cols = (np.arange(k_total) * k_total + state_tables(config).continuation).reshape(-1)

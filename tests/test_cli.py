@@ -118,6 +118,27 @@ class TestCliDiagnose:
         lines = (out / "stability_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("players, levels, unidentified",
+                             [(1, 5, "rn"), (2, 1, "rs")], ids=["one_firm", "one_level"])
+    def test_unidentified_parameter_exits_two(self, players, levels, unidentified,
+                                              tmp_path, capsys):
+        # with one firm rn never enters a payoff; with one demand level the
+        # rs direction is the sum of the fixed-cost directions
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({
+            "game": {"n_players": players, "market_levels": levels, "lambda": 1.0,
+                     "rho": 0.05, "q_up": 0.2, "q_down": 0.2},
+            "theta": {"fc": [-1.2, -0.9][:players], "rs": 1.0, "rn": 1.0, "ec": 1.0}}))
+        capsys.readouterr()
+        code = run_cli("diagnose", "--config", str(path), "--rn-grid", "0,1",
+                       "--out", str(tmp_path / "diag"))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InvalidArgumentError"
+        assert f"{unidentified} is not identified" in error["message"]
+
 
 class TestCliCounterfactual:
     def test_zero_shift_reports_no_change(self):

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta
 from ctgames.diagnostics import (
-    _policy_jacobians,
     best_response_jacobian,
     spectral_radius,
     stability_objects,
     stability_report,
     stability_sweep,
 )
-from ctgames.equilibrium import best_response_map, solve_mpe, uniform_ccp
+from ctgames.equilibrium import (
+    CCP_FLOOR,
+    LinearizedPolicy,
+    best_response_map,
+    solve_mpe,
+    uniform_ccp,
+)
 
 from conftest import desk_config
 from oracles import full_coordinate_projection, power_estimate
@@ -99,16 +104,33 @@ class TestExactJacobians:
     @settings(max_examples=25)
     def test_match_finite_difference_oracle(self, n_players, levels, seed):
         config, theta, ccp = random_game(n_players, levels, seed)
-        _, ccp_jac, theta_jac = _policy_jacobians(theta, ccp, config)
+        _, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
         for exact, wrt in ((ccp_jac, "sigma"), (theta_jac, "theta")):
             oracle = best_response_jacobian(theta, ccp, config, wrt=wrt)
             scale = max(np.abs(oracle).max(), 1e-3)
             assert np.abs(exact - oracle).max() <= 1e-6 * scale
 
+    def test_zero_where_best_response_clamps(self):
+        # firm 0's fixed cost keeps it out: 4 of the 16 best-response entries
+        # clamp at CCP_FLOOR, where central differences read exactly 0
+        config = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
+                            q_up=0.3, q_down=0.3)
+        theta = Theta(fc=(-30.0, -0.9), rs=1.0, rn=1.0, ec=5.0)
+        ccp = uniform_ccp(config)
+        br, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
+        clamped = (br.min(axis=1) <= CCP_FLOOR).reshape(-1)
+        assert clamped.sum() == 4
+        for exact, wrt in ((ccp_jac, "sigma"), (theta_jac, "theta")):
+            oracle = best_response_jacobian(theta, ccp, config, wrt=wrt)
+            assert not np.any(exact[clamped])
+            assert np.array_equal(exact[clamped], oracle[clamped])
+            scale = max(np.abs(oracle).max(), 1e-3)
+            assert np.abs(exact[~clamped] - oracle[~clamped]).max() <= 1e-6 * scale
+
     def test_best_response_matches_map(self, mini_fixed_point):
         config, theta, _ = mini_fixed_point
         ccp = uniform_ccp(config)
-        br, _, _ = _policy_jacobians(theta, ccp, config)
+        br, _, _ = LinearizedPolicy(ccp, config).jacobians(theta)
         assert np.abs(br - best_response_map(theta, ccp, config)).max() < 1e-12
 
     def test_single_agent_zero_at_fixed_point(self):
@@ -119,7 +141,7 @@ class TestExactJacobians:
                                 q_down=0.2 if levels > 1 else 0.0)
             theta = Theta(fc=(-1.9,), rs=1.0, rn=0.0, ec=1.0)
             mpe = solve_mpe(theta, config, tol=1e-13)
-            _, ccp_jac, _ = _policy_jacobians(theta, mpe.ccp, config)
+            _, ccp_jac, _ = LinearizedPolicy(mpe.ccp, config).jacobians(theta)
             assert np.abs(ccp_jac).max() < 1e-5
 
 

@@ -11,16 +11,16 @@ from ctgames import (
     stationary_distribution,
 )
 from ctgames.equilibrium import (
+    LinearizedPolicy,
     aggregate_generator,
     best_response_map,
     solve_mpe,
     uniform_ccp,
 )
 from ctgames.estimate import (
-    LinearizedPolicy,
-    _PseudoLikelihood,
     _fit_logistic,
     _initializer_features,
+    _loglik_and_gradient,
     central_difference_gradient,
     ctnpl,
     init_ccp,
@@ -149,12 +149,16 @@ class TestExactGradient:
         config, theta, _ = desk_game
         rng = np.random.default_rng(seed)
         probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
-        pseudo = _PseudoLikelihood(desk_data[kind], config).linearize(
-            np.stack([1 - probs, probs], axis=1))
+        stats = sufficient_statistics(desk_data[kind], config)
+        policy = LinearizedPolicy(np.stack([1 - probs, probs], axis=1), config)
+
+        def loglik(vec):
+            return stats.loglik(policy.ccp(vec))
+
         vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
-        value, exact = pseudo.value_and_gradient(vec)
-        assert value == pseudo.value(vec)
-        oracle = central_difference_gradient(pseudo.value, vec)
+        value, exact = _loglik_and_gradient(stats, policy, vec)
+        assert value == loglik(vec)
+        oracle = central_difference_gradient(loglik, vec)
         scale = max(np.abs(oracle).max(), 1e-3)
         assert np.abs(exact - oracle).max() <= 1e-6 * scale
 
@@ -351,36 +355,35 @@ class TestStatisticInPlaceOfData:
 
 class TestFastPathMatchesReference:
     def test_discrete_objective_equals_public_likelihood(self, mini_game, rng):
-        from ctgames.estimate import _PseudoLikelihood
         from ctgames.likelihood import loglik_discrete
 
         config, theta, ccp_star = mini_game
         panel = sample_discrete(theta, ccp_star, config, 100, periods=1, seed=61)
         probs = rng.uniform(0.2, 0.8, size=(config.n_players, config.n_states))
         ccp_prev = np.stack([1 - probs, probs], axis=1)
-        pseudo = _PseudoLikelihood(panel, config).linearize(ccp_prev)
+        stats = sufficient_statistics(panel, config)
+        policy = LinearizedPolicy(ccp_prev, config)
         for _ in range(3):
             vec = rng.normal(scale=1.2, size=config.n_players + 3)
             reference = loglik_discrete(Theta.from_vector(vec, config.n_players),
                                         ccp_prev, panel, config)
-            assert pseudo.value(vec) == pytest.approx(reference, abs=1e-10)
+            assert stats.loglik(policy.ccp(vec)) == pytest.approx(reference, abs=1e-10)
 
     def test_continuous_objective_equals_public_likelihood(self, mini_game, rng):
-        from ctgames.estimate import _PseudoLikelihood
-
         config, theta, ccp_star = mini_game
         log = simulate_continuous(theta, ccp_star, config, 80, seed=63,
                                   events_per_market=2)
         probs = rng.uniform(0.2, 0.8, size=(config.n_players, config.n_states))
         ccp_prev = np.stack([1 - probs, probs], axis=1)
-        pseudo = _PseudoLikelihood(log, config).linearize(ccp_prev)
+        stats = sufficient_statistics(log, config)
+        policy = LinearizedPolicy(ccp_prev, config)
         for _ in range(3):
             vec = rng.normal(scale=1.2, size=config.n_players + 3)
             # the public form evaluates at given probabilities; feed it the
             # best response the optimizer's objective uses internally
-            br = pseudo.policy.ccp(vec)
+            br = policy.ccp(vec)
             reference = SpellStats.from_events(log, config).loglik(br)
-            assert pseudo.value(vec) == pytest.approx(reference, abs=1e-10)
+            assert stats.loglik(policy.ccp(vec)) == pytest.approx(reference, abs=1e-10)
 
 
 class TestMaximizePseudoLikelihood:
@@ -408,10 +411,12 @@ class TestMaximizePseudoLikelihood:
         counts = pi[:, None] * transition_matrix(q, config.delta)
 
         stats = TransitionCounts(counts=counts, n_markets=1, config=config)
-        pseudo = _PseudoLikelihood(stats, config).linearize(ccp_star)
-        grad = central_difference_gradient(pseudo.value, theta.as_vector())
+        policy = LinearizedPolicy(ccp_star, config)
+        grad = central_difference_gradient(lambda vec: stats.loglik(policy.ccp(vec)),
+                                           theta.as_vector())
         assert np.abs(grad).max() < 1e-6
-        assert np.abs(pseudo.value_and_gradient(theta.as_vector())[1]).max() < 1e-6
+        exact = _loglik_and_gradient(stats, policy, theta.as_vector())[1]
+        assert np.abs(exact).max() < 1e-6
 
 
 class TestCtnpl:
@@ -552,8 +557,8 @@ class TestCtnpl:
         original = estimate_mod._maximize
 
         def nan_loglik(*args, **kwargs):
-            vec, _, policy = original(*args, **kwargs)
-            return vec, np.nan, policy
+            vec, _ = original(*args, **kwargs)
+            return vec, np.nan
 
         monkeypatch.setattr(estimate_mod, "_maximize", nan_loglik)
         with pytest.raises(NumericalError):
