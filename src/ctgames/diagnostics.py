@@ -11,10 +11,16 @@ the fixed point, so the loop always converges locally.
 All objects live in the free coordinates: one action probability per
 (firm, state), row ``i*K + k``; the continuation probability moves
 oppositely.  Both Jacobians are exact: `stability_objects` reads them from
-`equilibrium.LinearizedPolicy.jacobians` at the candidate fixed point.
-The projector is the full (firm, choice, state) one restricted exactly,
-``A_full E = E A_free`` (see `StabilityObjects`).  Central differences
-(`best_response_jacobian`) are the tests' oracle of both Jacobians.
+`equilibrium.LinearizedPolicy.jacobian_factors` at the candidate fixed
+point.  The projector is the full (firm, choice, state) one restricted
+exactly, ``A_full E = E A_free`` (see `StabilityObjects`).
+
+The (NK, NK) probability Jacobian has rank at most NK/2: toggling a firm is
+an involution, so its rows come in pairs proportional to one row, and it
+factors as C = L R with L of shape (NK, NK/2).  By Sylvester's identity LR
+and RL (and A L R and R A L) share their nonzero eigenvalues, so both
+radii come from (NK/2, NK/2) eigenproblems.  The dense (NK, NK) spectra
+and central differences (`best_response_jacobian`) are the tests' oracles.
 """
 
 from dataclasses import dataclass, replace
@@ -82,18 +88,27 @@ class StabilityObjects(NamedTuple):
       (firm, choice, state), and E maps free to full coordinates (+1 on
       the action, -1 on the stay).
     - ``annihilator``: (NK, NK) oblique projector
-      I - J_theta (J_theta' W J_theta)^-1 J_theta' W
+      A = I - J_theta (J_theta' W J_theta)^-1 J_theta' W
       that kills the parameter directions of the best-response map.  The
       full-coordinate projector satisfies ``A_full E = E A_free``, so the
       action rows of the full projected map are ``A_free J_sigma``.
     - ``theta_jacobian``: (NK, P) parameter Jacobian.
-    - ``ccp_jacobian``: (NK, NK) probability Jacobian.
+    - ``ccp_jacobian``: (NK, NK) probability Jacobian, the product
+      ``left_factor @ right_factor``.
+    - ``left_factor``, ``right_factor``: the (NK, NK/2) and (NK/2, NK)
+      factors L and R of the probability Jacobian (see
+      `equilibrium.LinearizedPolicy.jacobian_factors`).
+    - ``projected_left``: (NK, NK/2) product A L, formed as
+      ``L - J_theta ((J_theta' W J_theta)^-1 J_theta' W L)``.
     """
 
     weight: np.ndarray
     annihilator: np.ndarray
     theta_jacobian: np.ndarray
     ccp_jacobian: np.ndarray
+    left_factor: np.ndarray
+    right_factor: np.ndarray
+    projected_left: np.ndarray
 
 
 def stability_objects(theta, ccp, config):
@@ -106,7 +121,7 @@ def stability_objects(theta, ccp, config):
     """
     n, k_total = config.n_players, config.n_states
     toggle = game.state_tables(config).toggle
-    br, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
+    br, left, right, theta_jac = LinearizedPolicy(ccp, config).jacobian_factors(theta)
     p_matrix = markov.transition_matrix(aggregate_generator(br, config), config.delta)
     p_stay = np.diag(p_matrix)
     p_toggle = p_matrix[np.arange(k_total), toggle]  # [i, k]: P[k, toggle_i(k)]
@@ -116,21 +131,30 @@ def stability_objects(theta, ccp, config):
     weight = (np.kron(np.ones((n, n)), np.diag(1.0 / p_stay))
               + np.diag(1.0 / p_toggle.reshape(-1)))
 
-    gram = theta_jac.T @ weight @ theta_jac
+    weighted = theta_jac.T @ weight
+    gram = weighted @ theta_jac
     rank = np.linalg.matrix_rank(gram)
     if rank < gram.shape[0]:
         raise NumericalError(
             f"parameter-direction Gram matrix is singular (rank {rank} of {gram.shape[0]})")
-    annihilator = np.eye(n * k_total) - theta_jac @ np.linalg.solve(gram, theta_jac.T @ weight)
-    return StabilityObjects(weight=weight, annihilator=annihilator,
-                            theta_jacobian=theta_jac, ccp_jacobian=ccp_jac)
+    oblique = np.linalg.solve(gram, weighted)  # (J_theta' W J_theta)^-1 J_theta' W
+    return StabilityObjects(weight=weight,
+                            annihilator=np.eye(n * k_total) - theta_jac @ oblique,
+                            theta_jacobian=theta_jac, ccp_jacobian=left @ right,
+                            left_factor=left, right_factor=right,
+                            projected_left=left - theta_jac @ (oblique @ left))
 
 
 def spectral_radius(matrix):
-    """Largest absolute eigenvalue, from the dense LAPACK spectrum."""
+    """Largest absolute eigenvalue, from the dense LAPACK spectrum.
+
+    Raises `NumericalError` when the matrix holds a NaN or an infinity.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidArgumentError("spectral radius requires a square matrix")
+    if not np.isfinite(matrix).all():
+        raise NumericalError("spectral radius of a matrix with non-finite entries")
     if not np.any(matrix):
         return 0.0
     return float(np.abs(np.linalg.eigvals(matrix)).max())
@@ -154,11 +178,17 @@ class StabilityReport:
 
 
 def stability_report(theta, ccp, config):
-    """Compute both spectral radii at ``(theta, ccp)``."""
+    """Compute both spectral radii at ``(theta, ccp)``.
+
+    With the probability Jacobian C = L R (`StabilityObjects`), C and R L
+    share their nonzero eigenvalues, and so do A C and R (A L) (Sylvester's
+    identity), so both radii come from (NK/2, NK/2) matrices:
+    ``rho_best_response`` from R L and ``rho_npl_update`` from R (A L).
+    """
     objects = stability_objects(theta, ccp, config)
-    jac = objects.ccp_jacobian
-    rho_br = spectral_radius(jac)
-    rho_npl = spectral_radius(objects.annihilator @ jac)
+    right, jac = objects.right_factor, objects.ccp_jacobian
+    rho_br = spectral_radius(right @ objects.left_factor)
+    rho_npl = spectral_radius(right @ objects.projected_left)
     bound = float(np.linalg.norm(objects.annihilator, "fro") * np.linalg.norm(jac, "fro"))
     if rho_npl > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(

@@ -195,7 +195,18 @@ class LinearizedPolicy:
         Returns ``(br, ccp_jac, theta_jac)``: the (N, J, K) best response and
         the (NK, NK) probability and (NK, P) parameter Jacobians, row and
         column ``i*K + k`` for firm i's action probability in state k (the
-        stay probability moves oppositely).  With ``s_ik`` the
+        stay probability moves oppositely).  ``ccp_jac`` is the product of
+        the factors of `jacobian_factors`.
+        """
+        br, left, right, theta_jac = self.jacobian_factors(theta)
+        return br, left @ right, theta_jac
+
+    def jacobian_factors(self, theta):
+        """Best response, the half-rank factors of its probability Jacobian, and
+        its parameter Jacobian, at `Theta` ``theta``.
+
+        Returns ``(br, left, right, theta_jac)`` with ``left @ right`` the
+        (NK, NK) probability Jacobian of `jacobians`.  With ``s_ik`` the
         `_logistic_slope` of ``br``, ``w`` the choice-value weights and ``X``
         the inverse of the policy system matrix,
 
@@ -205,10 +216,18 @@ class LinearizedPolicy:
           - (V_i[k] - V_i[l_m(k)])]``, because ``ccp_m1k`` enters the value
           equation only in row k (through the system matrix and, for m = i,
           the expected choice payoff).
+
+        Toggling firm i is an involution, so the gap ``X[l_i(k'), k] - X[k', k]``
+        only changes sign between k' and ``l_i(k')``: the rows of ``ccp_jac``
+        come in pairs proportional to one row.  Row ``i*K/2 + j`` of the
+        (NK/2, NK) ``right`` is that row, unscaled, for the j-th state ``h``
+        where firm i is inactive; column ``i*K/2 + j`` of the (NK, NK/2)
+        ``left`` holds ``s_ih`` at row ``i*K + h``, ``-s_i,l_i(h)`` at row
+        ``i*K + l_i(h)`` and zeros elsewhere (also where the slope is zero).
         """
         config = self.config
         n, k_total = config.n_players, config.n_states
-        toggle = game.state_tables(config).toggle
+        tables = game.state_tables(config)
         choice_values = self.weights @ theta.as_vector() + self.offsets  # (N, J, K)
         br = interior_softmax(choice_values)
         slope = _logistic_slope(br)
@@ -217,15 +236,25 @@ class LinearizedPolicy:
         values = choice_values[:, 0]  # choice 0 stays in place and pays nothing
         psi = game.instant_payoffs(theta, config)
         logs = np.log(np.clip(self.ccp_prev, CCP_FLOOR, 1.0 - CCP_FLOOR))
-        coef = values[:, toggle] - values[:, None, :]  # [i, m, k]: V_i[l_m(k)] - V_i[k]
+        coef = values[:, tables.toggle] - values[:, None, :]  # [i, m, k]: V_i[l_m(k)] - V_i[k]
         players = np.arange(n)
         coef[players, players] += psi[:, 1] - psi[:, 0] - logs[:, 1] + logs[:, 0]
         coef *= config.lam
+
+        half = k_total // 2
+        idle = np.nonzero(tables.activity.T == 0)[1].reshape(n, half)  # [i, j]: h
+        entered = tables.toggle[players[:, None], idle]                 # [i, j]: l_i(h)
         inverse = lu_solve(self.factor, np.eye(k_total))
-        gap = inverse[toggle] - inverse  # [i, k', k]: X[l_i(k'), k] - X[k', k]
-        ccp_jac = slope[:, :, None, None] * gap[:, :, None, :] * coef[:, None]
+        gap = inverse[entered] - inverse[idle]  # [i, j, k]: X[l_i(h), k] - X[h, k]
+        right = gap[:, :, None, :] * coef[:, None]
+
+        left = np.zeros((n, k_total, n, half))
+        columns = np.arange(half)
+        left[players[:, None], idle, players[:, None], columns] = slope[players[:, None], idle]
+        left[players[:, None], entered, players[:, None], columns] = -slope[players[:, None], entered]
         rows = n * k_total
-        return br, ccp_jac.reshape(rows, rows), theta_jac.reshape(rows, -1)
+        return (br, left.reshape(rows, rows // 2), right.reshape(rows // 2, rows),
+                theta_jac.reshape(rows, -1))
 
 
 class MpeResult(NamedTuple):

@@ -196,14 +196,14 @@ class EventLog:
                    column(self.index, np.diff(self.offsets) + 1),
                    column(self.pre_state, self.final_state), column(self.time, self.horizon),
                    column(self.actor, censor), column(self.action, np.full_like(censor, -1))]
+        # the bytes `csv.writer` writes: no field needs quoting, rows end in \r\n
+        row = "{},{},{},{:.17g},{},{}\r\n".format
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["market_id", "n", "k", "t", "actor", "action"])
+            handle.write("market_id,n,k,t,actor,action\r\n")
             # in blocks, so the rows' Python objects never all exist at once
             for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
                 block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-                block[3] = [f"{t:.17g}" for t in block[3]]
-                writer.writerows(zip(*block))
+                handle.write("".join(map(row, *block)))
 
     @classmethod
     def from_csv(cls, path):

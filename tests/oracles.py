@@ -4,20 +4,25 @@ Each one computes a quantity the library computes some other way: scalar
 payoffs and continuation states from the documented state encoding rather
 than the precomputed tables and design rows, the expected choice payoff in
 closed form rather than split inside the value equation, the spectral
-radius by power iteration rather than the dense LAPACK spectrum, and the
+radius by power iteration rather than the dense LAPACK spectrum, the
 NPL projection on the full (firm, choice, state) coordinates rather than
-the free ones.
+the free ones, the stability radii from the dense (NK, NK) spectra rather
+than the half-rank factors, and the event-log CSV through `csv.writer`
+rather than one format per block.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from ctgames import InvalidArgumentError, NumericalError
+from ctgames.diagnostics import stability_objects
 from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, LinearizedPolicy, aggregate_generator
 from ctgames.game import instant_payoffs, state_tables
 from ctgames.markov import transition_matrix
+from ctgames.simulate import CENSOR
 
 
 def _demand_and_activity(k, config):
@@ -179,3 +184,28 @@ def full_coordinate_projection(theta, ccp, config):
     if radius > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(f"spectral radius {radius:g} exceeds its norm bound {bound:g}")
     return expansion, weight, annihilator, radius
+
+
+def dense_radii(theta, ccp, config):
+    """``(rho_best_response, rho_npl_update)`` from the spectra of the (NK, NK)
+    probability Jacobian C and of ``annihilator @ C``.  Raises as
+    `stability_objects` does."""
+    objects = stability_objects(theta, ccp, config)
+    jac = objects.ccp_jacobian
+    return tuple(float(np.abs(np.linalg.eigvals(matrix)).max())
+                 for matrix in (jac, objects.annihilator @ jac))
+
+
+def write_event_log_csv(log, path):
+    """`EventLog.to_csv` through `csv.writer`, one market at a time: its
+    events, then its censor row."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["market_id", "n", "k", "t", "actor", "action"])
+        for m, (start, stop) in enumerate(zip(log.offsets[:-1], log.offsets[1:])):
+            for r in range(start, stop):
+                writer.writerow([int(log.market_id[r]), int(log.index[r]), int(log.pre_state[r]),
+                                 f"{float(log.time[r]):.17g}", int(log.actor[r]),
+                                 int(log.action[r])])
+            writer.writerow([int(log.markets[m]), int(stop - start) + 1, int(log.final_state[m]),
+                             f"{float(log.horizon[m]):.17g}", CENSOR, -1])

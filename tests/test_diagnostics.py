@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta
+from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta, diagnostics
 from ctgames.diagnostics import (
     best_response_jacobian,
     spectral_radius,
@@ -20,7 +20,7 @@ from ctgames.equilibrium import (
 )
 
 from conftest import desk_config
-from oracles import full_coordinate_projection, power_estimate
+from oracles import dense_radii, full_coordinate_projection, power_estimate
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,11 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            spectral_radius(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_matches_dense_spectrum_on_random(self, rng):
         for _ in range(10):
@@ -98,6 +103,22 @@ def random_game(n_players, levels, seed):
     return config, theta, np.stack([1 - probs, probs], axis=1)
 
 
+def clamped_game(rs=1.0, ec=5.0):
+    """Firm 0's fixed cost keeps it out: at `uniform_ccp`, 4 of the 16
+    best-response entries clamp at CCP_FLOOR, where the slope is zero."""
+    config = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
+                        q_up=0.3, q_down=0.3)
+    theta = Theta(fc=(-30.0, -0.9), rs=rs, rn=1.0, ec=ec)
+    return config, theta, uniform_ccp(config)
+
+
+# random games and two clamped ones: at the defaults the parameter-direction
+# Gram matrix is singular; at rs = 5, ec = 20 the radii are about 0.11 and 0.008
+games = st.one_of(st.sampled_from([clamped_game(), clamped_game(rs=5.0, ec=20.0)]),
+                  st.builds(random_game, st.integers(1, 3), st.integers(1, 3),
+                            st.integers(0, 2**32 - 1)))
+
+
 class TestExactJacobians:
     @given(n_players=st.integers(1, 3), levels=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
@@ -111,12 +132,8 @@ class TestExactJacobians:
             assert np.abs(exact - oracle).max() <= 1e-6 * scale
 
     def test_zero_where_best_response_clamps(self):
-        # firm 0's fixed cost keeps it out: 4 of the 16 best-response entries
-        # clamp at CCP_FLOOR, where central differences read exactly 0
-        config = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
-                            q_up=0.3, q_down=0.3)
-        theta = Theta(fc=(-30.0, -0.9), rs=1.0, rn=1.0, ec=5.0)
-        ccp = uniform_ccp(config)
+        # central differences read exactly 0 where the best response clamps
+        config, theta, ccp = clamped_game()
         br, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
         clamped = (br.min(axis=1) <= CCP_FLOOR).reshape(-1)
         assert clamped.sum() == 4
@@ -126,6 +143,21 @@ class TestExactJacobians:
             assert np.array_equal(exact[clamped], oracle[clamped])
             scale = max(np.abs(oracle).max(), 1e-3)
             assert np.abs(exact[~clamped] - oracle[~clamped]).max() <= 1e-6 * scale
+
+    @given(game=games)
+    @settings(max_examples=25)
+    def test_factors_reproduce_finite_difference_oracle(self, game):
+        # L has one column per (firm, inactive state), holding that row's
+        # slope and minus its toggle's; L @ R is the sigma-Jacobian
+        config, theta, ccp = game
+        rows = config.n_players * config.n_states
+        br, left, right, _ = LinearizedPolicy(ccp, config).jacobian_factors(theta)
+        assert left.shape == (rows, rows // 2) and right.shape == (rows // 2, rows)
+        assert np.count_nonzero(left, axis=0).max() <= 2
+        assert not np.any(left[(br.min(axis=1) <= CCP_FLOOR).reshape(-1)])
+        oracle = best_response_jacobian(theta, ccp, config, wrt="sigma")
+        scale = max(np.abs(oracle).max(), 1e-3)
+        assert np.abs(left @ right - oracle).max() <= 1e-6 * scale
 
     def test_best_response_matches_map(self, mini_fixed_point):
         config, theta, _ = mini_fixed_point
@@ -228,6 +260,23 @@ class TestStabilityReport:
         assert np.abs(projected - objects.weight).max() <= 1e-10 * np.abs(projected).max()
         assert report.rho_npl_update == pytest.approx(radius, rel=1e-10, abs=1e-14)
 
+    @given(game=games)
+    @settings(max_examples=40)
+    def test_radii_equal_dense_oracle(self, game):
+        # Sylvester: the (NK/2, NK/2) products R L and R A L carry the
+        # nonzero spectra of the (NK, NK) C = L R and A C
+        config, theta, ccp = game
+        try:
+            rho_br, rho_npl = dense_radii(theta, ccp, config)
+        except (InvalidArgumentError, NumericalError) as err:
+            with pytest.raises(type(err)) as raised:
+                stability_report(theta, ccp, config)
+            assert str(raised.value) == str(err)
+            return
+        report = stability_report(theta, ccp, config)
+        assert report.rho_best_response == pytest.approx(rho_br, rel=1e-10, abs=1e-14)
+        assert report.rho_npl_update == pytest.approx(rho_npl, rel=1e-10, abs=1e-14)
+
 
 class TestStabilitySweep:
     def test_zero_interaction_point_has_zero_radius(self):
@@ -250,3 +299,20 @@ class TestStabilitySweep:
         rows = stability_sweep(config, base, [0.0, np.inf])
         assert "rho" in rows[0]
         assert "error" in rows[1]
+
+    def test_non_finite_jacobian_recorded_as_row_error(self, monkeypatch):
+        real = diagnostics.stability_objects
+
+        def poisoned(theta, ccp, config):
+            objects = real(theta, ccp, config)
+            right = objects.right_factor.copy()
+            right[0, 0] = np.nan
+            return objects._replace(right_factor=right)
+
+        monkeypatch.setattr(diagnostics, "stability_objects", poisoned)
+        config = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
+                            q_up=0.3, q_down=0.3)
+        base = Theta(fc=(-1.2, -0.9), rs=1.0, rn=0.0, ec=1.0)
+        rows = stability_sweep(config, base, [1.0])
+        assert "rho" not in rows[0]
+        assert "non-finite" in rows[0]["error"]

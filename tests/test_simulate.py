@@ -22,6 +22,7 @@ from ctgames.simulate import (
 )
 
 from conftest import DESK_THETA, desk_config
+from oracles import write_event_log_csv
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,23 @@ class TestSerialization:
         assert np.array_equal(log.time, back.time)  # lossless floats
         assert np.array_equal(log.final_state, back.final_state)
         assert np.array_equal(log.horizon, back.horizon)
+
+    @pytest.mark.parametrize("kind", ["simulated", "event_free_markets", "header_only"])
+    def test_event_log_bytes_match_csv_writer(self, mini_game, tmp_path, kind):
+        config, theta, ccp = mini_game
+        if kind == "simulated":
+            log = simulate_continuous(theta, ccp, config, 25, seed=17, events_per_market=4)
+        else:
+            ids = [3, 0, 7] if kind == "event_free_markets" else []
+            none = np.array([], dtype=np.int64)
+            log = EventLog(market_id=none, index=none, pre_state=none,
+                           time=np.array([]), actor=none, action=none,
+                           markets=np.array(ids, dtype=np.int64),
+                           horizon=np.linspace(0.1, 2.0, len(ids)) / 3,
+                           final_state=np.arange(len(ids), dtype=np.int64))
+        log.to_csv(tmp_path / "fast.csv")
+        write_event_log_csv(log, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_panel_round_trip(self, mini_game, tmp_path):
         config, theta, ccp = mini_game
@@ -391,6 +409,13 @@ class TestSegmentedReaders:
             original, loaded = getattr(events, f.name), getattr(back, f.name)
             assert np.array_equal(original, loaded) and original.dtype == loaded.dtype
         assert np.array_equal(events.offsets, back.offsets)
+
+    @given(events=event_logs())
+    @settings(max_examples=60)
+    def test_event_log_csv_bytes_match_csv_writer(self, events, csv_dir):
+        events.to_csv(csv_dir / "fast.csv")
+        write_event_log_csv(events, csv_dir / "oracle.csv")
+        assert (csv_dir / "fast.csv").read_bytes() == (csv_dir / "oracle.csv").read_bytes()
 
     @given(panel=panels())
     @settings(max_examples=60)
