@@ -155,9 +155,10 @@ def cmd_solve(args):
     print(f"equilibrium solved in {mpe.iterations} iterations, "
           f"residual {mpe.residual:.3e}")
     if spec.config.n_players == 1:
-        _, jac, _ = LinearizedPolicy(mpe.ccp, spec.config).jacobians(spec.theta_true)
+        _, left, right, _ = LinearizedPolicy(mpe.ccp, spec.config).jacobian_factors(
+            spec.theta_true)
         print(f"single-agent zero-Jacobian diagnostic: "
-              f"max |dBR/dccp| = {np.abs(jac).max():.3e}")
+              f"max |dBR/dccp| = {np.abs(left @ right).max():.3e}")
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ exactly, ``A_full E = E A_free`` (see `StabilityObjects`).
 
 The (NK, NK) probability Jacobian has rank at most NK/2: toggling a firm is
 an involution, so its rows come in pairs proportional to one row, and it
-factors as C = L R with L of shape (NK, NK/2).  By Sylvester's identity LR
+factors as C = L R with L of shape (NK, NK/2), and the projector as
+A = I - J_theta O.  No (NK, NK) array is formed: by Sylvester's identity LR
 and RL (and A L R and R A L) share their nonzero eigenvalues, so both
 radii come from (NK/2, NK/2) eigenproblems.  The dense (NK, NK) spectra
 and central differences (`best_response_jacobian`) are the tests' oracles.
@@ -81,38 +82,37 @@ def best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=DEFAULT_FD_S
 class StabilityObjects(NamedTuple):
     """Ingredients of the local convergence condition, in free coordinates.
 
-    - ``weight``: (NK, NK) weight ``E' S diag(vec P)^-1 S' E``, in closed
-      form ``1 / P[k, toggle_i(k)]`` on the diagonal plus ``1 / P[k, k]``
-      on every pair of firms sharing state k.  P is the transition matrix
-      at the best response, S marks the continuation cell of P of each
-      (firm, choice, state), and E maps free to full coordinates (+1 on
-      the action, -1 on the stay).
-    - ``annihilator``: (NK, NK) oblique projector
-      A = I - J_theta (J_theta' W J_theta)^-1 J_theta' W
-      that kills the parameter directions of the best-response map.  The
-      full-coordinate projector satisfies ``A_full E = E A_free``, so the
-      action rows of the full projected map are ``A_free J_sigma``.
-    - ``theta_jacobian``: (NK, P) parameter Jacobian.
-    - ``ccp_jacobian``: (NK, NK) probability Jacobian, the product
-      ``left_factor @ right_factor``.
+    The projector weight W = E' S diag(vec P)^-1 S' E holds
+    ``1 / P[k, toggle_i(k)]`` on the diagonal plus ``1 / P[k, k]`` on every
+    pair of firms sharing state k.  P is the transition matrix at the best
+    response, S marks the continuation cell of P of each (firm, choice,
+    state), and E maps free to full coordinates (+1 on the action, -1 on
+    the stay).  W is applied as an operator and never formed.
+
+    - ``theta_jacobian``: (NK, P) parameter Jacobian J_theta.
+    - ``oblique``: (P, NK) matrix O = (J_theta' W J_theta)^-1 J_theta' W,
+      so that A = I - J_theta O is the oblique projector killing the
+      parameter directions of the best-response map.  The full-coordinate
+      projector satisfies ``A_full E = E A_free``, so the action rows of
+      the full projected map are ``A_free J_sigma``.
     - ``left_factor``, ``right_factor``: the (NK, NK/2) and (NK/2, NK)
-      factors L and R of the probability Jacobian (see
+      factors L and R of the probability Jacobian C = L R (see
       `equilibrium.LinearizedPolicy.jacobian_factors`).
-    - ``projected_left``: (NK, NK/2) product A L, formed as
-      ``L - J_theta ((J_theta' W J_theta)^-1 J_theta' W L)``.
     """
 
-    weight: np.ndarray
-    annihilator: np.ndarray
     theta_jacobian: np.ndarray
-    ccp_jacobian: np.ndarray
+    oblique: np.ndarray
     left_factor: np.ndarray
     right_factor: np.ndarray
-    projected_left: np.ndarray
+
+    @property
+    def annihilator(self):
+        """The (NK, NK) projector A = I - J_theta O, formed on request."""
+        return np.eye(self.theta_jacobian.shape[0]) - self.theta_jacobian @ self.oblique
 
 
 def stability_objects(theta, ccp, config):
-    """Assemble the weight, annihilator and exact Jacobians at ``(theta, ccp)``.
+    """Assemble the oblique projector and exact Jacobians at ``(theta, ccp)``.
 
     The weight uses the transition matrix at the best response to
     ``(theta, ccp)`` over one sampling interval ``config.delta``; every
@@ -128,21 +128,16 @@ def stability_objects(theta, ccp, config):
     if np.minimum(p_stay, p_toggle).min() <= 0.0:
         raise InvalidArgumentError(
             "transition matrix vanishes on a continuation state; chain not irreducible")
-    weight = (np.kron(np.ones((n, n)), np.diag(1.0 / p_stay))
-              + np.diag(1.0 / p_toggle.reshape(-1)))
-
-    weighted = theta_jac.T @ weight
+    blocks = theta_jac.reshape(n, k_total, -1)
+    weighted = (blocks.sum(axis=0) / p_stay[:, None]
+                + blocks / p_toggle[:, :, None]).reshape(theta_jac.shape).T  # J_theta' W
     gram = weighted @ theta_jac
     rank = np.linalg.matrix_rank(gram)
     if rank < gram.shape[0]:
         raise NumericalError(
             f"parameter-direction Gram matrix is singular (rank {rank} of {gram.shape[0]})")
-    oblique = np.linalg.solve(gram, weighted)  # (J_theta' W J_theta)^-1 J_theta' W
-    return StabilityObjects(weight=weight,
-                            annihilator=np.eye(n * k_total) - theta_jac @ oblique,
-                            theta_jacobian=theta_jac, ccp_jacobian=left @ right,
-                            left_factor=left, right_factor=right,
-                            projected_left=left - theta_jac @ (oblique @ left))
+    return StabilityObjects(theta_jacobian=theta_jac, oblique=np.linalg.solve(gram, weighted),
+                            left_factor=left, right_factor=right)
 
 
 def spectral_radius(matrix):
@@ -183,18 +178,26 @@ def stability_report(theta, ccp, config):
     With the probability Jacobian C = L R (`StabilityObjects`), C and R L
     share their nonzero eigenvalues, and so do A C and R (A L) (Sylvester's
     identity), so both radii come from (NK/2, NK/2) matrices:
-    ``rho_best_response`` from R L and ``rho_npl_update`` from R (A L).
+    ``rho_best_response`` from R L and ``rho_npl_update`` from R (A L), with
+    ``A L = L - J_theta (O L)``.  ``norm_bound`` = ||A||_F ||C||_F from the
+    factors: ||A||_F^2 = NK - 2 tr(O J_theta) + ||T O||_F^2, with T the QR
+    factor of J_theta (T'T = J_theta'J_theta without squaring its scales),
+    and ||C||_F^2 = sum_j ||L e_j||^2 ||e_j' R||^2 as L's columns have
+    disjoint supports.
     """
-    objects = stability_objects(theta, ccp, config)
-    right, jac = objects.right_factor, objects.ccp_jacobian
-    rho_br = spectral_radius(right @ objects.left_factor)
-    rho_npl = spectral_radius(right @ objects.projected_left)
-    bound = float(np.linalg.norm(objects.annihilator, "fro") * np.linalg.norm(jac, "fro"))
+    theta_jac, oblique, left, right = stability_objects(theta, ccp, config)
+    rho_br = spectral_radius(right @ left)
+    rho_npl = spectral_radius(right @ (left - theta_jac @ (oblique @ left)))
+    dim = left.shape[0]
+    annihilator_sq = (dim - 2 * np.trace(oblique @ theta_jac)
+                      + np.square(np.linalg.qr(theta_jac, mode="r") @ oblique).sum())
+    jacobian_sq = np.square(left).sum(axis=0) @ np.square(right).sum(axis=1)
+    bound = float(np.sqrt(annihilator_sq * jacobian_sq))
     if rho_npl > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(
             f"spectral radius {rho_npl:g} exceeds its norm bound {bound:g}")
     return StabilityReport(rho_best_response=rho_br, rho_npl_update=rho_npl,
-                           jacobian_dim=jac.shape[0], norm_bound=bound)
+                           jacobian_dim=dim, norm_bound=bound)
 
 
 def stability_sweep(config, theta_base, rn_grid):

@@ -189,26 +189,17 @@ class LinearizedPolicy:
         return np.einsum("nk,nkp->p", action_grad * _logistic_slope(ccp),
                          self.weights[:, 1] - self.weights[:, 0])
 
-    def jacobians(self, theta):
-        """Best response at `Theta` ``theta`` and its exact free-coordinate Jacobians.
-
-        Returns ``(br, ccp_jac, theta_jac)``: the (N, J, K) best response and
-        the (NK, NK) probability and (NK, P) parameter Jacobians, row and
-        column ``i*K + k`` for firm i's action probability in state k (the
-        stay probability moves oppositely).  ``ccp_jac`` is the product of
-        the factors of `jacobian_factors`.
-        """
-        br, left, right, theta_jac = self.jacobian_factors(theta)
-        return br, left @ right, theta_jac
-
     def jacobian_factors(self, theta):
         """Best response, the half-rank factors of its probability Jacobian, and
         its parameter Jacobian, at `Theta` ``theta``.
 
-        Returns ``(br, left, right, theta_jac)`` with ``left @ right`` the
-        (NK, NK) probability Jacobian of `jacobians`.  With ``s_ik`` the
-        `_logistic_slope` of ``br``, ``w`` the choice-value weights and ``X``
-        the inverse of the policy system matrix,
+        Returns ``(br, left, right, theta_jac)``: the (N, J, K) best response,
+        the factors of the (NK, NK) probability Jacobian ``ccp_jac = left @
+        right`` and the (NK, P) parameter Jacobian, row and column ``i*K + k``
+        for firm i's action probability in state k (the stay probability
+        moves oppositely).  With ``s_ik`` the `_logistic_slope` of ``br``,
+        ``w`` the choice-value weights and ``X`` the inverse of the policy
+        system matrix,
 
         - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``;
         - ``ccp_jac[(i, k'), (m, k)] = s_ik' (X[l_i(k'), k] - X[k', k]) lam

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equilibrium import aggregate_generator, solve_mpe
-from .errors import CTGamesError, InvalidArgumentError
+from .errors import CTGamesError, InvalidArgumentError, NumericalError
 from .estimate import ctnpl, init_ccp, rmse_relative
 from .game import GameConfig, Theta, state_tables
 from .likelihood import sufficient_statistics
@@ -243,7 +243,8 @@ def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
     Returns a dict with before/after means and sds of the active-firm
     count and the percentage change; a policy that maps to a zero shift
     (entry cost zero) is flagged ``degenerate`` and reports no change.
-    At least two draws are needed for the standard deviations.
+    At least two draws are needed for the standard deviations, and a
+    baseline with no active firm in any draw raises `NumericalError`.
     """
     if n_draws < 2:
         raise InvalidArgumentError(f"n_draws must be >= 2, got {n_draws}")
@@ -274,6 +275,9 @@ def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,
                     "after_sd": float("nan"), "pct_change": float("nan")})
         return out
 
+    if before_mean == 0.0:
+        raise NumericalError(
+            "no firm is active in the baseline draws; the percentage change is undefined")
     after_mean, after_sd = steady_draws(shifted)
     out.update({"degenerate": False, "after_mean": after_mean,
                 "after_sd": after_sd,

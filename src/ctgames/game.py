@@ -105,10 +105,6 @@ class Theta:
         if not all(math.isfinite(v) for v in values):
             raise InvalidArgumentError("payoff parameters must be finite")
 
-    @property
-    def n_params(self):
-        return len(self.fc) + 3
-
     def as_vector(self):
         """Flat parameter vector (fc_1..fc_N, rs, rn, ec)."""
         return np.array([*self.fc, self.rs, self.rn, self.ec])

@@ -148,7 +148,8 @@ def full_coordinate_projection(theta, ccp, config):
     zero (a simplex-tangent perturbation acts through its action
     component).  Raises as `stability_report` does.
     """
-    br, ccp_jac, theta_free = LinearizedPolicy(ccp, config).jacobians(theta)
+    br, left, right, theta_free = LinearizedPolicy(ccp, config).jacobian_factors(theta)
+    ccp_jac = left @ right
     n, j_total, k_total = config.n_players, config.n_choices, config.n_states
     rows = n * j_total * k_total
     cols = (np.arange(k_total) * k_total + state_tables(config).continuation).reshape(-1)
@@ -191,7 +192,7 @@ def dense_radii(theta, ccp, config):
     probability Jacobian C and of ``annihilator @ C``.  Raises as
     `stability_objects` does."""
     objects = stability_objects(theta, ccp, config)
-    jac = objects.ccp_jacobian
+    jac = objects.left_factor @ objects.right_factor
     return tuple(float(np.abs(np.linalg.eigvals(matrix)).max())
                  for matrix in (jac, objects.annihilator @ jac))
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,32 @@ class TestCliCounterfactual:
         spec = experiment_spec(4, scale="desk")
         result = counterfactual(spec, fc_shift=-0.2, n_draws=2000, seed=3)
         assert result["degenerate"]
+
+    def test_no_active_firm_in_baseline_is_numerical_error(self):
+        # fixed costs of -30 keep every firm out: the percentage change
+        # would divide by a zero baseline mean
+        from ctgames import NumericalError
+
+        spec = experiment_spec(2, scale="desk")
+        spec = replace(spec, theta_true=replace(spec.theta_true, fc=(-30.0,) * 3))
+        with pytest.raises(NumericalError, match="no firm is active"):
+            counterfactual(spec, fc_shift=-0.2, n_draws=2000, seed=3)
+
+    def test_no_active_firm_in_baseline_exits_three(self, tmp_path, capsys):
+        config = {
+            "game": {"n_players": 2, "market_levels": 2, "lambda": 1.0,
+                     "rho": 0.05, "q_up": 0.3, "q_down": 0.3},
+            "theta": {"fc": [-30.0, -30.0], "rs": 1.0, "rn": 1.0, "ec": 1.0},
+        }
+        path = tmp_path / "closed.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run_cli("counterfactual", "--config", str(path), "--draws", "2000",
+                       "--out", str(tmp_path / "o"))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NumericalError"
 
 
 class TestConfigFile:

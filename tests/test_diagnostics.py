@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,8 +127,8 @@ class TestExactJacobians:
     @settings(max_examples=25)
     def test_match_finite_difference_oracle(self, n_players, levels, seed):
         config, theta, ccp = random_game(n_players, levels, seed)
-        _, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
-        for exact, wrt in ((ccp_jac, "sigma"), (theta_jac, "theta")):
+        _, left, right, theta_jac = LinearizedPolicy(ccp, config).jacobian_factors(theta)
+        for exact, wrt in ((left @ right, "sigma"), (theta_jac, "theta")):
             oracle = best_response_jacobian(theta, ccp, config, wrt=wrt)
             scale = max(np.abs(oracle).max(), 1e-3)
             assert np.abs(exact - oracle).max() <= 1e-6 * scale
@@ -134,10 +136,10 @@ class TestExactJacobians:
     def test_zero_where_best_response_clamps(self):
         # central differences read exactly 0 where the best response clamps
         config, theta, ccp = clamped_game()
-        br, ccp_jac, theta_jac = LinearizedPolicy(ccp, config).jacobians(theta)
+        br, left, right, theta_jac = LinearizedPolicy(ccp, config).jacobian_factors(theta)
         clamped = (br.min(axis=1) <= CCP_FLOOR).reshape(-1)
         assert clamped.sum() == 4
-        for exact, wrt in ((ccp_jac, "sigma"), (theta_jac, "theta")):
+        for exact, wrt in ((left @ right, "sigma"), (theta_jac, "theta")):
             oracle = best_response_jacobian(theta, ccp, config, wrt=wrt)
             assert not np.any(exact[clamped])
             assert np.array_equal(exact[clamped], oracle[clamped])
@@ -162,7 +164,7 @@ class TestExactJacobians:
     def test_best_response_matches_map(self, mini_fixed_point):
         config, theta, _ = mini_fixed_point
         ccp = uniform_ccp(config)
-        br, _, _ = LinearizedPolicy(ccp, config).jacobians(theta)
+        br = LinearizedPolicy(ccp, config).jacobian_factors(theta)[0]
         assert np.abs(br - best_response_map(theta, ccp, config)).max() < 1e-12
 
     def test_single_agent_zero_at_fixed_point(self):
@@ -173,8 +175,8 @@ class TestExactJacobians:
                                 q_down=0.2 if levels > 1 else 0.0)
             theta = Theta(fc=(-1.9,), rs=1.0, rn=0.0, ec=1.0)
             mpe = solve_mpe(theta, config, tol=1e-13)
-            _, ccp_jac, _ = LinearizedPolicy(mpe.ccp, config).jacobians(theta)
-            assert np.abs(ccp_jac).max() < 1e-5
+            _, left, right, _ = LinearizedPolicy(mpe.ccp, config).jacobian_factors(theta)
+            assert np.abs(left @ right).max() < 1e-5
 
 
 class TestJacobians:
@@ -242,7 +244,7 @@ class TestStabilityReport:
     def test_action_block_radius_equals_full_map_radius(self, n_players, levels, seed):
         # the free-coordinate projection is the full-coordinate one seen
         # through the +/-1 expansion E: same errors, A_full E = E A_free,
-        # E' W_full E = W_free and the same radius
+        # O = (J' W J)^-1 J' W with W = E' W_full E, and the same radius
         config, theta, ccp = random_game(n_players, levels, seed)
         try:
             expansion, weight, annihilator, radius = full_coordinate_projection(
@@ -257,7 +259,9 @@ class TestStabilityReport:
         lhs, rhs = annihilator @ expansion, expansion @ objects.annihilator
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(lhs).max()
         projected = expansion.T @ weight @ expansion
-        assert np.abs(projected - objects.weight).max() <= 1e-10 * np.abs(projected).max()
+        theta_jac = objects.theta_jacobian
+        oblique = np.linalg.solve(theta_jac.T @ projected @ theta_jac, theta_jac.T @ projected)
+        assert np.abs(objects.oblique - oblique).max() <= 1e-10 * np.abs(oblique).max()
         assert report.rho_npl_update == pytest.approx(radius, rel=1e-10, abs=1e-14)
 
     @given(game=games)
@@ -276,6 +280,40 @@ class TestStabilityReport:
         report = stability_report(theta, ccp, config)
         assert report.rho_best_response == pytest.approx(rho_br, rel=1e-10, abs=1e-14)
         assert report.rho_npl_update == pytest.approx(rho_npl, rel=1e-10, abs=1e-14)
+
+    @given(game=games)
+    @settings(max_examples=40)
+    def test_norm_bound_equals_dense_frobenius_product(self, game):
+        # the bound from traces of the factors is ||A||_F ||L R||_F
+        config, theta, ccp = game
+        try:
+            objects = stability_objects(theta, ccp, config)
+        except (InvalidArgumentError, NumericalError) as err:
+            with pytest.raises(type(err)) as raised:
+                stability_report(theta, ccp, config)
+            assert str(raised.value) == str(err)
+            return
+        dense = (np.linalg.norm(objects.annihilator, "fro")
+                 * np.linalg.norm(objects.left_factor @ objects.right_factor, "fro"))
+        assert stability_report(theta, ccp, config).norm_bound == pytest.approx(dense, rel=1e-10)
+
+    def test_peak_memory_below_three_dense_arrays(self):
+        # N = 4 firms and 5 demand levels: NK = 320.  L and R hold NK^2
+        # entries between them and the peak is about two NK x NK arrays;
+        # one more (weight, identity, projector or L @ R) crosses the bound.
+        config = GameConfig(n_players=4, market_levels=5, lam=1.0, rho=0.05,
+                            q_up=0.2, q_down=0.2)
+        theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6), rs=1.0, rn=1.0, ec=1.0)
+        ccp = solve_mpe(theta, config).ccp
+        stability_report(theta, ccp, config)  # warm the state-table cache
+        dim = config.n_players * config.n_states
+        tracemalloc.start()
+        try:
+            stability_report(theta, ccp, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * dim * dim * 8
 
 
 class TestStabilitySweep:
