@@ -180,14 +180,15 @@ class LinearizedPolicy:
         values = self.weights @ np.asarray(theta_vec, dtype=float) + self.offsets
         return interior_softmax(values)
 
-    def chain(self, ccp, action_grad):
-        """Gradient in theta from an (N, K) gradient in ``ccp[:, 1, :]``.
+    def theta_jacobian(self, ccp):
+        """(N, K, P) derivative of the action probabilities ``ccp[:, 1, :]`` in
+        theta at the best response ``ccp``: through the two-choice logistic,
+        `_logistic_slope` times ``W1 - W0``."""
+        return _logistic_slope(ccp)[:, :, None] * (self.weights[:, 1] - self.weights[:, 0])
 
-        Through the two-choice logistic, ``d ccp[:, 1] / d theta`` is
-        `_logistic_slope` times ``W1 - W0``.
-        """
-        return np.einsum("nk,nkp->p", action_grad * _logistic_slope(ccp),
-                         self.weights[:, 1] - self.weights[:, 0])
+    def chain(self, ccp, action_grad):
+        """Gradient in theta from an (N, K) gradient in ``ccp[:, 1, :]``."""
+        return np.einsum("nk,nkp->p", action_grad, self.theta_jacobian(ccp))
 
     def jacobian_factors(self, theta):
         """Best response, the half-rank factors of its probability Jacobian, and
@@ -201,7 +202,7 @@ class LinearizedPolicy:
         ``w`` the choice-value weights and ``X`` the inverse of the policy
         system matrix,
 
-        - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``;
+        - ``theta_jac[(i, k)] = s_ik (w_i1k - w_i0k)``, `theta_jacobian` at ``br``;
         - ``ccp_jac[(i, k'), (m, k)] = s_ik' (X[l_i(k'), k] - X[k', k]) lam
           [delta_im (psi_i1k - psi_i0k - ln ccp_i1k + ln ccp_i0k)
           - (V_i[k] - V_i[l_m(k)])]``, because ``ccp_m1k`` enters the value
@@ -222,7 +223,6 @@ class LinearizedPolicy:
         choice_values = self.weights @ theta.as_vector() + self.offsets  # (N, J, K)
         br = interior_softmax(choice_values)
         slope = _logistic_slope(br)
-        theta_jac = slope[:, :, None] * (self.weights[:, 1] - self.weights[:, 0])
 
         values = choice_values[:, 0]  # choice 0 stays in place and pays nothing
         psi = game.instant_payoffs(theta, config)
@@ -245,7 +245,7 @@ class LinearizedPolicy:
         left[players[:, None], entered, players[:, None], columns] = -slope[players[:, None], entered]
         rows = n * k_total
         return (br, left.reshape(rows, rows // 2), right.reshape(rows // 2, rows),
-                theta_jac.reshape(rows, -1))
+                self.theta_jacobian(br).reshape(rows, -1))
 
 
 class MpeResult(NamedTuple):

@@ -14,7 +14,11 @@ gradient in the action probabilities chained through the policy.  The
 event-data gradient is in closed form; the snapshot gradient is an
 adjoint, one Frechet derivative of ``expm`` that shares the Pade set-up of
 the likelihood value.  Central differences (`central_difference_gradient`)
-serve only as the test oracle.
+serve only as the test oracle.  BFGS starts from a real inverse Hessian: at
+the first stage on snapshot data, the inverse of the data's information in
+theta at the start (`TransitionCounts.information`), with unit curvature in
+directions the data do not identify; on event data, the identity.  Every
+later stage starts from the previous stage's final inverse Hessian.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -38,6 +42,9 @@ INIT_FLOOR = 1e-6
 # after MAX_EVALS likelihood evaluations.
 BFGS_GTOL = 1e-6
 MAX_EVALS = 500
+# Information eigenvalues at or below this fraction of the largest count as
+# unidentified directions, where BFGS starts at unit curvature.
+INFO_RANK_TOL = 1e-10
 
 
 def central_difference_gradient(fun, x, rel_step=1e-6):
@@ -68,16 +75,36 @@ def _loglik_and_gradient(stats, policy, vec, counters=None):
     return value, policy.chain(ccp, action_grad)
 
 
-def _maximize(stats, policy, theta_init=None, counters=None):
+def _start_inverse_hessian(stats, policy, x0):
+    """BFGS's first inverse Hessian for the stage-1 maximization from ``x0``.
+
+    For snapshot data, the inverse of `TransitionCounts.information` at the
+    start, with unit curvature in its eigen-directions at or below
+    ``INFO_RANK_TOL`` times the largest eigenvalue (parameters the data do
+    not identify); the identity for event data.
+    """
+    if not isinstance(stats, TransitionCounts):
+        return np.eye(len(x0))
+    ccp = policy.ccp(x0)
+    curvature, basis = np.linalg.eigh(stats.information(ccp, policy.theta_jacobian(ccp)))
+    curvature[curvature <= INFO_RANK_TOL * curvature.max()] = 1.0
+    return _symmetric((basis / curvature) @ basis.T)
+
+
+def _symmetric(matrix):
+    """``matrix`` made exactly symmetric, as SciPy's ``hess_inv0`` check demands."""
+    return (matrix + matrix.T) / 2
+
+
+def _maximize(stats, policy, x0, hess_inv0, counters=None):
     """Maximize the log likelihood of ``stats`` over theta through the
-    `LinearizedPolicy` ``policy``; returns (theta vector, loglik).
+    `LinearizedPolicy` ``policy`` by BFGS from ``x0`` and the inverse Hessian
+    ``hess_inv0``; returns (theta vector, loglik, final inverse Hessian).
 
     ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
     the snapshot likelihood's ``clamped_logs``.
     """
     config = policy.config
-    p = config.n_players + 3
-    x0 = np.ones(p) if theta_init is None else np.asarray(theta_init, dtype=float)
     counters = {} if counters is None else counters
     counters.setdefault("clamped_logs", 0)
 
@@ -94,7 +121,8 @@ def _maximize(stats, policy, theta_init=None, counters=None):
 
     try:
         result = minimize(objective, x0, jac=True, method="BFGS",
-                          options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS})
+                          options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
+                                   "hess_inv0": hess_inv0})
     except _EvalBudgetExceeded:
         grad_norm = float(np.abs(_loglik_and_gradient(stats, policy, state["best_x"])[1]).max())
         raise OptimizationError(
@@ -113,7 +141,7 @@ def _maximize(stats, policy, theta_init=None, counters=None):
             f"(gradient sup-norm {grad_norm:g})",
             best_point=Theta.from_vector(state["best_x"], config.n_players),
             gradient_norm=grad_norm)
-    return result.x, float(-result.fun)
+    return result.x, float(-result.fun), _symmetric(result.hess_inv)
 
 
 @dataclass
@@ -135,9 +163,10 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
     Alternates a theta maximization at the current probabilities with one
     best-response update of the probabilities, stopping once both sup-norm
     deltas drop below ``tol``.  ``max_stages=1`` is the two-step pseudo
-    maximum likelihood estimator.  Later stages warm-start theta from the
-    previous stage.  If the loop does not converge, the highest-likelihood
-    visited candidate is returned with ``converged=False``.
+    maximum likelihood estimator.  Later stages warm-start theta and BFGS's
+    inverse Hessian from the previous stage.  If the loop does not converge,
+    the highest-likelihood visited candidate is returned with
+    ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
     probabilities and parameters, the attained pseudo log likelihood, the
@@ -155,13 +184,17 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
 
     stats = sufficient_statistics(data, config)
     theta_prev = None if theta_init is None else theta_init.as_vector()
+    vec = np.ones(config.n_players + 3) if theta_prev is None else theta_prev
+    hess_inv = None
     trace = []
     best = None
     for stage in range(1, max_stages + 1):
         counts = {}
         policy = LinearizedPolicy(ccp, config)
+        if hess_inv is None:
+            hess_inv = _start_inverse_hessian(stats, policy, vec)
         try:
-            vec, loglik = _maximize(stats, policy, theta_init=theta_prev, counters=counts)
+            vec, loglik, hess_inv = _maximize(stats, policy, vec, hess_inv, counters=counts)
         except OptimizationError as err:
             raise OptimizationError(
                 f"stage {stage}: {err}", best_point=err.best_point,

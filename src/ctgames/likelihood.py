@@ -11,7 +11,8 @@ probabilities (``SpellStats.from_events(log, config).loglik(ccp)``, or
 ``loglik_parts`` for its three terms) and, with it, the exact gradient in
 those probabilities for the estimator to chain through to theta; the
 theta-free nature term of the event-data likelihood is computed once per
-statistic.
+statistic.  `TransitionCounts.information` gives the snapshot data's
+outer-product-of-scores matrix in theta.
 """
 
 from dataclasses import dataclass
@@ -182,6 +183,37 @@ class TransitionCounts:
         ks = np.arange(config.n_states)
         toggle = game.state_tables(config).toggle
         return value, config.lam * (gbar[ks, toggle] - gbar[ks, ks])
+
+    def information(self, ccp_br, action_jacobian):
+        """Outer product of the transition scores in theta, ``sum C_kl s_kl
+        s_kl' / M``, at the best responses ``ccp_br``.
+
+        ``action_jacobian`` is the (N, K, P) derivative of ``ccp_br[:, 1, :]``
+        in theta.  The score of an observed transition is ``s_kl = (dP_kl /
+        dtheta) / P_kl``; each parameter's ``dP`` is one forward Frechet
+        derivative in the generator direction that parameter moves, all on
+        the Pade set-up of ``P``.  Entries below ``LOG_FLOOR`` are skipped,
+        as in the gradient.
+        """
+        config = self.config
+        p, forward = markov.transition_matrix_frechet(
+            aggregate_generator(ccp_br, config), config.delta)
+        ks = np.arange(config.n_states)
+        toggle = game.state_tables(config).toggle
+
+        def direction(rates):
+            """Generator change when firm i's action rate in state k moves by
+            ``rates[i, k]``."""
+            e = np.zeros((config.n_states, config.n_states))
+            e[ks, toggle] = rates
+            e[ks, ks] = -rates.sum(axis=0)
+            return e
+
+        used = (self.counts > 0) & (p >= LOG_FLOOR)
+        scores = np.array([forward(direction(config.lam * action_jacobian[:, :, q]))[used]
+                           for q in range(action_jacobian.shape[2])]) / p[used]
+        weighted = scores * np.sqrt(self.counts[used])  # X X' is exactly symmetric
+        return weighted @ weighted.T / self.n_markets
 
 
 def sufficient_statistics(data, config):

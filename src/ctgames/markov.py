@@ -6,9 +6,11 @@ horizon ``delta`` is ``expm(delta * Q)``.  Two independent routes to that
 matrix are provided -- a Pade approximant (`expm`, `transition_matrix`) and
 a Poisson-mixture series (`uniformization_matrix`) -- so each can serve as
 an oracle for the other.  The Pade code also yields the Frechet derivative
-of the exponential from the same set-up; `transition_matrix_pullback` uses
-it for the adjoint that pulls a gradient in ``exp(delta * Q)`` back to
-``Q`` (scipy's ``expm_frechet`` is its test oracle).
+of the exponential from the same set-up: `transition_matrix_frechet` pushes
+a direction in ``Q`` forward to ``exp(delta * Q)``, and
+`transition_matrix_pullback` is its adjoint, pulling a gradient in
+``exp(delta * Q)`` back to ``Q`` (scipy's ``expm_frechet`` is the test
+oracle of both).
 """
 
 import numpy as np
@@ -145,17 +147,27 @@ def transition_matrix(q, delta):
     return _transition(q, delta, lambda a: (expm(a), None))[0]
 
 
+def transition_matrix_frechet(q, delta):
+    """`transition_matrix` and its derivative in the generator.
+
+    Returns ``(p, forward)``: ``forward(e)`` is the derivative of ``p`` in
+    the direction ``e`` of ``q``, ``delta * L(delta Q, e)``, from the Pade
+    set-up that gave ``p``.  Clipping and renormalization contribute no
+    derivative: the rows of ``exp(delta Q)`` sum to one for every generator.
+    """
+    p, frechet = _transition(q, delta, _pade13)
+    return p, lambda e: delta * frechet(e)
+
+
 def transition_matrix_pullback(q, delta):
     """`transition_matrix` and the adjoint of its derivative in the generator.
 
     Returns ``(p, pullback)``: ``pullback(g)`` is the gradient in ``q`` of
-    ``sum(g * p)``, ``delta * L(delta Q^T, g) = delta * L(delta Q, g^T)^T``,
-    from the Pade set-up that gave ``p``.  Clipping and renormalization
-    contribute no derivative: the rows of ``exp(delta Q)`` sum to one for
-    every generator.
+    ``sum(g * p)``.  It is the adjoint of `transition_matrix_frechet`'s
+    ``forward``, ``delta * L(delta Q^T, g) = delta * L(delta Q, g^T)^T``.
     """
-    p, frechet = _transition(q, delta, _pade13)
-    return p, lambda g: delta * frechet(np.asarray(g).T).T
+    p, forward = transition_matrix_frechet(q, delta)
+    return p, lambda g: forward(np.asarray(g).T).T
 
 
 def _transition(q, delta, exponential):

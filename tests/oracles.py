@@ -7,20 +7,26 @@ closed form rather than split inside the value equation, the spectral
 radius by power iteration rather than the dense LAPACK spectrum, the
 NPL projection on the full (firm, choice, state) coordinates rather than
 the free ones, the stability radii from the dense (NK, NK) spectra rather
-than the half-rank factors, and the event-log CSV through `csv.writer`
-rather than one format per block.
+than the half-rank factors, the snapshot information from
+central-difference scores rather than Frechet derivatives, CTNPL with every
+BFGS maximization started from the identity rather than from the data's
+information, and the event-log CSV through `csv.writer` rather than one
+format per block.
 """
 
 import csv
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from ctgames import InvalidArgumentError, NumericalError
+from ctgames import InvalidArgumentError, NumericalError, estimate
 from ctgames.diagnostics import stability_objects
 from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, LinearizedPolicy, aggregate_generator
+from ctgames.estimate import INIT_FLOOR, MAX_EVALS, central_difference_gradient
 from ctgames.game import instant_payoffs, state_tables
+from ctgames.likelihood import LOG_FLOOR
 from ctgames.markov import transition_matrix
 from ctgames.simulate import CENSOR
 
@@ -195,6 +201,63 @@ def dense_radii(theta, ccp, config):
     jac = objects.left_factor @ objects.right_factor
     return tuple(float(np.abs(np.linalg.eigvals(matrix)).max())
                  for matrix in (jac, objects.annihilator @ jac))
+
+
+def information_by_differences(stats, policy, vec):
+    """``sum C_kl s_kl s_kl' / M`` of a `TransitionCounts` at
+    ``policy.ccp(vec)``, each score ``s_kl`` the central-difference gradient
+    of ``ln P_kl(theta)`` through the policy; transitions whose probability
+    is below ``LOG_FLOOR`` at ``vec`` are left out."""
+    config = stats.config
+    cache = {}
+
+    def log_p(x):
+        key = x.tobytes()
+        if key not in cache:
+            p = transition_matrix(aggregate_generator(policy.ccp(x), config), config.delta)
+            cache[key] = np.log(np.maximum(p, LOG_FLOOR))
+        return cache[key]
+
+    vec = np.asarray(vec, dtype=float)
+    p_at = transition_matrix(aggregate_generator(policy.ccp(vec), config), config.delta)
+    information = np.zeros((len(vec), len(vec)))
+    for k, l in zip(*np.nonzero((stats.counts > 0) & (p_at >= LOG_FLOOR))):
+        score = central_difference_gradient(lambda x: log_p(x)[k, l], vec)
+        information += stats.counts[k, l] * np.outer(score, score)
+    return information / stats.n_markets
+
+
+def identity_start_ctnpl(stats, config, ccp, max_stages, tol):
+    """The nested pseudo-likelihood loop of `estimate.ctnpl`, each stage's
+    BFGS started from the identity inverse Hessian at the previous stage's
+    theta (all ones at stage 1), stopping at `estimate.BFGS_GTOL`.
+
+    Returns ``(theta_vector, converged, nfev)`` with ``nfev`` the likelihood
+    evaluations per stage; a stage whose BFGS stops with a gradient sup-norm
+    above 1e-4 ends the loop unconverged, as `ctnpl` would raise.
+    """
+    ccp = np.clip(ccp, INIT_FLOOR, 1 - INIT_FLOOR)
+    ccp = ccp / ccp.sum(axis=1, keepdims=True)
+    vec, previous, nfev = np.ones(config.n_players + 3), None, []
+    for _ in range(max_stages):
+        policy = LinearizedPolicy(ccp, config)
+
+        def objective(x):
+            best_response = policy.ccp(x)
+            value, action_grad = stats.value_and_gradient(best_response)
+            return -value, -policy.chain(best_response, action_grad)
+
+        result = minimize(objective, vec, jac=True, method="BFGS",
+                          options={"gtol": estimate.BFGS_GTOL, "maxiter": MAX_EVALS})
+        nfev.append(int(result.nfev))
+        if not result.success and np.abs(result.jac).max() > 1e-4:
+            return result.x, False, nfev
+        updated = policy.ccp(result.x)
+        if (previous is not None and np.abs(updated - ccp).max() < tol
+                and np.abs(result.x - previous).max() < tol):
+            return result.x, True, nfev
+        ccp, vec, previous = updated, result.x, result.x
+    return vec, False, nfev
 
 
 def write_event_log_csv(log, path):

@@ -84,6 +84,19 @@ class TestCliSimulateEstimate:
         for key in ("nit", "nfev", "njev", "clamped_logs"):
             assert all(isinstance(stage[key], int) for stage in trace)
 
+    def test_estimate_writes_artifacts_deterministically(self, tmp_path):
+        code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                       "--seed", "13", "--markets", "300", "--out", str(tmp_path / "sim"))
+        assert code == 0
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                           "--data", str(tmp_path / "sim" / "panel.csv"), "--init", "frequency",
+                           "--out", str(out))
+            assert code == 0
+        for name in ("estimate.csv", "estimate_trace.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_continuous_sampling_writes_events(self, tmp_path):
         out = tmp_path / "sim"
         code = run_cli("simulate", "--experiment", "1", "--scale", "desk",
@@ -108,6 +121,18 @@ class TestCliMc:
         assert len(raw) == 1 + 2 * 2  # header + 2 estimators x 2 replications
         means = (out / "mc_means.csv").read_text()
         assert "True values" in means and "CTNPL" in means
+
+    def test_mc_writes_artifacts_deterministically(self, tmp_path):
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            code = run_cli("mc", "--experiment", "2", "--scale", "desk",
+                           "--markets", "60", "--replications", "2",
+                           "--estimators", "2S-Freq,CTNPL", "--seed", "19",
+                           "--out", str(out))
+            assert code == 0
+        assert len((outs[0] / "mc_raw.csv").read_text().splitlines()) == 1 + 2 * 2
+        for name in ("mc_raw.csv", "mc_means.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestCliDiagnose:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from ctgames import (
     InvalidArgumentError,
     NumericalError,
     Theta,
+    estimate,
     stationary_distribution,
 )
 from ctgames.equilibrium import (
@@ -28,6 +31,7 @@ from ctgames.estimate import (
 )
 from ctgames.game import entry_design, flow_design_rows, state_tables
 from ctgames.likelihood import (
+    LOG_FLOOR,
     SpellStats,
     TransitionCounts,
     discrete_loglik_from_counts,
@@ -37,7 +41,12 @@ from ctgames.markov import transition_matrix
 from ctgames.simulate import Panel, consecutive_pairs, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
-from oracles import flow_payoff, instant_payoff
+from oracles import (
+    flow_payoff,
+    identity_start_ctnpl,
+    information_by_differences,
+    instant_payoff,
+)
 
 from test_likelihood import make_log
 
@@ -161,6 +170,116 @@ class TestExactGradient:
         oracle = central_difference_gradient(loglik, vec)
         scale = max(np.abs(oracle).max(), 1e-3)
         assert np.abs(exact - oracle).max() <= 1e-6 * scale
+
+
+class TestInformation:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10)
+    def test_matches_central_difference_scores(self, desk_game, desk_data, seed):
+        config, theta, _ = desk_game
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
+        stats = sufficient_statistics(desk_data["discrete"], config)
+        policy = LinearizedPolicy(np.stack([1 - probs, probs], axis=1), config)
+        vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
+        ccp = policy.ccp(vec)
+        exact = stats.information(ccp, policy.theta_jacobian(ccp))
+        oracle = information_by_differences(stats, policy, vec)
+        assert np.array_equal(exact, exact.T)
+        assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_clamped_transition_left_out(self, desk_game):
+        # over delta = 1e-60 a transition of five jumps has probability below
+        # LOG_FLOOR; one observation of it changes nothing
+        _, theta, ccp_star = desk_game
+        config = desk_config(delta=1e-60)
+        policy = LinearizedPolicy(ccp_star, config)
+        ccp = policy.ccp(theta.as_vector())
+        p = transition_matrix(aggregate_generator(ccp, config), config.delta)
+        counts = np.where(p > 1e-100, 3.0, 0.0)  # no jump or one jump
+        with_clamped = counts.copy()
+        with_clamped[0, config.n_states - 1] = 1.0
+        assert p[0, config.n_states - 1] < LOG_FLOOR
+        stats, clamped = (TransitionCounts(c, 10, config) for c in (counts, with_clamped))
+        exact = clamped.information(ccp, policy.theta_jacobian(ccp))
+        assert np.array_equal(exact, stats.information(ccp, policy.theta_jacobian(ccp)))
+        oracle = information_by_differences(clamped, policy, theta.as_vector())
+        assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+
+def small_game(n_players, levels, seed):
+    """A random game with moderate payoffs and nature rates, at its equilibrium."""
+    rng = np.random.default_rng(seed)
+    config = GameConfig(n_players=n_players, market_levels=levels, lam=1.0, rho=0.05,
+                        q_up=float(rng.uniform(0.1, 0.4)), q_down=float(rng.uniform(0.1, 0.4)))
+    theta = Theta(fc=tuple(rng.uniform(-2.0, -0.5, size=n_players)),
+                  rs=float(rng.uniform(0.5, 1.5)), rn=float(rng.uniform(0.0, 1.5)),
+                  ec=float(rng.uniform(0.5, 1.5)))
+    return config, theta, solve_mpe(theta, config, tol=1e-13).ccp
+
+
+class TestInformationStart:
+    @given(n_players=st.integers(1, 2), levels=st.integers(1, 3),
+           kind=st.sampled_from(["discrete", "continuous"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_lands_where_identity_start_lands(self, n_players, levels, kind, seed):
+        config, theta, ccp_star = small_game(n_players, levels, seed)
+        if kind == "discrete":
+            data = sample_discrete(theta, ccp_star, config, 500, periods=1, seed=seed)
+        else:
+            data = simulate_continuous(theta, ccp_star, config, 100, seed=seed,
+                                       events_per_market=10)
+        stats = sufficient_statistics(data, config)
+        start = init_ccp("frequency", stats, config)
+        # At the default tolerance both runs stop anywhere the gradient is
+        # below 1e-6, which on these games lies up to 2.2e-4 apart in theta;
+        # at 1e-9 the fixed point, not the stopping rule, sets theta_hat.
+        for gtol, theta_tol in ((estimate.BFGS_GTOL, np.inf), (1e-9, 1e-4)):
+            with mock.patch.object(estimate, "BFGS_GTOL", gtol):
+                vec, converged, _ = identity_start_ctnpl(stats, config, start, 30, 1e-6)
+                if not converged:
+                    continue
+                result = ctnpl(stats, config, start, max_stages=30, tol=1e-6)
+            assert result.converged
+            assert np.abs(result.theta_hat.as_vector() - vec).max() < theta_tol
+
+    def test_snapshot_two_step_needs_fewer_evaluations(self, desk_game, desk_data):
+        config, _, ccp_star = desk_game
+        stats = sufficient_statistics(desk_data["discrete"], config)
+        result = ctnpl(stats, config, ccp_star, max_stages=1)
+        oracle_nfev = identity_start_ctnpl(stats, config, ccp_star, 1, 1e-6)[2]
+        assert result.trace[0]["nfev"] < oracle_nfev[0]
+
+    def test_event_data_start_at_identity_then_carry_over(self, desk_game, desk_data):
+        config = desk_game[0]
+        stats = sufficient_statistics(desk_data["continuous"], config)
+        start = init_ccp("frequency", stats, config)
+        result = ctnpl(stats, config, start, max_stages=30, tol=1e-6)
+        _, converged, oracle_nfev = identity_start_ctnpl(stats, config, start, 30, 1e-6)
+        nfev = [stage["nfev"] for stage in result.trace]
+        assert result.converged and converged
+        assert nfev[0] == oracle_nfev[0]
+        assert sum(nfev[1:]) < sum(oracle_nfev[1:])
+
+    def test_unidentified_direction_keeps_unit_curvature(self):
+        # one firm has no rivals, so the data carry no information on rn:
+        # the start has unit curvature there, and rn stays where it started
+        config = GameConfig(n_players=1, market_levels=3, lam=1.0, rho=0.05,
+                            q_up=0.2, q_down=0.2)
+        theta = Theta(fc=(-1.5,), rs=1.0, rn=0.0, ec=1.0)
+        ccp_star = solve_mpe(theta, config, tol=1e-13).ccp
+        stats = sufficient_statistics(
+            sample_discrete(theta, ccp_star, config, 500, periods=1, seed=57), config)
+        policy = LinearizedPolicy(ccp_star, config)
+        start = np.ones(4)
+        hess_inv = estimate._start_inverse_hessian(stats, policy, start)
+        rn = 2
+        assert np.array_equal(hess_inv, hess_inv.T)
+        assert hess_inv[rn, rn] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(np.delete(hess_inv[rn], rn)).max() < 1e-12
+        assert np.all(np.linalg.eigvalsh(hess_inv) > 0)
+        result = ctnpl(stats, config, ccp_star, max_stages=1)
+        assert result.theta_hat.rn == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitCcp:
@@ -557,8 +676,8 @@ class TestCtnpl:
         original = estimate_mod._maximize
 
         def nan_loglik(*args, **kwargs):
-            vec, _ = original(*args, **kwargs)
-            return vec, np.nan
+            vec, _, hess_inv = original(*args, **kwargs)
+            return vec, np.nan, hess_inv
 
         monkeypatch.setattr(estimate_mod, "_maximize", nan_loglik)
         with pytest.raises(NumericalError):

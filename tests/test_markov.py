@@ -14,7 +14,7 @@ from ctgames import (
     transition_matrix,
     uniformization_matrix,
 )
-from ctgames.markov import _pade13, transition_matrix_pullback
+from ctgames.markov import _pade13, transition_matrix_frechet, transition_matrix_pullback
 
 from conftest import random_generator
 
@@ -108,6 +108,15 @@ class TestFrechet:
         _, pullback = transition_matrix_pullback(q, delta)
         want_grad = delta * expm_frechet(delta * q.T, e)[1]
         assert np.abs(pullback(e) - want_grad).max() <= 1e-10 * max(1.0, np.abs(want_grad).max())
+        # the derivative of exp(delta q) in q, and the pullback as its adjoint:
+        # <g, forward(e)> = <pullback(g), e>
+        p, forward = transition_matrix_frechet(q, delta)
+        assert np.array_equal(p, transition_matrix(q, delta))
+        moved, want_moved = forward(e), delta * want_l
+        assert np.abs(moved - want_moved).max() <= 1e-10 * max(1.0, np.abs(want_moved).max())
+        g = rng.normal(size=(k, k))
+        lhs, rhs = (g * moved).sum(), (pullback(g) * e).sum()
+        assert abs(lhs - rhs) <= 1e-12 * np.abs(g).sum() * np.abs(moved).max()
 
     def test_transition_matrix_unchanged(self, rng):
         q = random_generator(rng, 24, scale=2.0)
