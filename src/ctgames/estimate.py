@@ -14,11 +14,18 @@ gradient in the action probabilities chained through the policy.  The
 event-data gradient is in closed form; the snapshot gradient is an
 adjoint, one Frechet derivative of ``expm`` that shares the Pade set-up of
 the likelihood value.  Central differences (`central_difference_gradient`)
-serve only as the test oracle.  BFGS starts from a real inverse Hessian: at
-the first stage on snapshot data, the inverse of the data's information in
-theta at the start (`TransitionCounts.information`), with unit curvature in
-directions the data do not identify; on event data, the identity.  Every
-later stage starts from the previous stage's final inverse Hessian.
+serve only as the test oracle.
+
+The first stage starts at the CCP-inversion estimate of theta (Hotz and
+Miller 1993): at the start probabilities the action log-odds are affine in
+theta, so their least-squares solution (`_inversion_start`) costs nothing
+beyond the stage's policy and is exact when the start probabilities are an
+equilibrium; directions the log-odds do not identify keep the value 1.
+BFGS starts from a real inverse Hessian: at the first stage on snapshot
+data, the inverse of the data's information in theta at the start
+(`TransitionCounts.information`), with unit curvature in directions the
+data do not identify; on event data, the identity.  Every later stage
+starts from the previous stage's final inverse Hessian.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -73,6 +80,23 @@ def _loglik_and_gradient(stats, policy, vec, counters=None):
     ccp = policy.ccp(vec)
     value, action_grad = stats.value_and_gradient(ccp, counters=counters)
     return value, policy.chain(ccp, action_grad)
+
+
+def _inversion_start(policy):
+    """Stage 1's theta: the CCP inversion of ``policy.ccp_prev``.
+
+    At the policy's probabilities the action log-odds are affine in theta,
+    ``logit(ccp_prev) = D theta + (o1 - o0)`` with ``D = W1 - W0``, so the
+    least-squares solution is the theta whose best response best reproduces
+    them, exact when ``ccp_prev`` is an equilibrium at some theta.  It is
+    taken as the minimum-norm move from all ones, so directions ``D`` does
+    not identify keep the value 1.
+    """
+    ccp, weights, offsets = policy.ccp_prev, policy.weights, policy.offsets
+    design = (weights[:, 1] - weights[:, 0]).reshape(-1, weights.shape[-1])
+    log_odds = np.log(ccp[:, 1]) - np.log(ccp[:, 0]) - (offsets[:, 1] - offsets[:, 0])
+    ones = np.ones(design.shape[1])
+    return ones + np.linalg.lstsq(design, log_odds.ravel() - design @ ones, rcond=None)[0]
 
 
 def _start_inverse_hessian(stats, policy, x0):
@@ -163,16 +187,18 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
     Alternates a theta maximization at the current probabilities with one
     best-response update of the probabilities, stopping once both sup-norm
     deltas drop below ``tol``.  ``max_stages=1`` is the two-step pseudo
-    maximum likelihood estimator.  Later stages warm-start theta and BFGS's
-    inverse Hessian from the previous stage.  If the loop does not converge,
-    the highest-likelihood visited candidate is returned with
-    ``converged=False``.
+    maximum likelihood estimator.  The first stage starts at ``theta_init``,
+    a `Theta`, or when it is None at the CCP inversion of the start
+    probabilities.  Later stages warm-start theta and BFGS's inverse Hessian
+    from the previous stage.  If the loop does not converge, the
+    highest-likelihood visited candidate is returned with ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
-    probabilities and parameters, the attained pseudo log likelihood, the
-    BFGS iteration, likelihood and gradient evaluation counts (``nit``,
-    ``nfev``, ``njev``) and the observed transitions whose probability was
-    clamped before the log (``clamped_logs``).
+    probabilities and parameters (stage 1's parameter change is measured
+    from ``theta_init``, and is infinite without it), the attained pseudo
+    log likelihood, the BFGS iteration, likelihood and gradient evaluation
+    counts (``nit``, ``nfev``, ``njev``) and the observed transitions whose
+    probability was clamped before the log (``clamped_logs``).
     A stage whose pseudo log likelihood is not finite raises
     `NumericalError` instead of being ranked.
     """
@@ -184,14 +210,15 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
 
     stats = sufficient_statistics(data, config)
     theta_prev = None if theta_init is None else theta_init.as_vector()
-    vec = np.ones(config.n_players + 3) if theta_prev is None else theta_prev
-    hess_inv = None
+    vec = theta_prev
     trace = []
     best = None
     for stage in range(1, max_stages + 1):
         counts = {}
         policy = LinearizedPolicy(ccp, config)
-        if hess_inv is None:
+        if stage == 1:
+            if vec is None:
+                vec = _inversion_start(policy)
             hess_inv = _start_inverse_hessian(stats, policy, vec)
         try:
             vec, loglik, hess_inv = _maximize(stats, policy, vec, hess_inv, counters=counts)
@@ -358,23 +385,27 @@ def _logit_from_counts(stats):
     return _as_ccp(probs, stats.config)
 
 
+def _hazard_logit_objective(beta, feats, moves, exposure):
+    """Negative logistic-hazard log likelihood of `_logit_from_spells` and its
+    gradient ``-F'[(n / p - lam T) p (1 - p)]``, zero where p is clipped."""
+    prob = 1.0 / (1.0 + np.exp(-(feats @ beta)))
+    clipped = np.clip(prob, 1e-12, 1 - 1e-12)
+    slope = np.where(clipped == prob, prob * (1 - prob), 0.0)
+    value = -(moves * np.log(clipped) - exposure * clipped).sum()
+    return value, -np.einsum("ik,ikf->f", (moves / clipped - exposure) * slope, feats)
+
+
 def _logit_from_spells(stats):
     """Logistic-link hazard fit: move counts ~ Poisson(lam * sigma * exposure).
 
     Maximizes sum_ik [n_ik ln sigma_ik - lam T_k sigma_ik] over the logistic
-    index by BFGS (the exposure term breaks the concavity IRLS relies on).
+    index by BFGS (the exposure term breaks the concavity IRLS relies on),
+    with the exact gradient.
     """
     feats = _initializer_features(stats.config)
-    moves = stats.moves
-    exposure = stats.config.lam * stats.exposure[None, :]
-
-    def neg_loglik(beta):
-        prob = 1.0 / (1.0 + np.exp(-(feats @ beta)))
-        prob = np.clip(prob, 1e-12, 1 - 1e-12)
-        return -(moves * np.log(prob) - exposure * prob).sum()
-
-    result = minimize(neg_loglik, np.zeros(feats.shape[2]), method="BFGS",
-                      options={"gtol": 1e-8, "maxiter": 500})
+    result = minimize(_hazard_logit_objective, np.zeros(feats.shape[2]), jac=True,
+                      args=(feats, stats.moves, stats.config.lam * stats.exposure[None, :]),
+                      method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
     probs = 1.0 / (1.0 + np.exp(-(feats @ result.x)))
     return _as_ccp(probs, stats.config)
 

@@ -8,7 +8,8 @@ path and never enter the event log.
 
 `EventLog` and `Panel` are the only place that knows how a dataset splits
 into markets.  Each checks its invariants when it is built, whether by a
-simulator or by a CSV loader: array lengths agree, every market's rows are
+simulator or by a CSV loader (which first checks the file's header row
+against the column names): array lengths agree, every market's rows are
 contiguous (in ``markets`` order for an event log, whose events all belong
 to a listed market), event times are finite, nonnegative and nondecreasing
 within a market and end by its horizon, and panel periods strictly increase
@@ -41,6 +42,11 @@ EQUILIBRIUM_RESIDUAL_TOL = 1e-6
 # Rows converted to Python objects at a time when an event log is written.
 CSV_BLOCK_ROWS = 8192
 
+# The columns of the event-log and panel CSV files, in order, and their types.
+EVENT_COLUMNS = {"market_id": np.int64, "n": np.int64, "k": np.int64, "t": np.float64,
+                 "actor": np.int64, "action": np.int64}
+PANEL_COLUMNS = {"market_id": np.int64, "n": np.int64, "k": np.int64}
+
 
 def _require(ok, message):
     if not ok:
@@ -61,21 +67,29 @@ def _as_arrays(data):
     return [len(getattr(data, f.name)) for f in fields(data)]
 
 
-def _read_columns(path, *dtypes):
-    """Columns of a CSV data file after its header row, parsed as ``dtypes``.
+def _read_columns(path, columns):
+    """Columns of a CSV data file whose header row lists the names of the
+    dict ``columns``, parsed as its types.
 
-    An unreadable file, a row with another field count, or a field that does
-    not parse raises `InvalidArgumentError`.
+    An unreadable file, another header, a row with another field count, or a
+    field that does not parse raises `InvalidArgumentError`.
     """
     try:
+        with open(path) as handle:
+            header = [name.strip() for name in handle.readline().split(",")]
+        _require(header == list(columns),
+                 f"data file {path} has header {header}, expected {list(columns)}")
         with warnings.catch_warnings():
             # a header-only file is a valid empty dataset
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # from the path, which NumPy parses faster than a Python file object
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
-                               dtype=[(f"c{j}", dtype) for j, dtype in enumerate(dtypes)])
+                               dtype=list(columns.items()))
+    except InvalidArgumentError:
+        raise
     except (OSError, ValueError) as err:
         raise InvalidArgumentError(f"cannot read data file {path}: {err}") from None
-    return [table[name] for name in table.dtype.names]
+    return [table[name] for name in columns]
 
 
 @dataclass
@@ -199,7 +213,7 @@ class EventLog:
         # the bytes `csv.writer` writes: no field needs quoting, rows end in \r\n
         row = "{},{},{},{:.17g},{},{}\r\n".format
         with open(path, "w", newline="") as handle:
-            handle.write("market_id,n,k,t,actor,action\r\n")
+            handle.write(",".join(EVENT_COLUMNS) + "\r\n")
             # in blocks, so the rows' Python objects never all exist at once
             for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
                 block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
@@ -207,8 +221,7 @@ class EventLog:
 
     @classmethod
     def from_csv(cls, path):
-        market_id, index, state, time, actor, action = _read_columns(
-            path, np.int64, np.int64, np.int64, np.float64, np.int64, np.int64)
+        market_id, index, state, time, actor, action = _read_columns(path, EVENT_COLUMNS)
         event, censor = actor != CENSOR, actor == CENSOR
         return cls(market_id=market_id[event], index=index[event], pre_state=state[event],
                    time=time[event], actor=actor[event], action=action[event],
@@ -253,13 +266,13 @@ class Panel:
     def to_csv(self, path):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["market_id", "n", "k"])
+            writer.writerow(PANEL_COLUMNS)
             writer.writerows(zip(self.market_id.tolist(), self.period.tolist(),
                                  self.state.tolist()))
 
     @classmethod
     def from_csv(cls, path):
-        market_id, period, state = _read_columns(path, np.int64, np.int64, np.int64)
+        market_id, period, state = _read_columns(path, PANEL_COLUMNS)
         return cls(market_id=market_id, period=period, state=state)
 
 

@@ -10,7 +10,8 @@ the free ones, the stability radii from the dense (NK, NK) spectra rather
 than the half-rank factors, the snapshot information from
 central-difference scores rather than Frechet derivatives, CTNPL with every
 BFGS maximization started from the identity rather than from the data's
-information, and the event-log CSV through `csv.writer` rather than one
+information (and by default at all ones rather than at the CCP inversion),
+and the event-log CSV through `csv.writer` rather than one
 format per block.
 """
 
@@ -227,10 +228,11 @@ def information_by_differences(stats, policy, vec):
     return information / stats.n_markets
 
 
-def identity_start_ctnpl(stats, config, ccp, max_stages, tol):
+def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):
     """The nested pseudo-likelihood loop of `estimate.ctnpl`, each stage's
     BFGS started from the identity inverse Hessian at the previous stage's
-    theta (all ones at stage 1), stopping at `estimate.BFGS_GTOL`.
+    theta (at ``theta_start`` at stage 1, all ones by default), stopping at
+    `estimate.BFGS_GTOL`.
 
     Returns ``(theta_vector, converged, nfev)`` with ``nfev`` the likelihood
     evaluations per stage; a stage whose BFGS stops with a gradient sup-norm
@@ -238,7 +240,8 @@ def identity_start_ctnpl(stats, config, ccp, max_stages, tol):
     """
     ccp = np.clip(ccp, INIT_FLOOR, 1 - INIT_FLOOR)
     ccp = ccp / ccp.sum(axis=1, keepdims=True)
-    vec, previous, nfev = np.ones(config.n_players + 3), None, []
+    vec = np.ones(config.n_players + 3) if theta_start is None else theta_start
+    previous, nfev = None, []
     for _ in range(max_stages):
         policy = LinearizedPolicy(ccp, config)
 

@@ -382,6 +382,9 @@ BAD_DATA_FILES = {
     "non_numeric_field": ("discrete", "market_id,n,k\n0,0,3\n0,1,x\n"),
     "short_row": ("continuous", EVENTS_HEADER + "0,1,3,0.5,0\n0,2,1,2.0,-2,-1\n"),
     "missing_file": ("discrete", None),
+    "panel_without_header": ("discrete", "0,0,3\n0,1,4\n1,0,5\n1,1,5\n"),
+    "events_file_as_panel": ("discrete", EVENTS_HEADER
+                             + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
 }
 
 

@@ -218,11 +218,23 @@ def small_game(n_players, levels, seed):
     return config, theta, solve_mpe(theta, config, tol=1e-13).ccp
 
 
+class TestInversionStart:
+    @given(n_players=st.integers(2, 3), levels=st.integers(2, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_recovers_theta_at_its_equilibrium(self, n_players, levels, seed):
+        config, theta, ccp_star = small_game(n_players, levels, seed)
+        start = estimate._inversion_start(LinearizedPolicy(ccp_star, config))
+        assert np.abs(start - theta.as_vector()).max() < 1e-8
+
+
 class TestInformationStart:
     @given(n_players=st.integers(1, 2), levels=st.integers(1, 3),
-           kind=st.sampled_from(["discrete", "continuous"]), seed=st.integers(0, 2**32 - 1))
+           kind=st.sampled_from(["discrete", "continuous"]),
+           method=st.sampled_from(["frequency", "random"]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
-    def test_lands_where_identity_start_lands(self, n_players, levels, kind, seed):
+    def test_lands_where_identity_start_lands(self, n_players, levels, kind, method, seed):
+        # the oracle starts at all ones, ctnpl at the CCP inversion
         config, theta, ccp_star = small_game(n_players, levels, seed)
         if kind == "discrete":
             data = sample_discrete(theta, ccp_star, config, 500, periods=1, seed=seed)
@@ -230,7 +242,7 @@ class TestInformationStart:
             data = simulate_continuous(theta, ccp_star, config, 100, seed=seed,
                                        events_per_market=10)
         stats = sufficient_statistics(data, config)
-        start = init_ccp("frequency", stats, config)
+        start = init_ccp(method, stats, config, seed=seed)
         # At the default tolerance both runs stop anywhere the gradient is
         # below 1e-6, which on these games lies up to 2.2e-4 apart in theta;
         # at 1e-9 the fixed point, not the stopping rule, sets theta_hat.
@@ -255,15 +267,19 @@ class TestInformationStart:
         stats = sufficient_statistics(desk_data["continuous"], config)
         start = init_ccp("frequency", stats, config)
         result = ctnpl(stats, config, start, max_stages=30, tol=1e-6)
-        _, converged, oracle_nfev = identity_start_ctnpl(stats, config, start, 30, 1e-6)
+        # `init_ccp` output is already inside ctnpl's clip
+        theta_start = estimate._inversion_start(LinearizedPolicy(start, config))
+        _, converged, oracle_nfev = identity_start_ctnpl(stats, config, start, 30, 1e-6,
+                                                         theta_start=theta_start)
         nfev = [stage["nfev"] for stage in result.trace]
         assert result.converged and converged
         assert nfev[0] == oracle_nfev[0]
         assert sum(nfev[1:]) < sum(oracle_nfev[1:])
 
     def test_unidentified_direction_keeps_unit_curvature(self):
-        # one firm has no rivals, so the data carry no information on rn:
-        # the start has unit curvature there, and rn stays where it started
+        # one firm has no rivals, so neither the choice values nor the data
+        # depend on rn: the CCP inversion keeps rn at 1, the start has unit
+        # curvature there, and rn stays where it started
         config = GameConfig(n_players=1, market_levels=3, lam=1.0, rho=0.05,
                             q_up=0.2, q_down=0.2)
         theta = Theta(fc=(-1.5,), rs=1.0, rn=0.0, ec=1.0)
@@ -271,9 +287,11 @@ class TestInformationStart:
         stats = sufficient_statistics(
             sample_discrete(theta, ccp_star, config, 500, periods=1, seed=57), config)
         policy = LinearizedPolicy(ccp_star, config)
-        start = np.ones(4)
-        hess_inv = estimate._start_inverse_hessian(stats, policy, start)
         rn = 2
+        start = estimate._inversion_start(policy)
+        assert start[rn] == 1.0
+        assert np.abs(np.delete(start - theta.as_vector(), rn)).max() < 1e-8
+        hess_inv = estimate._start_inverse_hessian(stats, policy, start)
         assert np.array_equal(hess_inv, hess_inv.T)
         assert hess_inv[rn, rn] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(np.delete(hess_inv[rn], rn)).max() < 1e-12
@@ -349,6 +367,22 @@ class TestInitCcp:
         path.write_text(STILL_PANEL_CSV)
         with pytest.raises(NumericalError, match="logit start did not converge"):
             init_ccp("logit", Panel.from_csv(path), desk_config())
+
+    def test_logit_from_events_gradient_is_exact(self, mini_game):
+        config, theta, ccp_star = mini_game
+        stats = SpellStats.from_events(
+            simulate_continuous(theta, ccp_star, config, 200, seed=35, events_per_market=5),
+            config)
+        feats = _initializer_features(config)
+        args = (feats, stats.moves, config.lam * stats.exposure[None, :])
+        beta = np.random.default_rng(3).normal(scale=0.5, size=feats.shape[2])
+        clipped = beta.copy()
+        clipped[0] = -30.0  # firm 0's entry probability falls below the 1e-12 clip
+        for point in (beta, clipped):
+            grad = estimate._hazard_logit_objective(point, *args)[1]
+            oracle = central_difference_gradient(
+                lambda b: estimate._hazard_logit_objective(b, *args)[0], point)
+            assert np.abs(grad - oracle).max() <= 1e-6 * max(1.0, np.abs(oracle).max())
 
     def test_requires_data_for_sample_methods(self, mini_game):
         config, _, _ = mini_game
@@ -616,7 +650,7 @@ class TestCtnpl:
         # event log without markets carry no likelihood information
         config, _, ccp_star = mini_game
         path = tmp_path / "panel.csv"
-        path.write_text("market_id,period,state\n")
+        path.write_text("market_id,n,k\n")
         unpaired = Panel(market_id=np.array([0, 1]), period=np.array([0, 0]),
                          state=np.array([0, 3]))
         no_markets = make_log(markets=[], horizon=[], final_state=[])

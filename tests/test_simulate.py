@@ -211,6 +211,18 @@ class TestSerialization:
         assert np.array_equal(panel.period, back.period)
         assert np.array_equal(panel.state, back.state)
 
+    def test_header_checked_before_rows(self, tmp_path):
+        # a headerless panel would lose its first row; an event log read as
+        # a panel would fail only on its field count
+        path = tmp_path / "data.csv"
+        for text, header in (("0,0,3\n0,1,4\n", "'0', '0', '3'"),
+                             ("market_id,n,k,t,actor,action\n0,1,3,0.5,-2,-1\n",
+                              "'market_id', 'n', 'k', 't', 'actor', 'action'")):
+            path.write_text(text)
+            with pytest.raises(InvalidArgumentError,
+                               match=rf"header \[{header}\], expected \['market_id', 'n', 'k'\]"):
+                Panel.from_csv(path)
+
 
 class TestDescriptiveStats:
     def test_constant_panel_flags_undefined_ar1(self, desk_game):
