@@ -144,6 +144,15 @@ class TestCliDiagnose:
         lines = (out / "stability_sweep.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_diagnose_writes_artifacts_deterministically(self, tmp_path):
+        outs = (tmp_path / "a", tmp_path / "b")
+        for out in outs:
+            code = run_cli("diagnose", "--experiment", "1", "--scale", "desk",
+                           "--rn-grid", "0,5", "--out", str(out))
+            assert code == 0
+        name = "stability_sweep.csv"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     @pytest.mark.parametrize("players, levels, unidentified",
                              [(1, 5, "rn"), (2, 1, "rs")], ids=["one_firm", "one_level"])
     def test_unidentified_parameter_exits_two(self, players, levels, unidentified,

@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta, diagnostics
 from ctgames.diagnostics import (
@@ -20,6 +22,7 @@ from ctgames.equilibrium import (
     solve_mpe,
     uniform_ccp,
 )
+from ctgames.experiments import experiment_spec
 
 from conftest import desk_config
 from oracles import dense_radii, full_coordinate_projection, power_estimate
@@ -58,6 +61,25 @@ class TestSpectralRadius:
             a = rng.normal(size=(30, 30))
             assert spectral_radius(a) == pytest.approx(
                 np.abs(np.linalg.eigvals(a)).max(), rel=1e-10)
+
+    def test_defective_matrices_read_within_documented_range(self):
+        # ARPACK converges to a Ritz value above the radius of a defective
+        # matrix; the docstring gives about 2e-3 and 0.84 for these two
+        assert 0.0 <= spectral_radius(np.eye(7, k=1)) < 1e-2
+        jordan = 0.7 * np.eye(30) + np.eye(30, k=1)
+        assert 0.7 - 1e-12 <= spectral_radius(jordan) < 1.0
+
+    def test_falls_back_to_dense_when_arpack_does_not_converge(self, rng, monkeypatch):
+        calls = []
+
+        def no_convergence(matrix, **kwargs):
+            calls.append(matrix.shape)
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(diagnostics, "eigs", no_convergence)
+        a = rng.normal(size=(30, 30))
+        assert spectral_radius(a) == np.abs(np.linalg.eigvals(a)).max()
+        assert calls == [(30, 30)]
 
     def test_power_route_matches_dense_on_game_jacobians(self, mini_fixed_point):
         # the iterative and dense routes agree to 1e-8 relative on every
@@ -314,6 +336,55 @@ class TestStabilityReport:
         finally:
             tracemalloc.stop()
         assert peak < 3 * dim * dim * 8
+
+
+def radius_matrices(theta, ccp, config):
+    """The (NK/2, NK/2) products R L and R (A L) whose radii `stability_report`
+    takes."""
+    theta_jac, oblique, left, right = stability_objects(theta, ccp, config)
+    return right @ left, right @ (left - theta_jac @ (oblique @ left))
+
+
+@pytest.fixture(scope="module")
+def paper_sweep_points():
+    """Experiment 1 at paper scale (K = 160, R L of dimension 400) at each
+    point of criterion 6's grid rn = 0..5: ``{rn: (config, theta, ccp)}``."""
+    spec = experiment_spec(1, scale="paper")
+    points = {}
+    for rn in range(6):
+        theta = replace(spec.theta_true, rn=float(rn))
+        points[rn] = spec.config, theta, solve_mpe(theta, spec.config).ccp
+    return points
+
+
+class TestArnoldiRadius:
+    """`spectral_radius` against the dense spectrum at the sizes ARPACK serves."""
+
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_players", [4, 5])
+    def test_matches_dense_on_large_random_games(self, n_players, levels):
+        # dimensions NK/2 = 64 to 400
+        config, theta, ccp = random_game(n_players, levels, 1000 * n_players + levels)
+        for matrix in radius_matrices(theta, ccp, config):
+            assert spectral_radius(matrix) == pytest.approx(
+                np.abs(np.linalg.eigvals(matrix)).max(), rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("rn", range(6))
+    def test_matches_dense_at_paper_sweep_points(self, paper_sweep_points, rn):
+        config, theta, ccp = paper_sweep_points[rn]
+        for matrix in radius_matrices(theta, ccp, config):
+            assert spectral_radius(matrix) == pytest.approx(
+                np.abs(np.linalg.eigvals(matrix)).max(), rel=1e-10, abs=1e-14)
+
+    def test_report_repeats_bit_for_bit(self, paper_sweep_points):
+        # ARPACK draws its start and restart vectors from a fixed seed, so
+        # calls in between (on the shift matrix it draws restart vectors)
+        # leave no trace in a later radius
+        config, theta, ccp = paper_sweep_points[5]
+        first = stability_report(theta, ccp, config)
+        spectral_radius(np.eye(6))
+        spectral_radius(np.eye(7, k=1))
+        assert stability_report(theta, ccp, config) == first
 
 
 class TestStabilitySweep:
