@@ -11,8 +11,9 @@ than the half-rank factors, the snapshot information from
 central-difference scores rather than Frechet derivatives, CTNPL with every
 BFGS maximization started from the identity rather than from the data's
 information (and by default at all ones rather than at the CCP inversion),
-and the event-log CSV through `csv.writer` rather than one
-format per block.
+the equilibrium by plain successive approximation with the stall rule
+rather than with Anderson mixing near the fixed point, and the event-log
+CSV through `csv.writer` rather than one format per block.
 """
 
 import csv
@@ -22,9 +23,21 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse import csr_matrix
 
-from ctgames import InvalidArgumentError, NumericalError, estimate
+from ctgames import ConvergenceError, InvalidArgumentError, NumericalError, estimate
 from ctgames.diagnostics import stability_objects
-from ctgames.equilibrium import CCP_FLOOR, EULER_GAMMA, LinearizedPolicy, aggregate_generator
+from ctgames.equilibrium import (
+    CCP_FLOOR,
+    EULER_GAMMA,
+    MIN_STEP,
+    STALL_RATIO,
+    STALL_WINDOW,
+    LinearizedPolicy,
+    MpeResult,
+    aggregate_generator,
+    best_response_map,
+    check_ccp,
+    uniform_ccp,
+)
 from ctgames.estimate import INIT_FLOOR, MAX_EVALS, central_difference_gradient
 from ctgames.game import instant_payoffs, state_tables
 from ctgames.likelihood import LOG_FLOOR
@@ -261,6 +274,36 @@ def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):
             return result.x, True, nfev
         ccp, vec, previous = updated, result.x, result.x
     return vec, False, nfev
+
+
+def plain_solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
+    """Markov perfect equilibrium by successive approximation, halving the step on a stall.
+
+    Iterates ``ccp <- ccp + step * (map(ccp) - ccp)`` from the uniform policy
+    (or ``init``) until the sup-norm fixed-point residual drops below ``tol``.
+    ``step`` starts at 1, but best-response iteration need not contract: a run
+    whose residual has not fallen by 10% over its last ``STALL_WINDOW``
+    iterations restarts from the start point at half the step, down to ``MIN_STEP``.
+    This is `equilibrium.solve_mpe` without its Anderson mixing.
+    """
+    if max_iter < 1:
+        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
+    start = uniform_ccp(config) if init is None else check_ccp(init, config)
+    ccp, step, run_start, trace = start, 1.0, 0, []
+    while len(trace) < max_iter:
+        updated = best_response_map(theta, ccp, config)
+        residual = float(np.abs(updated - ccp).max())
+        trace.append(residual)
+        if residual < tol:
+            return MpeResult(ccp=ccp, iterations=len(trace), residual=residual, trace=trace)
+        if (step > MIN_STEP and len(trace) - run_start > STALL_WINDOW
+                and residual > STALL_RATIO * trace[-1 - STALL_WINDOW]):
+            ccp, step, run_start = start, step / 2, len(trace)
+        else:
+            ccp = ccp + step * (updated - ccp)
+    raise ConvergenceError(
+        f"no equilibrium after {max_iter} iterations, residual {trace[-1]:g}",
+        residual=trace[-1], iterations=max_iter)
 
 
 def write_event_log_csv(log, path):

@@ -260,6 +260,13 @@ class TestStabilityReport:
         assert 0 <= report.rho_npl_update <= report.norm_bound + 1e-9
         assert report.jacobian_dim == config.n_players * config.n_states
 
+    def test_non_finite_ccp_is_invalid_argument(self, mini_fixed_point):
+        config, theta, ccp = mini_fixed_point
+        bad = ccp.copy()
+        bad[0, 1, 2] = np.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            stability_report(theta, bad, config)
+
     @given(n_players=st.integers(1, 3), levels=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40)

@@ -16,8 +16,10 @@ from ctgames import (
 )
 from ctgames.equilibrium import (
     EULER_GAMMA,
+    MIX_BELOW,
     STALL_RATIO,
     STALL_WINDOW,
+    LinearizedPolicy,
     aggregate_generator,
     best_response,
     best_response_map,
@@ -30,7 +32,7 @@ from ctgames.experiments import experiment_spec
 from ctgames.game import state_tables
 
 from conftest import DESK_THETA, desk_config
-from oracles import continuation_state, expected_instant_payoffs
+from oracles import continuation_state, expected_instant_payoffs, plain_solve_mpe
 
 
 def single_agent_config(levels=1, **overrides):
@@ -316,39 +318,91 @@ class TestSolveMpe:
         with pytest.raises(InvalidArgumentError):
             solve_mpe(DESK_THETA, desk_config(), max_iter=max_iter)
 
-    def test_stalled_solve_restarts_at_half_step(self):
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_bad_tolerance_is_rejected(self, tol, monkeypatch):
+        from ctgames import equilibrium
+
+        def forbidden(*args):
+            raise AssertionError("best response evaluated")
+
+        monkeypatch.setattr(equilibrium, "best_response_map", forbidden)
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            solve_mpe(DESK_THETA, desk_config(), tol=tol)
+
+    def test_non_finite_start_is_rejected(self):
+        config = desk_config()
+        init = uniform_ccp(config)
+        init[1, :, 5] = math.nan
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            solve_mpe(DESK_THETA, config, init=init)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            LinearizedPolicy(init, config)
+
+    def test_stalled_solve_restarts_at_half_step_before_mixing(self):
         # Paper experiment 1 at rn = 5: plain best-response iteration locks
         # into a 2-cycle, so the solve restarts from the uniform policy at
-        # step 1/2 and then performs exactly the damped iteration.
+        # step 1/2, which it follows until mixing starts below MIX_BELOW.
         spec = experiment_spec(1, scale="paper")
         theta, config = replace(spec.theta_true, rn=5.0), spec.config
         result = solve_mpe(theta, config)
         damped, damped_trace = successive_approximation(theta, config, 0.5)
         assert damped is not None
-        assert np.array_equal(result.ccp, damped)
+        assert np.abs(result.ccp - damped).max() < 1e-9
 
         _, plain_trace = successive_approximation(theta, config, 1.0,
                                                   max_iter=STALL_WINDOW + 1)
         assert plain_trace[-1] > STALL_RATIO * plain_trace[0]
-        assert result.trace == plain_trace + damped_trace
-        assert result.iterations == len(result.trace)
-        assert result.residual == damped_trace[-1]
+        assert min(plain_trace) >= MIX_BELOW
+        switch = next(n for n, r in enumerate(damped_trace) if r < MIX_BELOW) + 1
+        assert result.trace[:STALL_WINDOW + 1 + switch] == plain_trace + damped_trace[:switch]
+        assert result.iterations == len(result.trace) < len(plain_trace + damped_trace)
+        assert result.residual == result.trace[-1] < 1e-10
+
+    @staticmethod
+    def _assert_plain_equilibrium(theta, config):
+        try:
+            plain = plain_solve_mpe(theta, config, max_iter=2000)
+        except ConvergenceError:
+            plain = None
+        assume(plain is not None)
+        result = solve_mpe(theta, config, max_iter=2000)
+        assert np.abs(result.ccp - plain.ccp).max() < 1e-9
+        switch = next(n for n, r in enumerate(plain.trace) if r < MIX_BELOW) + 1
+        assert result.trace[:switch] == plain.trace[:switch]
 
     @given(n_players=st.integers(1, 3), levels=st.integers(2, 3),
            rn=st.floats(0.0, 3.0), ec=st.floats(0.0, 3.0), lam=st.floats(0.5, 2.0),
            fc=st.lists(st.floats(-2.5, 0.0), min_size=3, max_size=3))
     @settings(max_examples=30)
-    def test_contracting_solves_are_plain_successive_approximation(
+    def test_mixed_solve_reaches_plain_iterations_equilibrium(
             self, n_players, levels, rn, ec, lam, fc):
         config = GameConfig(n_players=n_players, market_levels=levels, lam=lam,
                             rho=0.05, q_up=0.3, q_down=0.3)
-        theta = Theta(fc=fc[:n_players], rs=1.0, rn=rn, ec=ec)
-        plain, plain_trace = successive_approximation(theta, config, 1.0, max_iter=2000)
-        assume(plain is not None)
-        result = solve_mpe(theta, config, max_iter=2000)
-        assert np.array_equal(result.ccp, plain)
-        assert result.iterations == len(plain_trace)
-        assert result.trace == plain_trace
+        self._assert_plain_equilibrium(Theta(fc=fc[:n_players], rs=1.0, rn=rn, ec=ec), config)
+
+    @given(n_players=st.integers(2, 4), levels=st.integers(2, 3),
+           rn=st.floats(0.0, 8.0), ec=st.floats(0.0, 5.0), lam=st.floats(0.5, 2.0),
+           fc=st.lists(st.floats(-2.5, 0.0), min_size=4, max_size=4))
+    @settings(max_examples=10)
+    def test_mixed_solve_reaches_plain_iterations_equilibrium_in_strong_games(
+            self, n_players, levels, rn, ec, lam, fc):
+        config = GameConfig(n_players=n_players, market_levels=levels, lam=lam,
+                            rho=0.05, q_up=0.3, q_down=0.3)
+        self._assert_plain_equilibrium(Theta(fc=fc[:n_players], rs=1.0, rn=rn, ec=ec), config)
+
+    def test_paper_sweep_needs_few_best_response_maps(self):
+        # plain iteration needs 476 maps over rn = 0..5 (5/13/26/57/203/172)
+        spec = experiment_spec(1, scale="paper")
+        total = 0
+        for rn in range(6):
+            theta = replace(spec.theta_true, rn=float(rn))
+            result = solve_mpe(theta, spec.config)
+            assert result.residual < 1e-10
+            total += result.iterations
+            again = solve_mpe(theta, spec.config)
+            assert np.array_equal(again.ccp, result.ccp)
+            assert again.trace == result.trace
+        assert total <= 250
 
 
 class TestZeroJacobianAtFixedPoint:
