@@ -21,11 +21,13 @@ Miller 1993): at the start probabilities the action log-odds are affine in
 theta, so their least-squares solution (`_inversion_start`) costs nothing
 beyond the stage's policy and is exact when the start probabilities are an
 equilibrium; directions the log-odds do not identify keep the value 1.
-BFGS starts from a real inverse Hessian: at the first stage on snapshot
-data, the inverse of the data's information in theta at the start
-(`TransitionCounts.information`), with unit curvature in directions the
-data do not identify; on event data, the identity.  Every later stage
-starts from the previous stage's final inverse Hessian.
+BFGS starts from a real inverse Hessian: at the first stage, the inverse of
+the data's information in theta at the start, with unit curvature in
+directions the data do not identify.  On event data the information is in
+closed form (`SpellStats.information`); on snapshot data it takes one
+forward Frechet derivative of ``expm`` per parameter
+(`TransitionCounts.information`).  Every later stage starts from the
+previous stage's final inverse Hessian.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -100,15 +102,12 @@ def _inversion_start(policy):
 
 
 def _start_inverse_hessian(stats, policy, x0):
-    """BFGS's first inverse Hessian for the stage-1 maximization from ``x0``.
-
-    For snapshot data, the inverse of `TransitionCounts.information` at the
-    start, with unit curvature in its eigen-directions at or below
-    ``INFO_RANK_TOL`` times the largest eigenvalue (parameters the data do
-    not identify); the identity for event data.
+    """BFGS's first inverse Hessian for the stage-1 maximization from ``x0``:
+    the inverse of the data's information at the start (`SpellStats.information`
+    or `TransitionCounts.information`), with unit curvature in its
+    eigen-directions at or below ``INFO_RANK_TOL`` times the largest
+    eigenvalue (parameters the data do not identify).
     """
-    if not isinstance(stats, TransitionCounts):
-        return np.eye(len(x0))
     ccp = policy.ccp(x0)
     curvature, basis = np.linalg.eigh(stats.information(ccp, policy.theta_jacobian(ccp)))
     curvature[curvature <= INFO_RANK_TOL * curvature.max()] = 1.0

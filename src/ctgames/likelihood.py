@@ -6,13 +6,18 @@ sufficient statistic, built once per dataset by `sufficient_statistics`:
 likelihood factors into survival, player-action and nature terms, and
 `TransitionCounts` (the K x K consecutive-snapshot counts) for a panel,
 whose transitions are scored against ``expm(delta * Q)`` at best-response
-probabilities.  Each statistic gives its log likelihood at given action
-probabilities (``SpellStats.from_events(log, config).loglik(ccp)``, or
-``loglik_parts`` for its three terms) and, with it, the exact gradient in
-those probabilities for the estimator to chain through to theta; the
-theta-free nature term of the event-data likelihood is computed once per
-statistic.  `TransitionCounts.information` gives the snapshot data's
-outer-product-of-scores matrix in theta.
+probabilities.  `SpellStats.from_events` reduces a log in one pass over its
+events: each event closes a spell that began at the market's previous
+event, and each market's last spell runs to its horizon.  Each statistic
+gives its log likelihood at given action probabilities
+(``SpellStats.from_events(log, config).loglik(ccp)``, or ``loglik_parts``
+for its three terms) and, with it, the exact gradient in those
+probabilities for the estimator to chain through to theta; the theta-free
+nature term of the event-data likelihood is computed once per statistic.
+Each also gives the data's information in theta for the estimator's first
+BFGS step: in closed form for event data (`SpellStats.information`), as
+the outer product of the transition scores for a panel
+(`TransitionCounts.information`).
 """
 
 from dataclasses import dataclass
@@ -43,26 +48,28 @@ class SpellStats:
     @classmethod
     def from_events(cls, events, config):
         events.check_ranges(config)
-        k_total = config.n_states
-        # spell j of a market sits in the pre-state of its event j and ends at
-        # that event; its last (possibly zero-length) spell sits in the final
-        # state until the horizon
-        event_rows, final_rows = events.spell_rows()
-        ends = np.empty(events.n_events + events.n_markets)
-        ends[event_rows], ends[final_rows] = events.time, events.horizon
-        begins = np.zeros_like(ends)
-        begins[1:] = ends[:-1]
-        begins[final_rows[:-1] + 1] = 0.0
-        states = np.empty(len(ends), dtype=np.int64)
-        states[event_rows], states[final_rows] = events.pre_state, events.final_state
-        exposure = np.bincount(states, weights=np.maximum(ends - begins, 0.0),
-                               minlength=k_total)
-        nature = events.actor == NATURE
-        moves = _pair_counts(events.actor[~nature], events.pre_state[~nature],
-                             (config.n_players, k_total))
-        nature_moves = _pair_counts(events.pre_state[nature], events.action[nature],
-                                    (k_total, k_total))
-        return cls(exposure=exposure, moves=moves, nature_moves=nature_moves,
+        k_total, n = config.n_states, config.n_players
+        # each event ends a spell in its pre-state that began at the market's
+        # previous event (or at 0); each market's last, possibly zero-length,
+        # spell sits in its final state until the horizon
+        offsets, time = events.offsets, events.time
+        busy = offsets[1:] > offsets[:-1]
+        previous = np.empty_like(time)
+        previous[1:] = time[:-1]
+        previous[offsets[:-1][busy]] = 0.0
+        last = np.zeros(events.n_markets)
+        last[busy] = time[offsets[1:][busy] - 1]
+        exposure = (np.bincount(events.pre_state, weights=time - previous, minlength=k_total)
+                    + np.bincount(events.final_state, weights=events.horizon - last,
+                                  minlength=k_total))
+        # player moves code as actor * K + pre-state, nature's after them as
+        # N * K + pre-state * K + destination
+        code = np.where(events.actor == NATURE,
+                        (n + events.pre_state) * k_total + events.action,
+                        events.actor * k_total + events.pre_state)
+        counts = np.bincount(code, minlength=(n + k_total) * k_total).astype(float)
+        return cls(exposure=exposure, moves=counts[:n * k_total].reshape(n, k_total),
+                   nature_moves=counts[n * k_total:].reshape(k_total, k_total),
                    n_markets=events.n_markets, config=config)
 
     @cached_property
@@ -81,6 +88,8 @@ class SpellStats:
         """Raise `InvalidArgumentError` unless the data can be fit."""
         if self.n_markets == 0:
             raise InvalidArgumentError("event log holds no market")
+        if not self.exposure.any():
+            raise InvalidArgumentError("event log holds no observation time")
         if self._nature[1] == -np.inf:
             raise InvalidArgumentError("event log contains impossible nature moves")
 
@@ -111,16 +120,27 @@ class SpellStats:
                 / self.n_markets)
         return self.loglik(ccp), grad
 
+    def information(self, ccp, action_jacobian):
+        """Expected information of the event data in theta, ``sum_ik lam T_k
+        s_ik s_ik' / (sigma_ik M)`` with ``s_ik`` the derivative of
+        ``sigma_ik = ccp[i, 1, k]`` in theta, the (N, K, P) ``action_jacobian``.
 
-def _pair_counts(rows, cols, shape):
-    """Occurrences of every (row, col) pair as a float array of ``shape``."""
-    flat = np.bincount(np.ravel_multi_index((rows, cols), shape), minlength=shape[0] * shape[1])
-    return flat.reshape(shape).astype(float)
+        Firm i's moves out of state k are Poisson with mean ``lam T_k
+        sigma_ik``, so this is the negative Hessian of `loglik` in theta
+        wherever the moves equal their expectation.
+        """
+        weights = self.config.lam * self.exposure / (ccp[:, 1, :] * self.n_markets)
+        weighted = (action_jacobian * np.sqrt(weights)[:, :, None]).reshape(
+            -1, action_jacobian.shape[2]).T  # X X' is exactly symmetric
+        return weighted @ weighted.T
 
 
 def transition_counts(panel, k_total):
     """(K, K) matrix of observed consecutive transitions and the market count."""
-    return _pair_counts(*consecutive_pairs(panel, k_total), (k_total, k_total)), panel.n_markets
+    shape = (k_total, k_total)
+    flat = np.bincount(np.ravel_multi_index(consecutive_pairs(panel, k_total), shape),
+                       minlength=k_total * k_total)
+    return flat.reshape(shape).astype(float), panel.n_markets
 
 
 def _log_probabilities(counts, p, counters):

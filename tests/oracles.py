@@ -8,7 +8,10 @@ radius by power iteration rather than the dense LAPACK spectrum, the
 NPL projection on the full (firm, choice, state) coordinates rather than
 the free ones, the stability radii from the dense (NK, NK) spectra rather
 than the half-rank factors, the snapshot information from
-central-difference scores rather than Frechet derivatives, CTNPL with every
+central-difference scores rather than Frechet derivatives, the event
+information as the central-difference Hessian of the log likelihood rather
+than in closed form, the event-log statistic by placing every spell in a
+row of its own rather than in one pass over the events, CTNPL with every
 BFGS maximization started from the identity rather than from the data's
 information (and by default at all ones rather than at the CCP inversion),
 the equilibrium by plain successive approximation with the stall rule
@@ -40,9 +43,9 @@ from ctgames.equilibrium import (
 )
 from ctgames.estimate import INIT_FLOOR, MAX_EVALS, central_difference_gradient
 from ctgames.game import instant_payoffs, state_tables
-from ctgames.likelihood import LOG_FLOOR
+from ctgames.likelihood import LOG_FLOOR, SpellStats
 from ctgames.markov import transition_matrix
-from ctgames.simulate import CENSOR
+from ctgames.simulate import CENSOR, NATURE
 
 
 def _demand_and_activity(k, config):
@@ -239,6 +242,62 @@ def information_by_differences(stats, policy, vec):
         score = central_difference_gradient(lambda x: log_p(x)[k, l], vec)
         information += stats.counts[k, l] * np.outer(score, score)
     return information / stats.n_markets
+
+
+def event_information_by_differences(stats, policy, vec, rel_step=1e-4):
+    """Negative central-difference Hessian in theta of the event log
+    likelihood through the policy, ``-d2 loglik(policy.ccp(theta))``, on the
+    `SpellStats` whose moves equal their expectation ``lam T_k sigma_ik`` at
+    ``policy.ccp(vec)``; there observed and expected information coincide."""
+    vec = np.asarray(vec, dtype=float)
+    config = stats.config
+    expected = SpellStats(
+        exposure=stats.exposure,
+        moves=config.lam * stats.exposure * policy.ccp(vec)[:, 1, :],
+        nature_moves=stats.nature_moves, n_markets=stats.n_markets, config=config)
+
+    def loglik(x):
+        return expected.loglik(policy.ccp(x))
+
+    steps = np.diag(rel_step * np.maximum(1.0, np.abs(vec)))
+    hessian = np.empty(steps.shape)
+    for q in range(len(vec)):
+        for r in range(q, len(vec)):
+            eq, er = steps[q], steps[r]
+            hessian[q, r] = hessian[r, q] = (
+                loglik(vec + eq + er) - loglik(vec + eq - er)
+                - loglik(vec - eq + er) + loglik(vec - eq - er)) / (4 * steps[q, q] * steps[r, r])
+    return -hessian
+
+
+def spell_stats_by_spell_rows(events, config):
+    """`SpellStats.from_events` with every spell in a row of its own: each
+    market's event spells, then its censored final spell, as in the CSV
+    file; move counts by ``ravel_multi_index`` per actor kind."""
+    events.check_ranges(config)
+    k_total = config.n_states
+    event_rows, final_rows = events.spell_rows()
+    ends = np.empty(events.n_events + events.n_markets)
+    ends[event_rows], ends[final_rows] = events.time, events.horizon
+    begins = np.zeros_like(ends)
+    begins[1:] = ends[:-1]
+    begins[final_rows[:-1] + 1] = 0.0
+    states = np.empty(len(ends), dtype=np.int64)
+    states[event_rows], states[final_rows] = events.pre_state, events.final_state
+    exposure = np.bincount(states, weights=np.maximum(ends - begins, 0.0), minlength=k_total)
+
+    def pair_counts(rows, cols, shape):
+        flat = np.bincount(np.ravel_multi_index((rows, cols), shape),
+                           minlength=shape[0] * shape[1])
+        return flat.reshape(shape).astype(float)
+
+    nature = events.actor == NATURE
+    moves = pair_counts(events.actor[~nature], events.pre_state[~nature],
+                        (config.n_players, k_total))
+    nature_moves = pair_counts(events.pre_state[nature], events.action[nature],
+                               (k_total, k_total))
+    return SpellStats(exposure=exposure, moves=moves, nature_moves=nature_moves,
+                      n_markets=events.n_markets, config=config)
 
 
 def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):

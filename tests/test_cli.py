@@ -386,6 +386,9 @@ BAD_DATA_FILES = {
                                  + "0,1,3,0.5,7,1\n0,2,1,2.0,-2,-1\n"),
     "events_without_censor_row": ("continuous", EVENTS_HEADER
                                   + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n1,1,3,0.4,0,1\n"),
+    # every market is censored at t = 0
+    "events_without_observation_time": ("continuous", EVENTS_HEADER
+                                        + "0,1,0,0,-2,-1\n1,1,3,0,-2,-1\n"),
     "panel_rows_interleaved": ("discrete",
                                "market_id,n,k\n0,0,3\n0,1,4\n1,0,5\n0,2,6\n1,1,5\n"),
     "non_numeric_field": ("discrete", "market_id,n,k\n0,0,3\n0,1,x\n"),

@@ -42,6 +42,7 @@ from ctgames.simulate import Panel, consecutive_pairs, sample_discrete, simulate
 
 from conftest import DESK_THETA, desk_config
 from oracles import (
+    event_information_by_differences,
     flow_payoff,
     identity_start_ctnpl,
     information_by_differences,
@@ -188,6 +189,22 @@ class TestInformation:
         assert np.array_equal(exact, exact.T)
         assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10)
+    def test_event_information_is_hessian_at_expected_moves(self, desk_game, desk_data,
+                                                            seed):
+        config, theta, _ = desk_game
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.05, 0.95, size=(config.n_players, config.n_states))
+        stats = sufficient_statistics(desk_data["continuous"], config)
+        policy = LinearizedPolicy(np.stack([1 - probs, probs], axis=1), config)
+        vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
+        ccp = policy.ccp(vec)
+        exact = stats.information(ccp, policy.theta_jacobian(ccp))
+        oracle = event_information_by_differences(stats, policy, vec)
+        assert np.array_equal(exact, exact.T)
+        assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
     def test_clamped_transition_left_out(self, desk_game):
         # over delta = 1e-60 a transition of five jumps has probability below
         # LOG_FLOOR; one observation of it changes nothing
@@ -262,19 +279,29 @@ class TestInformationStart:
         oracle_nfev = identity_start_ctnpl(stats, config, ccp_star, 1, 1e-6)[2]
         assert result.trace[0]["nfev"] < oracle_nfev[0]
 
-    def test_event_data_start_at_identity_then_carry_over(self, desk_game, desk_data):
+    def test_event_data_start_from_information_then_carry_over(self, desk_game, desk_data):
         config = desk_game[0]
         stats = sufficient_statistics(desk_data["continuous"], config)
         start = init_ccp("frequency", stats, config)
-        result = ctnpl(stats, config, start, max_stages=30, tol=1e-6)
+        calls = []
+        maximize = estimate._maximize
+
+        def recorded(stats, policy, x0, hess_inv0, counters=None):
+            out = maximize(stats, policy, x0, hess_inv0, counters=counters)
+            calls.append((hess_inv0, out[2]))
+            return out
+
+        with mock.patch.object(estimate, "_maximize", recorded):
+            result = ctnpl(stats, config, start, max_stages=30, tol=1e-6)
         # `init_ccp` output is already inside ctnpl's clip
         theta_start = estimate._inversion_start(LinearizedPolicy(start, config))
         _, converged, oracle_nfev = identity_start_ctnpl(stats, config, start, 30, 1e-6,
                                                          theta_start=theta_start)
-        nfev = [stage["nfev"] for stage in result.trace]
-        assert result.converged and converged
-        assert nfev[0] == oracle_nfev[0]
-        assert sum(nfev[1:]) < sum(oracle_nfev[1:])
+        assert result.converged and converged and len(calls) == result.iterations > 1
+        assert result.trace[0]["nfev"] < oracle_nfev[0]
+        # each later stage starts from the inverse Hessian the one before ended with
+        for (_, ended), (started, _) in zip(calls, calls[1:]):
+            assert started is ended
 
     def test_unidentified_direction_keeps_unit_curvature(self):
         # one firm has no rivals, so neither the choice values nor the data
@@ -284,20 +311,22 @@ class TestInformationStart:
                             q_up=0.2, q_down=0.2)
         theta = Theta(fc=(-1.5,), rs=1.0, rn=0.0, ec=1.0)
         ccp_star = solve_mpe(theta, config, tol=1e-13).ccp
-        stats = sufficient_statistics(
-            sample_discrete(theta, ccp_star, config, 500, periods=1, seed=57), config)
         policy = LinearizedPolicy(ccp_star, config)
         rn = 2
         start = estimate._inversion_start(policy)
         assert start[rn] == 1.0
         assert np.abs(np.delete(start - theta.as_vector(), rn)).max() < 1e-8
-        hess_inv = estimate._start_inverse_hessian(stats, policy, start)
-        assert np.array_equal(hess_inv, hess_inv.T)
-        assert hess_inv[rn, rn] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(np.delete(hess_inv[rn], rn)).max() < 1e-12
-        assert np.all(np.linalg.eigvalsh(hess_inv) > 0)
-        result = ctnpl(stats, config, ccp_star, max_stages=1)
-        assert result.theta_hat.rn == pytest.approx(1.0, abs=1e-12)
+        for data in (sample_discrete(theta, ccp_star, config, 500, periods=1, seed=57),
+                     simulate_continuous(theta, ccp_star, config, 100, seed=57,
+                                         events_per_market=5)):
+            stats = sufficient_statistics(data, config)
+            hess_inv = estimate._start_inverse_hessian(stats, policy, start)
+            assert np.array_equal(hess_inv, hess_inv.T)
+            assert hess_inv[rn, rn] == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(np.delete(hess_inv[rn], rn)).max() < 1e-12
+            assert np.all(np.linalg.eigvalsh(hess_inv) > 0)
+            result = ctnpl(stats, config, ccp_star, max_stages=1)
+            assert result.theta_hat.rn == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInitCcp:

@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctgames import GameConfig, Theta, nature_generator
+from ctgames import GameConfig, InvalidArgumentError, Theta, nature_generator
 from ctgames.equilibrium import solve_mpe, uniform_ccp
-from ctgames.likelihood import SpellStats, loglik_discrete, transition_counts
+from ctgames.likelihood import (
+    SpellStats,
+    loglik_discrete,
+    sufficient_statistics,
+    transition_counts,
+)
 from ctgames.simulate import NATURE, EventLog, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
+from oracles import spell_stats_by_spell_rows
 
 
 def make_log(markets, horizon, final_state, events=()):
@@ -238,3 +246,75 @@ class TestSpellStats:
         counts, n_markets = transition_counts(panel, config.n_states)
         assert counts.sum() == 50  # 2 transitions per market
         assert n_markets == 25
+
+    def test_log_without_observation_time_is_rejected(self, two_firm_game):
+        # every market is censored at t = 0: no spell has any length, so the
+        # data say nothing about any hazard
+        config, _ = two_firm_game
+        log = make_log(markets=[0, 1], horizon=[0.0, 0.0], final_state=[0, 3])
+        with pytest.raises(InvalidArgumentError, match="no observation time"):
+            sufficient_statistics(log, config)
+
+
+# K = 8: two firms, two demand levels
+SPELL_CONFIG = GameConfig(n_players=2, market_levels=2, lam=1.0, rho=0.05,
+                          q_up=0.3, q_down=0.3)
+K_SPELL = SPELL_CONFIG.n_states
+# an event: (gap since the previous event, actor, pre-state, nature's destination)
+_event = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                   st.integers(NATURE, SPELL_CONFIG.n_players - 1),
+                   st.integers(0, K_SPELL - 1), st.integers(0, K_SPELL - 1))
+# a market: its events, the censored tail after the last one, its final state
+_market = st.tuples(st.lists(_event, max_size=5),
+                    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                    st.integers(0, K_SPELL - 1))
+
+
+def build_log(markets):
+    """`EventLog` of markets drawn by ``_market``, market m with id ``3 m``."""
+    rows, horizon, final_state = [], [], []
+    for m, (events, tail, final) in enumerate(markets):
+        t = 0.0
+        for n, (gap, actor, pre, destination) in enumerate(events, start=1):
+            t += gap
+            rows.append((3 * m, n, pre, t, actor, destination if actor == NATURE else 1))
+        horizon.append(t + tail)
+        final_state.append(final)
+    return make_log(markets=3 * np.arange(len(markets)), horizon=horizon,
+                    final_state=final_state, events=rows)
+
+
+class TestOnePassReduction:
+    @given(markets=st.lists(_market, max_size=6))
+    @settings(max_examples=100)
+    def test_matches_spell_rows(self, markets):
+        log = build_log(markets)
+        stats = SpellStats.from_events(log, SPELL_CONFIG)
+        oracle = spell_stats_by_spell_rows(log, SPELL_CONFIG)
+        assert np.array_equal(stats.moves, oracle.moves)
+        assert np.array_equal(stats.nature_moves, oracle.nature_moves)
+        # the same spell lengths, summed in another order
+        assert np.all(np.abs(stats.exposure - oracle.exposure) <= 1e-12 * oracle.exposure)
+        assert stats.n_markets == oracle.n_markets
+
+    @given(markets=st.lists(_market, min_size=1, max_size=4).filter(
+               lambda ms: any(events for events, _, _ in ms)),
+           field=st.sampled_from(["pre_state", "final_state", "actor", "destination",
+                                  "player_action"]),
+           value=st.sampled_from([-7, -2, K_SPELL, 99]))
+    @settings(max_examples=50)
+    def test_out_of_range_raises_as_before(self, markets, field, value):
+        log = build_log(markets)
+        if field in ("pre_state", "final_state"):
+            getattr(log, field)[0] = value
+        elif field == "actor":
+            log.actor[0] = value
+        elif field == "destination":
+            log.actor[0], log.action[0] = NATURE, value
+        else:
+            log.actor[0], log.action[0] = 0, value
+        with pytest.raises(InvalidArgumentError) as oracle:
+            spell_stats_by_spell_rows(log, SPELL_CONFIG)
+        with pytest.raises(InvalidArgumentError) as raised:
+            SpellStats.from_events(log, SPELL_CONFIG)
+        assert str(raised.value) == str(oracle.value)
