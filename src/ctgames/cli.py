@@ -100,13 +100,10 @@ def build_spec(args):
         overrides["n_markets"] = args.markets
     if args.replications is not None:
         overrides["replications"] = args.replications
-    estimators = None
     if args.estimators:
-        estimators = tuple(name.strip() for name in args.estimators.split(","))
+        overrides["estimators"] = tuple(name.strip() for name in args.estimators.split(","))
     elif "estimators" in raw:
-        estimators = tuple(raw["estimators"])
-    if estimators is not None:
-        overrides["estimators"] = estimators
+        overrides["estimators"] = tuple(raw["estimators"])
 
     experiment = args.experiment if args.experiment is not None else raw.get("experiment")
     if "game" in raw and "theta" in raw:
@@ -258,9 +255,11 @@ def cmd_diagnose(args):
     out = _outdir(args)
     try:
         grid = [float(x) for x in args.rn_grid.split(",")]
+        if not np.isfinite(grid).all():
+            raise ValueError
     except ValueError:
         raise InvalidArgumentError(
-            f"--rn-grid must be a comma list of numbers, got {args.rn_grid!r}") from None
+            f"--rn-grid must be a comma list of finite numbers, got {args.rn_grid!r}") from None
     rows = stability_sweep(spec.config, spec.theta_true, grid)
     fields = ["rn", "rho", "rho_br", "avg_active", "iterations", "error"]
     write_csv(out / "stability_sweep.csv", rows, fields)

@@ -17,20 +17,21 @@ exactly, ``A_full E = E A_free`` (see `StabilityObjects`).
 
 The (NK, NK) probability Jacobian has rank at most NK/2: toggling a firm is
 an involution, so its rows come in pairs proportional to one row, and it
-factors as C = L R with L of shape (NK, NK/2), and the projector as
-A = I - J_theta O.  No (NK, NK) array is formed: by Sylvester's identity LR
-and RL (and A L R and R A L) share their nonzero eigenvalues, so both
-radii come from (NK/2, NK/2) matrices.  `spectral_radius` takes only their
-largest-magnitude eigenvalue, by implicitly restarted Arnoldi (ARPACK) from
-a fixed start vector; the dense LAPACK spectrum remains for dimension two
-or less and where ARPACK fails.  The dense (NK, NK) spectra and central
-differences (`best_response_jacobian`) are the tests' oracles.
+factors as C = L R, L a sparse (NK, NK/2) array of two entries per column,
+and the projector as A = I - J_theta O.  No (NK, NK) array is formed: LR and
+RL (and A L R and R A L) share their nonzero eigenvalues, so the radii are
+those of R L and its rank-P update R L - (R J_theta)(O L).  `spectral_radius`
+takes only the largest-magnitude eigenvalue, by implicitly restarted Arnoldi
+(ARPACK) from a fixed start vector; the dense LAPACK spectrum remains for
+dimension two or less and where ARPACK fails.  The dense (NK, NK) spectra
+and central differences (`best_response_jacobian`) are the tests' oracles.
 """
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackError, eigs
 
 from . import game, markov
@@ -99,14 +100,14 @@ class StabilityObjects(NamedTuple):
       parameter directions of the best-response map.  The full-coordinate
       projector satisfies ``A_full E = E A_free``, so the action rows of
       the full projected map are ``A_free J_sigma``.
-    - ``left_factor``, ``right_factor``: the (NK, NK/2) and (NK/2, NK)
-      factors L and R of the probability Jacobian C = L R (see
-      `equilibrium.LinearizedPolicy.jacobian_factors`).
+    - ``left_factor``, ``right_factor``: the sparse (NK, NK/2) `csc_array` L,
+      two entries per column, and the dense (NK/2, NK) R of the probability
+      Jacobian C = L R (see `equilibrium.LinearizedPolicy.jacobian_factors`).
     """
 
     theta_jacobian: np.ndarray
     oblique: np.ndarray
-    left_factor: np.ndarray
+    left_factor: csc_array
     right_factor: np.ndarray
 
     @property
@@ -205,22 +206,23 @@ def stability_report(theta, ccp, config):
     """Compute both spectral radii at ``(theta, ccp)``.
 
     With the probability Jacobian C = L R (`StabilityObjects`), C and R L
-    share their nonzero eigenvalues, and so do A C and R (A L) (Sylvester's
-    identity), so both radii come from (NK/2, NK/2) matrices:
-    ``rho_best_response`` from R L and ``rho_npl_update`` from R (A L), with
-    ``A L = L - J_theta (O L)``.  ``norm_bound`` = ||A||_F ||C||_F from the
-    factors: ||A||_F^2 = NK - 2 tr(O J_theta) + ||T O||_F^2, with T the QR
-    factor of J_theta (T'T = J_theta'J_theta without squaring its scales),
-    and ||C||_F^2 = sum_j ||L e_j||^2 ||e_j' R||^2 as L's columns have
-    disjoint supports.
+    share their nonzero eigenvalues, and so do A C and R A L (Sylvester's
+    identity): ``rho_best_response`` is the radius of R L, formed once, and
+    ``rho_npl_update`` that of its rank-P update R L - (R J_theta)(O L).
+    ``norm_bound`` = ||A||_F ||C||_F from the factors: ||A||_F^2 = NK - 2
+    tr(O J_theta) + ||T O||_F^2, with T the QR factor of J_theta (T'T =
+    J_theta'J_theta without squaring its scales), and ||C||_F^2 = sum_j
+    ||L e_j||^2 ||e_j' R||^2 over L's stored entries (its columns have
+    disjoint supports).
     """
     theta_jac, oblique, left, right = stability_objects(theta, ccp, config)
-    rho_br = spectral_radius(right @ left)
-    rho_npl = spectral_radius(right @ (left - theta_jac @ (oblique @ left)))
+    right_left = right @ left
+    rho_br = spectral_radius(right_left)
+    rho_npl = spectral_radius(right_left - (right @ theta_jac) @ (oblique @ left))
     dim = left.shape[0]
     annihilator_sq = (dim - 2 * np.trace(oblique @ theta_jac)
                       + np.square(np.linalg.qr(theta_jac, mode="r") @ oblique).sum())
-    jacobian_sq = np.square(left).sum(axis=0) @ np.square(right).sum(axis=1)
+    jacobian_sq = np.square(left.data).reshape(-1, 2).sum(axis=1) @ np.square(right).sum(axis=1)
     bound = float(np.sqrt(annihilator_sq * jacobian_sq))
     if rho_npl > bound * (1 + 1e-8) + 1e-12:
         raise NumericalError(

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_array
 
 from . import game
 from .errors import ConvergenceError, InvalidArgumentError
@@ -226,8 +227,8 @@ class LinearizedPolicy:
         come in pairs proportional to one row.  Row ``i*K/2 + j`` of the
         (NK/2, NK) ``right`` is that row, unscaled, for the j-th state ``h``
         where firm i is inactive; column ``i*K/2 + j`` of the (NK, NK/2)
-        ``left`` holds ``s_ih`` at row ``i*K + h``, ``-s_i,l_i(h)`` at row
-        ``i*K + l_i(h)`` and zeros elsewhere (also where the slope is zero).
+        `scipy.sparse.csc_array` ``left`` stores two entries: ``s_ih`` at row
+        ``i*K + h`` and ``-s_i,l_i(h)`` at row ``i*K + l_i(h)``, zero or not.
         """
         config = self.config
         n, k_total = config.n_players, config.n_states
@@ -244,20 +245,18 @@ class LinearizedPolicy:
         coef[players, players] += psi[:, 1] - psi[:, 0] - logs[:, 1] + logs[:, 0]
         coef *= config.lam
 
-        half = k_total // 2
-        idle = np.nonzero(tables.activity.T == 0)[1].reshape(n, half)  # [i, j]: h
-        entered = tables.toggle[players[:, None], idle]                 # [i, j]: l_i(h)
+        idle = np.nonzero(tables.activity.T == 0)[1].reshape(n, -1)  # [i, j]: h
+        entered = tables.toggle[players[:, None], idle]               # [i, j]: l_i(h)
         inverse = lu_solve(self.factor, np.eye(k_total))
         gap = inverse[entered] - inverse[idle]  # [i, j, k]: X[l_i(h), k] - X[h, k]
         right = gap[:, :, None, :] * coef[:, None]
 
-        left = np.zeros((n, k_total, n, half))
-        columns = np.arange(half)
-        left[players[:, None], idle, players[:, None], columns] = slope[players[:, None], idle]
-        left[players[:, None], entered, players[:, None], columns] = -slope[players[:, None], entered]
         rows = n * k_total
-        return (br, left.reshape(rows, rows // 2), right.reshape(rows // 2, rows),
-                self.theta_jacobian(br).reshape(rows, -1))
+        at = np.stack([idle, entered], axis=-1)  # [i, j]: states h, l_i(h) of column i*K/2 + j
+        firm = players[:, None, None]
+        left = csc_array(((slope[firm, at] * [1, -1]).ravel(), (firm * k_total + at).ravel(),
+                          np.arange(0, rows + 1, 2)), shape=(rows, rows // 2))
+        return (br, left, right.reshape(rows // 2, rows), self.theta_jacobian(br).reshape(rows, -1))
 
 
 class MpeResult(NamedTuple):

@@ -343,6 +343,9 @@ class TestExitCodes:
         ("solve", "--config", "{tmp}/not_json.json"),
         ("diagnose", "--rn-grid", "a,b"),
         ("diagnose", "--rn-grid", ""),
+        ("diagnose", "--rn-grid=nan,1"),
+        ("diagnose", "--rn-grid=inf,1"),
+        ("diagnose", "--rn-grid=-inf,1"),
         ("counterfactual", "--draws", "0"),
         ("counterfactual", "--draws", "1"),
         ("counterfactual", "--draws", "-5"),
@@ -350,6 +353,7 @@ class TestExitCodes:
         ("simulate", "--seed", "-1"),
         ("solve", "--config", "{tmp}/forty_firms.json"),
     ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
+            "rn_grid_nan", "rn_grid_inf", "rn_grid_minus_inf",
             "draws_zero", "draws_one", "draws_negative", "mc_one_replication",
             "seed_negative", "state_space_too_large"])
     def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):

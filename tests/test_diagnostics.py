@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from ctgames import GameConfig, InvalidArgumentError, NumericalError, Theta, diagnostics
@@ -171,14 +172,21 @@ class TestExactJacobians:
     @given(game=games)
     @settings(max_examples=25)
     def test_factors_reproduce_finite_difference_oracle(self, game):
-        # L has one column per (firm, inactive state), holding that row's
-        # slope and minus its toggle's; L @ R is the sigma-Jacobian
+        # sparse L has one column per (firm i, state h where i is inactive),
+        # storing that row's slope and minus its toggle's, at rows i*K + h and
+        # i*K + l_i(h); L @ R is the sigma-Jacobian
         config, theta, ccp = game
-        rows = config.n_players * config.n_states
+        n, k_total = config.n_players, config.n_states
+        rows = n * k_total
         br, left, right, _ = LinearizedPolicy(ccp, config).jacobian_factors(theta)
+        assert isinstance(left, csc_array)
         assert left.shape == (rows, rows // 2) and right.shape == (rows // 2, rows)
-        assert np.count_nonzero(left, axis=0).max() <= 2
-        assert not np.any(left[(br.min(axis=1) <= CCP_FLOOR).reshape(-1)])
+        assert np.all(np.diff(left.indptr) == 2)
+        # firm i is active in state k when bit i of k is set; toggling flips it
+        expected = [[i * k_total + h, i * k_total + (h ^ (1 << i))]
+                    for i in range(n) for h in range(k_total) if not h >> i & 1]
+        assert np.sort(left.indices.reshape(-1, 2), axis=1).tolist() == expected
+        assert not np.any(left.toarray()[(br.min(axis=1) <= CCP_FLOOR).reshape(-1)])
         oracle = best_response_jacobian(theta, ccp, config, wrt="sigma")
         scale = max(np.abs(oracle).max(), 1e-3)
         assert np.abs(left @ right - oracle).max() <= 1e-6 * scale
@@ -326,10 +334,11 @@ class TestStabilityReport:
                  * np.linalg.norm(objects.left_factor @ objects.right_factor, "fro"))
         assert stability_report(theta, ccp, config).norm_bound == pytest.approx(dense, rel=1e-10)
 
-    def test_peak_memory_below_three_dense_arrays(self):
-        # N = 4 firms and 5 demand levels: NK = 320.  L and R hold NK^2
-        # entries between them and the peak is about two NK x NK arrays;
-        # one more (weight, identity, projector or L @ R) crosses the bound.
+    def test_peak_memory_below_one_and_a_half_dense_arrays(self):
+        # N = 4 firms and 5 demand levels: NK = 320.  R holds half an NK x NK
+        # array, R L a quarter, and the product with the sparse L copies R
+        # once: the peak is about 1.42 arrays.  A dense L (another half) or a
+        # dense A L crosses the bound.
         config = GameConfig(n_players=4, market_levels=5, lam=1.0, rho=0.05,
                             q_up=0.2, q_down=0.2)
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6), rs=1.0, rn=1.0, ec=1.0)
@@ -342,12 +351,12 @@ class TestStabilityReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * dim * dim * 8
+        assert peak < 1.5 * dim * dim * 8
 
 
 def radius_matrices(theta, ccp, config):
-    """The (NK/2, NK/2) products R L and R (A L) whose radii `stability_report`
-    takes."""
+    """The (NK/2, NK/2) matrices whose radii `stability_report` takes: R L, and
+    R (A L) through the dense A L rather than the report's rank-P update."""
     theta_jac, oblique, left, right = stability_objects(theta, ccp, config)
     return right @ left, right @ (left - theta_jac @ (oblique @ left))
 
