@@ -1,11 +1,13 @@
 """Command-line front end wiring configuration files to experiments.
 
 Subcommands: solve | simulate | estimate | mc | diagnose | counterfactual.
-Every command is deterministic given its spec and seed: re-running writes
-byte-identical artifacts.  Exit codes: 0 on success, 2 on invalid
-configuration (including a game whose state chain is not irreducible), 3
-on any other package error (numeric failure); stderr carries one JSON
-diagnostic line on error.
+Every command takes ``--config --experiment --scale --out`` and only the
+other flags it reads (see `make_parser`); a flag its command does not read
+is an argument error.  Every command is deterministic given its spec and
+seed: re-running writes byte-identical artifacts.  Exit codes: 0 on
+success, 2 on invalid arguments or configuration (including a game whose
+state chain is not irreducible), 3 on any other package error (numeric
+failure); stderr carries one JSON diagnostic line on error.
 """
 
 import argparse
@@ -129,9 +131,7 @@ def _outdir(args):
     return out
 
 
-def cmd_solve(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_solve(spec, out, args):
     mpe, pi = solve_spec(spec)
     values = value_function(spec.theta_true, mpe.ccp, spec.config)
 
@@ -159,9 +159,7 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_simulate(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_simulate(spec, out, args):
     mpe, _ = solve_spec(spec)
     data = simulate_dataset(spec, mpe.ccp, spec.seed)
     if spec.sampling == "continuous":
@@ -185,9 +183,7 @@ def _parameter_columns(config):
             + ["theta_rs", "theta_rn", "theta_ec"])
 
 
-def cmd_estimate(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_estimate(spec, out, args):
     data = sufficient_statistics(_load_data(args.data, spec.sampling), spec.config)
     if args.init == "true":
         mpe, _ = solve_spec(spec)
@@ -211,9 +207,7 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def cmd_mc(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_mc(spec, out, args):
     mc = run_monte_carlo(spec, verbose=args.verbose)
 
     names = _parameter_columns(spec.config)
@@ -250,9 +244,7 @@ def cmd_mc(args):
     return EXIT_OK
 
 
-def cmd_diagnose(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_diagnose(spec, out, args):
     try:
         grid = [float(x) for x in args.rn_grid.split(",")]
         if not np.isfinite(grid).all():
@@ -273,9 +265,7 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def cmd_counterfactual(args):
-    spec = build_spec(args)
-    out = _outdir(args)
+def cmd_counterfactual(spec, out, args):
     result = counterfactual(spec, fc_shift=args.fc_shift, n_draws=args.draws,
                             seed=spec.seed, shift_entry_cost=args.entry_cost)
     fields = ["experiment", "fc_shift", "before_mean", "before_sd",
@@ -290,65 +280,69 @@ def cmd_counterfactual(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `InvalidArgumentError` on an argument error, so that `main`
+    prints it as one JSON line instead of the usage text."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctgames",
         description="Solve, simulate, and estimate continuous-time entry/exit games.")
+    # `build_spec` reads a flag its command does not take as unset
+    parser.set_defaults(sampling=None, seed=None, markets=None, replications=None,
+                        estimators=None)
+    flags = {
+        "--config": dict(help="JSON experiment file (see shipped schema)"),
+        "--experiment": dict(type=int, choices=range(1, 7), help="benchmark experiment preset"),
+        "--scale": dict(choices=["paper", "desk"]),
+        "--out": dict(default="out", help="output directory"),
+        "--sampling": dict(choices=["continuous", "discrete"]),
+        "--seed": dict(type=int),
+        "--markets": dict(type=int, help="override market count"),
+        "--replications": dict(type=int),
+        "--estimators": dict(help=f"comma list from {', '.join(ESTIMATOR_NAMES)}"),
+        "--data": dict(required=True, help="events.csv or panel.csv"),
+        "--init": dict(default="frequency", choices=["frequency", "logit", "random", "true"]),
+        "--stages": dict(type=int, help="outer stages (1 = two-step)"),
+        "--verbose": dict(action="store_true"),
+        "--rn-grid": dict(default="0,1,2,3,4,5"),
+        "--fc-shift": dict(type=float, default=-0.2),
+        "--draws": dict(type=int, default=50000),
+        "--entry-cost": dict(action="store_true",
+                             help="shift the entry cost instead of fixed costs"),
+    }
+    # each command's own flags, after --config --experiment --scale --out
+    commands = [
+        ("solve", cmd_solve, "compute the equilibrium and steady state", ""),
+        ("simulate", cmd_simulate, "simulate one dataset from the equilibrium",
+         "--sampling --seed --markets"),
+        ("estimate", cmd_estimate, "estimate parameters from a dataset file",
+         "--sampling --seed --data --init --stages"),
+        ("mc", cmd_mc, "Monte Carlo estimator comparison",
+         "--sampling --seed --markets --replications --estimators --verbose"),
+        ("diagnose", cmd_diagnose, "stability sweep over the competition effect",
+         "--rn-grid"),
+        ("counterfactual", cmd_counterfactual, "cost-subsidy steady-state comparison",
+         "--seed --fc-shift --draws --entry-cost"),
+    ]
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON experiment file (see shipped schema)")
-        p.add_argument("--experiment", type=int, choices=range(1, 7),
-                       help="benchmark experiment preset")
-        p.add_argument("--scale", choices=["paper", "desk"])
-        p.add_argument("--sampling", choices=["continuous", "discrete"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--markets", type=int, help="override market count")
-        p.add_argument("--replications", type=int)
-        p.add_argument("--estimators",
-                       help=f"comma list from {', '.join(ESTIMATOR_NAMES)}")
-        p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("solve", help="compute the equilibrium and steady state")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("simulate", help="simulate one dataset from the equilibrium")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("estimate", help="estimate parameters from a dataset file")
-    common(p)
-    p.add_argument("--data", required=True, help="events.csv or panel.csv")
-    p.add_argument("--init", default="frequency",
-                   choices=["frequency", "logit", "random", "true"])
-    p.add_argument("--stages", type=int, help="outer stages (1 = two-step)")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("mc", help="Monte Carlo estimator comparison")
-    common(p)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("diagnose", help="stability sweep over the competition effect")
-    common(p)
-    p.add_argument("--rn-grid", default="0,1,2,3,4,5")
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("counterfactual", help="cost-subsidy steady-state comparison")
-    common(p)
-    p.add_argument("--fc-shift", type=float, default=-0.2)
-    p.add_argument("--draws", type=int, default=50000)
-    p.add_argument("--entry-cost", action="store_true",
-                   help="shift the entry cost instead of fixed costs")
-    p.set_defaults(func=cmd_counterfactual)
+    for name, func, help_text, own in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in ["--config", "--experiment", "--scale", "--out", *own.split()]:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = make_parser().parse_args(argv)
+        spec = build_spec(args)
+        return args.func(spec, _outdir(args), args)
     except CTGamesError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)

@@ -27,12 +27,7 @@ class ConvergenceError(CTGamesError):
 
 
 class OptimizationError(CTGamesError):
-    """An inner optimizer failed; carries the best point visited."""
-
-    def __init__(self, message, best_point=None, gradient_norm=None):
-        super().__init__(message)
-        self.best_point = best_point
-        self.gradient_norm = gradient_norm
+    """An inner optimizer failed."""
 
 
 class NumericalError(CTGamesError):

@@ -69,10 +69,6 @@ def central_difference_gradient(fun, x, rel_step=1e-6):
     return grad
 
 
-class _EvalBudgetExceeded(Exception):
-    pass
-
-
 def _loglik_and_gradient(stats, policy, vec, counters=None):
     """Log likelihood of the statistic ``stats`` at ``policy.ccp(vec)`` and its
     exact gradient in theta.
@@ -125,35 +121,25 @@ def _maximize(stats, policy, x0, hess_inv0, counters=None):
     ``hess_inv0``; returns (theta vector, loglik, final inverse Hessian).
 
     ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
-    the snapshot likelihood's ``clamped_logs``.
+    the snapshot likelihood's ``clamped_logs`` at the returned theta.
     """
-    config = policy.config
-    counters = {} if counters is None else counters
-    counters.setdefault("clamped_logs", 0)
-
-    state = {"evals": 0, "best_x": x0, "best_f": -np.inf}
+    evaluated = []  # (theta bytes, clamped logs) per likelihood evaluation
 
     def objective(x):
-        state["evals"] += 1
-        if state["evals"] > MAX_EVALS:
-            raise _EvalBudgetExceeded
-        value, grad = _loglik_and_gradient(stats, policy, x, counters=counters)
-        if value > state["best_f"]:
-            state["best_f"], state["best_x"] = value, x.copy()
+        if len(evaluated) >= MAX_EVALS:
+            raise OptimizationError(
+                f"pseudo-likelihood maximization exceeded {MAX_EVALS} evaluations")
+        counts = {}
+        value, grad = _loglik_and_gradient(stats, policy, x, counters=counts)
+        evaluated.append((x.tobytes(), counts.get("clamped_logs", 0)))
         return -value, -grad
 
-    try:
-        result = minimize(objective, x0, jac=True, method="BFGS",
-                          options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
-                                   "hess_inv0": hess_inv0})
-    except _EvalBudgetExceeded:
-        grad_norm = float(np.abs(_loglik_and_gradient(stats, policy, state["best_x"])[1]).max())
-        raise OptimizationError(
-            f"pseudo-likelihood maximization exceeded {MAX_EVALS} evaluations "
-            f"(gradient sup-norm {grad_norm:g})",
-            best_point=Theta.from_vector(state["best_x"], config.n_players),
-            gradient_norm=grad_norm) from None
-    counters.update(nit=int(result.nit), nfev=int(result.nfev), njev=int(result.njev))
+    result = minimize(objective, x0, jac=True, method="BFGS",
+                      options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
+                               "hess_inv0": hess_inv0})
+    if counters is not None:
+        counters.update(clamped_logs=dict(evaluated)[result.x.tobytes()], nit=int(result.nit),
+                        nfev=int(result.nfev), njev=int(result.njev))
 
     grad_norm = float(np.abs(result.jac).max())
     # BFGS may stop on line-search precision loss with a near-stationary
@@ -161,9 +147,7 @@ def _maximize(stats, policy, x0, hess_inv0, counters=None):
     if not result.success and grad_norm > 1e-4:
         raise OptimizationError(
             f"pseudo-likelihood maximization did not converge: {result.message} "
-            f"(gradient sup-norm {grad_norm:g})",
-            best_point=Theta.from_vector(state["best_x"], config.n_players),
-            gradient_norm=grad_norm)
+            f"(gradient sup-norm {grad_norm:g})")
     return result.x, float(-result.fun), _symmetric(result.hess_inv)
 
 
@@ -222,9 +206,7 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
         try:
             vec, loglik, hess_inv = _maximize(stats, policy, vec, hess_inv, counters=counts)
         except OptimizationError as err:
-            raise OptimizationError(
-                f"stage {stage}: {err}", best_point=err.best_point,
-                gradient_norm=err.gradient_norm) from err
+            raise OptimizationError(f"stage {stage}: {err}") from err
         if not np.isfinite(loglik):
             raise NumericalError(f"stage {stage}: pseudo log likelihood is {loglik}")
         updated = policy.ccp(vec)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctgames.cli import main
+from ctgames.cli import main, make_parser
 from ctgames.experiments import (
     EXPERIMENT_SETTINGS,
     counterfactual,
@@ -53,7 +54,7 @@ class TestCliSolve:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             code = run_cli("solve", "--experiment", "2", "--scale", "desk",
-                           "--seed", "3", "--out", str(out))
+                           "--out", str(out))
             assert code == 0
         for name in ("ccp.csv", "values.csv", "stationary.csv", "solve_trace.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -352,10 +353,18 @@ class TestExitCodes:
         ("mc", "--replications", "1"),
         ("simulate", "--seed", "-1"),
         ("solve", "--config", "{tmp}/forty_firms.json"),
+        ("simulate", "--seed", "abc"),
+        ("solve", "--experiment", "7"),
+        ("estimate",),
+        (),
+        ("solve", "--config", "{tmp}/theta_only.json"),
+        ("solve", "--config", "{tmp}/game_only.json"),
     ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
             "rn_grid_nan", "rn_grid_inf", "rn_grid_minus_inf",
             "draws_zero", "draws_one", "draws_negative", "mc_one_replication",
-            "seed_negative", "state_space_too_large"])
+            "seed_negative", "state_space_too_large", "seed_not_int",
+            "experiment_out_of_range", "estimate_without_data", "no_subcommand",
+            "config_theta_without_game", "config_game_without_theta"])
     def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
         (tmp_path / "not_json.json").write_text("{experiment: 2,\n")
         # 5 * 2**40 states: rejected by the game before any array is built
@@ -363,10 +372,18 @@ class TestExitCodes:
             "game": {"n_players": 40, "market_levels": 5, "lambda": 1.0, "rho": 0.05,
                      "q_up": 0.2, "q_down": 0.2},
             "theta": {"fc": [-1.5] * 40, "rs": 1.0, "rn": 1.0, "ec": 1.0}}))
+        # a lone theta or game block would otherwise be dropped in silence
+        (tmp_path / "theta_only.json").write_text(json.dumps({
+            "experiment": 1, "scale": "desk",
+            "theta": {"fc": [-1, -1, -1], "rs": 1, "rn": 3, "ec": 2}}))
+        (tmp_path / "game_only.json").write_text(json.dumps({
+            "experiment": 1, "scale": "desk",
+            "game": {"n_players": 3, "market_levels": 3, "lambda": 1.0, "rho": 0.05,
+                     "q_up": 0.2, "q_down": 0.2}}))
         out = tmp_path / "out"
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if "--config" not in argv:
-            argv += ["--experiment", "2", "--scale", "desk", "--markets", "40"]
+            argv += ["--experiment", "2", "--scale", "desk"]
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -377,6 +394,53 @@ class TestExitCodes:
         assert json.loads(lines[0])["error"] == "InvalidArgumentError"
         # rejected before any work: no partial artifacts
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--seed", "1"),
+        ("simulate", "--replications", "2"),
+        ("estimate", "--data", "{tmp}/panel.csv", "--markets", "5"),
+        ("diagnose", "--sampling", "discrete"),
+        ("counterfactual", "--estimators", "CTNPL"),
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_does_not_read_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        capsys.readouterr()
+        code = run_cli(*argv, "--experiment", "2", "--scale", "desk", "--out", str(out))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InvalidArgumentError"
+        assert "unrecognized arguments" in error["message"]
+        assert not out.exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("diagnose", "-h")
+        assert exit_info.value.code == 0
+        assert "--rn-grid" in capsys.readouterr().out
+
+
+class TestCliFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        shared = {"--config", "--experiment", "--scale", "--out"}
+        expected = {
+            "solve": shared,
+            "simulate": shared | {"--sampling", "--seed", "--markets"},
+            "estimate": shared | {"--sampling", "--seed", "--data", "--init", "--stages"},
+            "mc": shared | {"--sampling", "--seed", "--markets", "--replications",
+                            "--estimators", "--verbose"},
+            "diagnose": shared | {"--rn-grid"},
+            "counterfactual": shared | {"--seed", "--fc-shift", "--draws", "--entry-cost"},
+        }
+        sub = next(action for action in make_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {name: {option for action in parser._actions
+                        for option in action.option_strings} - {"-h", "--help"}
+                 for name, parser in sub.choices.items()}
+        assert flags == expected
+        assert sum(map(len, flags.values())) == 43
 
 
 EVENTS_HEADER = "market_id,n,k,t,actor,action\n"

@@ -9,6 +9,7 @@ from ctgames import (
     GameConfig,
     InvalidArgumentError,
     NumericalError,
+    OptimizationError,
     Theta,
     estimate,
     stationary_distribution,
@@ -745,6 +746,42 @@ class TestCtnpl:
         monkeypatch.setattr(estimate_mod, "_maximize", nan_loglik)
         with pytest.raises(NumericalError):
             ctnpl(panel, config, ccp_star)
+
+    def test_clamped_logs_count_the_transitions_at_each_stage_estimate(self, desk_game):
+        # over delta = 1e-60 a transition of five jumps has probability below
+        # LOG_FLOOR; it is observed once, so every stage clamps one log
+        _, _, ccp_star = desk_game
+        config = desk_config(delta=1e-60)
+        p = transition_matrix(aggregate_generator(ccp_star, config), config.delta)
+        counts = np.where(p > 1e-100, 3.0, 0.0)  # no jump or one jump
+        counts[0, config.n_states - 1] = 1.0
+        assert p[0, config.n_states - 1] < LOG_FLOOR
+        result = ctnpl(TransitionCounts(counts, 10, config), config, ccp_star)
+        assert [t["clamped_logs"] for t in result.trace] == [1] * len(result.trace)
+        assert any(t["nfev"] > 1 for t in result.trace)
+
+
+class TestMaximizeFailures:
+    def test_evaluation_budget_names_the_stage(self, mini_game, monkeypatch):
+        config, theta, ccp_star = mini_game
+        panel = sample_discrete(theta, ccp_star, config, 50, periods=1, seed=61)
+        monkeypatch.setattr(estimate, "MAX_EVALS", 1)
+        with pytest.raises(OptimizationError, match=r"^stage 1: .*exceeded 1 evaluations"):
+            ctnpl(panel, config, uniform_ccp(config))
+
+    def test_unconverged_exit_with_large_gradient_raises(self, mini_game, monkeypatch):
+        config, theta, ccp_star = mini_game
+        panel = sample_discrete(theta, ccp_star, config, 50, periods=1, seed=61)
+        original = estimate.minimize
+
+        def one_iteration(*args, options, **kwargs):
+            return original(*args, options={**options, "maxiter": 1}, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize", one_iteration)
+        with pytest.raises(OptimizationError,
+                           match=r"^stage 1: .*did not converge.*gradient sup-norm"):
+            ctnpl(panel, config, uniform_ccp(config), theta_init=Theta(
+                fc=(3.0, 3.0), rs=-2.0, rn=-2.0, ec=4.0))
 
 
 class TestRmseRelative:
