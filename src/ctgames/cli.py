@@ -17,7 +17,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .diagnostics import stability_sweep
@@ -70,11 +69,16 @@ def markdown_table(rows, fieldnames, digits=4):
     return "\n".join(lines) + "\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_spec_file(path):
     """Parse and schema-validate a JSON experiment file."""
+    import jsonschema  # loaded only when a command reads a config file
     try:
         with open(path) as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_reject_constant)
     except OSError as err:
         raise InvalidArgumentError(f"cannot read config file {path}: {err.strerror}") from err
     except ValueError as err:
@@ -123,12 +127,6 @@ def build_spec(args):
             "specify --experiment 1..6 or a config file with game and theta blocks")
     return experiment_spec(experiment, scale=scale, sampling=sampling,
                            seed=seed, **overrides)
-
-
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def cmd_solve(spec, out, args):
@@ -290,7 +288,7 @@ class _Parser(argparse.ArgumentParser):
 
 def make_parser():
     parser = _Parser(
-        prog="ctgames",
+        prog="ctgames", allow_abbrev=False,
         description="Solve, simulate, and estimate continuous-time entry/exit games.")
     # `build_spec` reads a flag its command does not take as unset
     parser.set_defaults(sampling=None, seed=None, markets=None, replications=None,
@@ -331,7 +329,7 @@ def make_parser():
     ]
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, own in commands:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in ["--config", "--experiment", "--scale", "--out", *own.split()]:
             p.add_argument(flag, **flags[flag])
         p.set_defaults(func=func)
@@ -342,7 +340,9 @@ def main(argv=None):
     try:
         args = make_parser().parse_args(argv)
         spec = build_spec(args)
-        return args.func(spec, _outdir(args), args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(spec, out, args)
     except CTGamesError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)

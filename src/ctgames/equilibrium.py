@@ -33,9 +33,9 @@ CCP_FLOOR = 1e-12
 CCP_SUM_TOL = 1e-12
 
 # Stall rule of `solve_mpe`: a run whose residual has not fallen by 10% over its
-# last 50 evaluations restarts at half the step, down to 1/4.  At 0.9 per 50
-# steps, 10000 steps take 0.5 only to 3.5e-10.
-STALL_WINDOW = 50
+# last 10 evaluations restarts at half the step, down to 1/4.  At 0.9 per 10
+# steps, a run the rule keeps takes 0.5 to 1e-10 within 2120 of its 10000 steps.
+STALL_WINDOW = 10
 STALL_RATIO = 0.9
 MIN_STEP = 0.25
 # Anderson mixing of `solve_mpe`: a run mixes its last MIX_DEPTH residual

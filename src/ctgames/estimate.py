@@ -37,7 +37,7 @@ single stage is the two-step pseudo maximum likelihood estimator.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
 
 from . import game
 from .equilibrium import LinearizedPolicy, check_ccp
@@ -134,9 +134,9 @@ def _maximize(stats, policy, x0, hess_inv0, counters=None):
         evaluated.append((x.tobytes(), counts.get("clamped_logs", 0)))
         return -value, -grad
 
-    result = minimize(objective, x0, jac=True, method="BFGS",
-                      options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
-                               "hess_inv0": hess_inv0})
+    result = scipy.optimize.minimize(objective, x0, jac=True, method="BFGS",
+                                     options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
+                                              "hess_inv0": hess_inv0})
     if counters is not None:
         counters.update(clamped_logs=dict(evaluated)[result.x.tobytes()], nit=int(result.nit),
                         nfev=int(result.nfev), njev=int(result.njev))
@@ -384,9 +384,10 @@ def _logit_from_spells(stats):
     with the exact gradient.
     """
     feats = _initializer_features(stats.config)
-    result = minimize(_hazard_logit_objective, np.zeros(feats.shape[2]), jac=True,
-                      args=(feats, stats.moves, stats.config.lam * stats.exposure[None, :]),
-                      method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
+    result = scipy.optimize.minimize(
+        _hazard_logit_objective, np.zeros(feats.shape[2]), jac=True,
+        args=(feats, stats.moves, stats.config.lam * stats.exposure[None, :]),
+        method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
     probs = 1.0 / (1.0 + np.exp(-(feats @ result.x)))
     return _as_ccp(probs, stats.config)
 

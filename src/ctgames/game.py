@@ -75,6 +75,8 @@ class GameConfig:
             raise InvalidArgumentError("nature rates must be nonnegative")
         if not self.delta > 0:
             raise InvalidArgumentError(f"sampling interval must be positive, got {self.delta}")
+        if not all(map(math.isfinite, (self.lam, self.rho, self.q_up, self.q_down, self.delta))):
+            raise InvalidArgumentError("game rates and sampling interval must be finite")
 
     @property
     def n_states(self):

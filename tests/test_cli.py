@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +274,25 @@ class TestConfigFile:
         path.write_text(json.dumps({"experiment": 12}))
         assert run_cli("solve", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("key, value", [("q_up", float("nan")), ("rho", float("inf"))])
+    def test_non_finite_number_is_config_error(self, key, value, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, and the schema's bounds let
+        # them through; the file is rejected before any work
+        game = {"n_players": 2, "market_levels": 2, "lambda": 1.0, "rho": 0.05,
+                "q_up": 0.3, "q_down": 0.3, key: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"game": game, "theta": {
+            "fc": [-1.2, -0.9], "rs": 1.0, "rn": 1.0, "ec": 1.0}}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("solve", "--config", str(path), "--out", str(out)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InvalidArgumentError"
+        assert json.dumps(value) in error["message"]
+        assert not out.exists()
+
     def test_wrong_fc_length_is_config_error(self, tmp_path):
         config = {
             "game": {"n_players": 3, "market_levels": 2, "lambda": 1.0,
@@ -359,12 +382,13 @@ class TestExitCodes:
         (),
         ("solve", "--config", "{tmp}/theta_only.json"),
         ("solve", "--config", "{tmp}/game_only.json"),
+        ("solve", "--exp", "1", "--s", "desk"),
     ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
             "rn_grid_nan", "rn_grid_inf", "rn_grid_minus_inf",
             "draws_zero", "draws_one", "draws_negative", "mc_one_replication",
             "seed_negative", "state_space_too_large", "seed_not_int",
             "experiment_out_of_range", "estimate_without_data", "no_subcommand",
-            "config_theta_without_game", "config_game_without_theta"])
+            "config_theta_without_game", "config_game_without_theta", "abbreviated_flags"])
     def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
         (tmp_path / "not_json.json").write_text("{experiment: 2,\n")
         # 5 * 2**40 states: rejected by the game before any array is built
@@ -441,6 +465,39 @@ class TestCliFlags:
                  for name, parser in sub.choices.items()}
         assert flags == expected
         assert sum(map(len, flags.values())) == 43
+
+
+# Runs desk commands without a config file in one fresh process, then one
+# fit, and prints [command, exit code, optional modules loaded] after each.
+LAZY_IMPORT_PROBE = """
+import json, sys
+import ctgames, ctgames.cli
+
+out, lazy = sys.argv[1], ("scipy.optimize", "jsonschema")
+records = [["import", 0, [name for name in lazy if name in sys.modules]]]
+for argv in (["solve"], ["simulate", "--sampling", "discrete"],
+             ["simulate", "--sampling", "continuous"], ["diagnose", "--rn-grid", "0,5"],
+             ["counterfactual", "--draws", "100"],
+             ["estimate", "--data", out + "/simulate/panel.csv", "--stages", "1"]):
+    code = ctgames.cli.main([*argv, "--experiment", "2", "--scale", "desk",
+                             "--out", out + "/" + argv[0]])
+    records.append([argv[0], code, [name for name in lazy if name in sys.modules]])
+print(json.dumps(records))
+"""
+
+
+class TestLazyImports:
+    def test_optimizer_and_validator_load_only_when_used(self, tmp_path):
+        # a fresh process: this one has loaded both modules already
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE, str(tmp_path)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        *before_fit, fit = json.loads(done.stdout.splitlines()[-1])
+        assert [command for command, _, _ in before_fit] == [
+            "import", "solve", "simulate", "simulate", "diagnose", "counterfactual"]
+        assert all(code == 0 and not loaded for _, code, loaded in before_fit)
+        assert fit == ["estimate", 0, ["scipy.optimize"]]
 
 
 EVENTS_HEADER = "market_id,n,k,t,actor,action\n"

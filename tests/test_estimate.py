@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -772,12 +773,12 @@ class TestMaximizeFailures:
     def test_unconverged_exit_with_large_gradient_raises(self, mini_game, monkeypatch):
         config, theta, ccp_star = mini_game
         panel = sample_discrete(theta, ccp_star, config, 50, periods=1, seed=61)
-        original = estimate.minimize
+        original = scipy.optimize.minimize
 
         def one_iteration(*args, options, **kwargs):
             return original(*args, options={**options, "maxiter": 1}, **kwargs)
 
-        monkeypatch.setattr(estimate, "minimize", one_iteration)
+        monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
         with pytest.raises(OptimizationError,
                            match=r"^stage 1: .*did not converge.*gradient sup-norm"):
             ctnpl(panel, config, uniform_ccp(config), theta_init=Theta(

@@ -184,6 +184,15 @@ class TestNatureGenerator:
                 assert row[target] == pytest.approx(0.3)
 
 
+class TestGameConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.inf), ("rho", math.inf), ("q_up", math.nan), ("q_down", math.inf),
+        ("delta", math.inf)])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            benchmark_config(**{field: value})
+
+
 class TestTheta:
     def test_vector_round_trip(self):
         theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=2.0, ec=4.0)
