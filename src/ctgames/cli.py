@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import stability_sweep
 from .equilibrium import LinearizedPolicy, value_function
 from .errors import CTGamesError, InvalidArgumentError, NotIrreducibleError
-from .estimate import ctnpl, init_ccp
+from .estimate import INIT_METHODS, ctnpl, init_ccp
 from .experiments import (
     ESTIMATOR_NAMES,
     REPORTED_PARAMETER_NAMES,
@@ -92,41 +92,29 @@ def load_spec_file(path):
     return raw
 
 
-def build_spec(args):
-    """Assemble an ExperimentSpec from a config file and/or CLI flags."""
-    raw = load_spec_file(args.config) if args.config else {}
-    scale = args.scale or raw.get("scale", "paper")
-    sampling = args.sampling or raw.get("sampling", "discrete")
-    seed = args.seed if args.seed is not None else raw.get("seed", 20230815)
-    overrides = {}
-    for key in ("n_markets", "replications", "ctnpl_stages", "ctnpl_init"):
-        if key in raw:
-            overrides[key] = raw[key]
-    if args.markets is not None:
-        overrides["n_markets"] = args.markets
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.estimators:
-        overrides["estimators"] = tuple(name.strip() for name in args.estimators.split(","))
-    elif "estimators" in raw:
-        overrides["estimators"] = tuple(raw["estimators"])
+# the `ExperimentSpec` fields a config file or a flag may set
+SPEC_KEYS = ("name", "sampling", "seed", "n_markets", "replications", "estimators",
+             "ctnpl_stages", "ctnpl_init")
 
-    experiment = args.experiment if args.experiment is not None else raw.get("experiment")
-    if "game" in raw and "theta" in raw:
+
+def build_spec(args):
+    """Assemble an ExperimentSpec: a given flag beats the config file, which
+    beats the preset."""
+    raw = load_spec_file(args.config) if args.config else {}
+    merged = {**raw, **{key: value for key, value in vars(args).items() if value is not None}}
+    settings = {key: merged[key] for key in SPEC_KEYS if key in merged}
+    if "game" in raw:  # the schema admits it only with a theta block
         game_raw = dict(raw["game"])
         game_raw["lam"] = game_raw.pop("lambda")
         config = GameConfig(**game_raw)
         theta = Theta(**raw["theta"])
         if len(theta.fc) != config.n_players:
             raise InvalidArgumentError("theta.fc length must equal n_players")
-        return ExperimentSpec(name=raw.get("name", "custom"), theta_true=theta,
-                              config=config, sampling=sampling, seed=seed,
-                              **overrides)
-    if experiment is None:
+        return ExperimentSpec(theta_true=theta, config=config, **{"name": "custom", **settings})
+    if "experiment" not in merged:
         raise InvalidArgumentError(
             "specify --experiment 1..6 or a config file with game and theta blocks")
-    return experiment_spec(experiment, scale=scale, sampling=sampling,
-                           seed=seed, **overrides)
+    return experiment_spec(merged["experiment"], merged.get("scale", "paper"), **settings)
 
 
 def cmd_solve(spec, out, args):
@@ -183,16 +171,13 @@ def _parameter_columns(config):
 
 def cmd_estimate(spec, out, args):
     data = sufficient_statistics(_load_data(args.data, spec.sampling), spec.config)
-    if args.init == "true":
-        mpe, _ = solve_spec(spec)
-        start = init_ccp("true", None, spec.config, ccp_star=mpe.ccp)
-    else:
-        start = init_ccp(args.init, data, spec.config, seed=spec.seed)
-    stages = args.stages if args.stages is not None else spec.ctnpl_stages
-    result = ctnpl(data, spec.config, start, max_stages=stages, tol=spec.ctnpl_tol)
+    ccp_star = solve_spec(spec)[0].ccp if spec.ctnpl_init == "true" else None
+    start = init_ccp(spec.ctnpl_init, data, spec.config, ccp_star=ccp_star, seed=spec.seed)
+    result = ctnpl(data, spec.config, start, max_stages=spec.ctnpl_stages,
+                   tol=spec.ctnpl_tol)
 
     vec = result.theta_hat.as_vector()
-    row = {"experiment": spec.name, "init": args.init, "stages": result.iterations,
+    row = {"experiment": spec.name, "init": spec.ctnpl_init, "stages": result.iterations,
            "converged": result.converged, "loglik": result.loglik}
     names = _parameter_columns(spec.config)
     row.update({name: vec[i] for i, name in enumerate(names)})
@@ -200,7 +185,7 @@ def cmd_estimate(spec, out, args):
               ["experiment", "init", "stages", "converged", "loglik", *names])
     with open(out / "estimate_trace.json", "w") as handle:
         json.dump(result.trace, handle, indent=1)
-    print(f"estimate ({args.init} start): converged={result.converged} "
+    print(f"estimate ({spec.ctnpl_init} start): converged={result.converged} "
           f"after {result.iterations} stages, loglik {result.loglik:.6f}")
     return EXIT_OK
 
@@ -290,9 +275,6 @@ def make_parser():
     parser = _Parser(
         prog="ctgames", allow_abbrev=False,
         description="Solve, simulate, and estimate continuous-time entry/exit games.")
-    # `build_spec` reads a flag its command does not take as unset
-    parser.set_defaults(sampling=None, seed=None, markets=None, replications=None,
-                        estimators=None)
     flags = {
         "--config": dict(help="JSON experiment file (see shipped schema)"),
         "--experiment": dict(type=int, choices=range(1, 7), help="benchmark experiment preset"),
@@ -300,12 +282,13 @@ def make_parser():
         "--out": dict(default="out", help="output directory"),
         "--sampling": dict(choices=["continuous", "discrete"]),
         "--seed": dict(type=int),
-        "--markets": dict(type=int, help="override market count"),
+        "--markets": dict(type=int, dest="n_markets", help="override market count"),
         "--replications": dict(type=int),
-        "--estimators": dict(help=f"comma list from {', '.join(ESTIMATOR_NAMES)}"),
+        "--estimators": dict(type=lambda text: tuple(name.strip() for name in text.split(",")),
+                             help=f"comma list from {', '.join(ESTIMATOR_NAMES)}"),
         "--data": dict(required=True, help="events.csv or panel.csv"),
-        "--init": dict(default="frequency", choices=["frequency", "logit", "random", "true"]),
-        "--stages": dict(type=int, help="outer stages (1 = two-step)"),
+        "--init": dict(dest="ctnpl_init", choices=INIT_METHODS),
+        "--stages": dict(type=int, dest="ctnpl_stages", help="outer stages (1 = two-step)"),
         "--verbose": dict(action="store_true"),
         "--rn-grid": dict(default="0,1,2,3,4,5"),
         "--fc-shift": dict(type=float, default=-0.2),
@@ -342,7 +325,8 @@ def main(argv=None):
         spec = build_spec(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(spec, out, args)
+        with np.errstate(all="ignore"):  # keep NumPy's warnings off stderr: one line per error
+            return args.func(spec, out, args)
     except CTGamesError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)

@@ -22,7 +22,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csc_array
 
 from . import game
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError, NumericalError
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -136,7 +136,10 @@ def value_function(theta, ccp, config):
     ccp = check_ccp(ccp, config)
     design, offset = _value_equation(ccp, config)
     rhs = design @ theta.as_vector() + offset
-    return np.linalg.solve(_policy_system_matrix(ccp, config), rhs.T).T
+    try:
+        return np.linalg.solve(_policy_system_matrix(ccp, config), rhs.T).T
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"value equation rho I - Q is singular: {err}") from None
 
 
 def best_response(theta, values, config):

@@ -45,7 +45,9 @@ from .errors import InvalidArgumentError, NumericalError, OptimizationError
 from .game import Theta
 from .likelihood import SpellStats, TransitionCounts, sufficient_statistics
 
-# Initializer probabilities are clamped into [INIT_FLOOR, 1 - INIT_FLOOR].
+# `init_ccp`'s first-stage methods; its probabilities are clamped into
+# [INIT_FLOOR, 1 - INIT_FLOOR].
+INIT_METHODS = ("frequency", "logit", "random", "true")
 INIT_FLOOR = 1e-6
 # Each inner BFGS maximization stops at this gradient sup-norm, and fails
 # after MAX_EVALS likelihood evaluations.

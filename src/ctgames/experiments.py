@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibrium import aggregate_generator, solve_mpe
 from .errors import CTGamesError, InvalidArgumentError, NumericalError
-from .estimate import ctnpl, init_ccp, rmse_relative
+from .estimate import INIT_METHODS, ctnpl, init_ccp, rmse_relative
 from .game import GameConfig, Theta, state_tables
 from .likelihood import sufficient_statistics
 from .markov import stationary_distribution
@@ -40,6 +40,11 @@ EXPERIMENT_SETTINGS = {
 # first order (the published steady-state table confirms this calibration).
 BENCHMARK_NATURE_RATE = 0.2
 
+# (firms, demand levels, markets, replications) per scale; a scale with
+# fewer than five firms takes the first fixed costs.
+SCALES = {"paper": (5, 5, 400, 100), "desk": (3, 3, 200, 25)}
+BENCHMARK_FC = (-1.9, -1.8, -1.7, -1.6, -1.5)
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -58,11 +63,14 @@ class ExperimentSpec:
     ctnpl_tol: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.sampling not in ("continuous", "discrete"):
             raise InvalidArgumentError(f"unknown sampling scheme: {self.sampling!r}")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise InvalidArgumentError(f"unknown estimators: {sorted(unknown)}")
+        if self.ctnpl_init not in INIT_METHODS:
+            raise InvalidArgumentError(f"unknown CTNPL start: {self.ctnpl_init!r}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.n_markets < 1 or self.replications < 1:
@@ -71,29 +79,21 @@ class ExperimentSpec:
             raise InvalidArgumentError("ctnpl_stages must be between 1 and 100")
 
 
-def experiment_spec(experiment, scale="paper", sampling="discrete",
-                    seed=20230815, **overrides):
-    """Benchmark preset: experiment number 1-6 at paper or desk scale."""
+def experiment_spec(experiment, scale="paper", **overrides):
+    """Benchmark preset: experiment number 1-6 at paper or desk scale;
+    ``overrides`` set any `ExperimentSpec` field but the game and theta."""
     if experiment not in EXPERIMENT_SETTINGS:
         raise InvalidArgumentError(f"experiment must be 1..6, got {experiment}")
-    ec, rn = EXPERIMENT_SETTINGS[experiment]
-    if scale == "paper":
-        config = GameConfig(n_players=5, market_levels=5, lam=1.0, rho=0.05,
-                            q_up=BENCHMARK_NATURE_RATE, q_down=BENCHMARK_NATURE_RATE,
-                            delta=1.0)
-        theta = Theta(fc=(-1.9, -1.8, -1.7, -1.6, -1.5), rs=1.0, rn=rn, ec=ec)
-        defaults = dict(n_markets=400, replications=100)
-    elif scale == "desk":
-        config = GameConfig(n_players=3, market_levels=3, lam=1.0, rho=0.05,
-                            q_up=BENCHMARK_NATURE_RATE, q_down=BENCHMARK_NATURE_RATE,
-                            delta=1.0)
-        theta = Theta(fc=(-1.9, -1.8, -1.7), rs=1.0, rn=rn, ec=ec)
-        defaults = dict(n_markets=200, replications=25)
-    else:
+    if scale not in SCALES:
         raise InvalidArgumentError(f"scale must be 'paper' or 'desk', got {scale!r}")
-    defaults.update(overrides)
-    return ExperimentSpec(name=f"exp{experiment}-{scale}", theta_true=theta,
-                          config=config, sampling=sampling, seed=seed, **defaults)
+    ec, rn = EXPERIMENT_SETTINGS[experiment]
+    firms, levels, markets, replications = SCALES[scale]
+    config = GameConfig(n_players=firms, market_levels=levels, lam=1.0, rho=0.05,
+                        q_up=BENCHMARK_NATURE_RATE, q_down=BENCHMARK_NATURE_RATE, delta=1.0)
+    theta = Theta(fc=BENCHMARK_FC[:firms], rs=1.0, rn=rn, ec=ec)
+    return ExperimentSpec(theta_true=theta, config=config, **{
+        "name": f"exp{experiment}-{scale}", "n_markets": markets,
+        "replications": replications, **overrides})
 
 
 def solve_spec(spec):

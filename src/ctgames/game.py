@@ -28,6 +28,14 @@ from .errors import InvalidArgumentError
 MAX_STATES = 2 ** 13
 
 
+def _as_float(value):
+    """``float(value)``, reading an integer too large for a float as infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Structural constants of the game.
@@ -75,7 +83,8 @@ class GameConfig:
             raise InvalidArgumentError("nature rates must be nonnegative")
         if not self.delta > 0:
             raise InvalidArgumentError(f"sampling interval must be positive, got {self.delta}")
-        if not all(map(math.isfinite, (self.lam, self.rho, self.q_up, self.q_down, self.delta))):
+        rates = (self.lam, self.rho, self.q_up, self.q_down, self.delta)
+        if not all(math.isfinite(_as_float(rate)) for rate in rates):
             raise InvalidArgumentError("game rates and sampling interval must be finite")
 
     @property
@@ -100,9 +109,9 @@ class Theta:
     ec: float
 
     def __post_init__(self):
-        object.__setattr__(self, "fc", tuple(float(f) for f in self.fc))
+        object.__setattr__(self, "fc", tuple(map(_as_float, self.fc)))
         for name in ("rs", "rn", "ec"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
         values = (*self.fc, self.rs, self.rn, self.ec)
         if not all(math.isfinite(v) for v in values):
             raise InvalidArgumentError("payoff parameters must be finite")

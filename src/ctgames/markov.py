@@ -178,7 +178,10 @@ def _transition(q, delta, exponential):
     if p.min() < -NEGATIVE_PROB_TOL:
         raise NumericalError(f"transition matrix entry {p.min():g} below -{NEGATIVE_PROB_TOL:g}")
     np.clip(p, 0.0, None, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    rows = p.sum(axis=1, keepdims=True)
+    if not np.all((0.0 < rows) & (rows < np.inf)):
+        raise NumericalError("transition matrix has a row without a positive finite sum")
+    p /= rows
     return p, frechet
 
 
@@ -247,7 +250,10 @@ def stationary_distribution(q):
     a[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
-    pi = np.linalg.solve(a, rhs)
+    try:
+        pi = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"stationary system is singular: {err}") from None
     if pi.min() < -NEGATIVE_PROB_TOL:
         raise NumericalError(f"stationary distribution entry {pi.min():g} is negative")
     np.clip(pi, 0.0, None, out=pi)

@@ -179,17 +179,6 @@ class EventLog:
         event_rows = np.arange(self.n_events) + np.repeat(markets, np.diff(self.offsets))
         return event_rows, self.offsets[1:] + markets
 
-    def post_state(self, config):
-        """Destination state of every event."""
-        self.check_ranges(config)
-        tables = game.state_tables(config)
-        out = np.empty(self.n_events, dtype=np.int64)
-        nature = self.actor == NATURE
-        out[nature] = self.action[nature]
-        players = ~nature
-        out[players] = tables.toggle[self.actor[players], self.pre_state[players]]
-        return out
-
     def to_csv(self, path):
         """Write one row per event plus a terminal censor row per market.
 

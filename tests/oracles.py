@@ -11,12 +11,14 @@ than the half-rank factors, the snapshot information from
 central-difference scores rather than Frechet derivatives, the event
 information as the central-difference Hessian of the log likelihood rather
 than in closed form, the event-log statistic by placing every spell in a
-row of its own rather than in one pass over the events, CTNPL with every
-BFGS maximization started from the identity rather than from the data's
-information (and by default at all ones rather than at the CCP inversion),
-the equilibrium by plain successive approximation with the stall rule
-rather than with Anderson mixing near the fixed point, and the event-log
-CSV through `csv.writer` rather than one format per block.
+row of its own rather than in one pass over the events, each event's
+destination state from the state encoding rather than the simulator's
+toggle table, CTNPL with every BFGS maximization started from the identity
+rather than from the data's information (and by default at all ones rather
+than at the CCP inversion), the equilibrium by plain successive
+approximation with the stall rule rather than with Anderson mixing near
+the fixed point, and the event-log CSV through `csv.writer` rather than one
+format per block.
 """
 
 import csv
@@ -298,6 +300,15 @@ def spell_stats_by_spell_rows(events, config):
                                (k_total, k_total))
     return SpellStats(exposure=exposure, moves=moves, nature_moves=nature_moves,
                       n_markets=events.n_markets, config=config)
+
+
+def post_state(events, config):
+    """Destination state of every event in an `EventLog`: nature's move
+    names it, a player's move toggles the player's bit (`continuation_state`)."""
+    events.check_ranges(config)
+    return np.array([action if actor == NATURE else continuation_state(actor, 1, k, config)
+                     for k, actor, action in zip(events.pre_state, events.actor, events.action)],
+                    dtype=np.int64)
 
 
 def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -48,9 +49,22 @@ class TestPresets:
         with pytest.raises(InvalidArgumentError):
             experiment_spec(7)
 
+    def test_unknown_ctnpl_start_rejected(self):
+        from ctgames import InvalidArgumentError
+
+        with pytest.raises(InvalidArgumentError, match="bogus"):
+            experiment_spec(2, ctnpl_init="bogus")
+
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def duopoly_config():
+    """A custom-game config file's contents: two firms, two demand levels."""
+    return {"game": {"n_players": 2, "market_levels": 2, "lambda": 1.0, "rho": 0.05,
+                     "q_up": 0.2, "q_down": 0.2, "delta": 1.0},
+            "theta": {"fc": [-1.9, -1.8], "rs": 1.0, "rn": 1.0, "ec": 1.0}}
 
 
 class TestCliSolve:
@@ -269,6 +283,22 @@ class TestConfigFile:
                     if "max |dBR/dccp|" in row)
         assert float(line.rsplit("=", 1)[1]) <= 1e-12
 
+    def test_config_start_method_reaches_estimate_and_a_flag_beats_it(self, tmp_path):
+        code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                       "--markets", "100", "--out", str(tmp_path / "sim"))
+        assert code == 0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"experiment": 2, "scale": "desk",
+                                    "ctnpl_init": "logit", "ctnpl_stages": 1}))
+        for flags, init in (((), "logit"), (("--init", "frequency"), "frequency")):
+            out = tmp_path / init
+            code = run_cli("estimate", "--config", str(path), *flags,
+                           "--data", str(tmp_path / "sim" / "panel.csv"), "--out", str(out))
+            assert code == 0
+            with open(out / "estimate.csv", newline="") as handle:
+                (row,) = csv.DictReader(handle)
+            assert (row["init"], row["stages"]) == (init, "1")
+
     def test_schema_violation_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"experiment": 12}))
@@ -383,12 +413,17 @@ class TestExitCodes:
         ("solve", "--config", "{tmp}/theta_only.json"),
         ("solve", "--config", "{tmp}/game_only.json"),
         ("solve", "--exp", "1", "--s", "desk"),
+        ("mc", "--estimators", ""),
+        ("solve", "--config", "{tmp}/huge_rho.json"),
+        ("solve", "--config", "{tmp}/huge_rn.json"),
     ], ids=["config_missing", "config_not_json", "rn_grid_not_numbers", "rn_grid_empty",
             "rn_grid_nan", "rn_grid_inf", "rn_grid_minus_inf",
             "draws_zero", "draws_one", "draws_negative", "mc_one_replication",
             "seed_negative", "state_space_too_large", "seed_not_int",
             "experiment_out_of_range", "estimate_without_data", "no_subcommand",
-            "config_theta_without_game", "config_game_without_theta", "abbreviated_flags"])
+            "config_theta_without_game", "config_game_without_theta", "abbreviated_flags",
+            "estimators_empty", "config_integer_rho_too_large_for_a_float",
+            "config_integer_rn_too_large_for_a_float"])
     def test_bad_input_exits_two_with_one_json_line(self, argv, tmp_path, capsys):
         (tmp_path / "not_json.json").write_text("{experiment: 2,\n")
         # 5 * 2**40 states: rejected by the game before any array is built
@@ -404,6 +439,11 @@ class TestExitCodes:
             "experiment": 1, "scale": "desk",
             "game": {"n_players": 3, "market_levels": 3, "lambda": 1.0, "rho": 0.05,
                      "q_up": 0.2, "q_down": 0.2}}))
+        # a JSON integer too large for a float
+        for key, block in (("rho", "game"), ("rn", "theta")):
+            spec = duopoly_config()
+            spec[block][key] = 10 ** 400
+            (tmp_path / f"huge_{key}.json").write_text(json.dumps(spec))
         out = tmp_path / "out"
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if "--config" not in argv:
@@ -418,6 +458,28 @@ class TestExitCodes:
         assert json.loads(lines[0])["error"] == "InvalidArgumentError"
         # rejected before any work: no partial artifacts
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "rho", 1e-17),      # rho I - Q singular in the value solve
+        ("solve", "lambda", 1e-300),  # singular stationary system
+        ("simulate", "delta", 1e300),  # NaN transition matrix, after an overflow
+    ])
+    def test_singular_or_non_finite_kernel_exits_three(self, command, key, value,
+                                                        tmp_path, capsys):
+        spec = duopoly_config()
+        spec["game"][key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, "--config", str(path), "--out", str(out))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NumericalError"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--seed", "1"),

@@ -22,7 +22,7 @@ from ctgames.simulate import (
 )
 
 from conftest import DESK_THETA, desk_config
-from oracles import write_event_log_csv
+from oracles import post_state, write_event_log_csv
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestSimulateContinuous:
     def test_times_increase_and_states_chain(self, mini_game):
         config, theta, ccp = mini_game
         log = simulate_continuous(theta, ccp, config, 20, seed=3, events_per_market=5)
-        post = log.post_state(config)
+        post = post_state(log, config)
         for m in range(log.n_markets):
             sel = np.nonzero(log.market_id == m)[0]
             assert np.all(np.diff(log.time[sel]) > 0)
@@ -492,7 +492,7 @@ class TestDataInvariants:
                        actor=np.array([actor]), action=np.array([action]),
                        markets=np.array([0]), horizon=np.array([1.0]),
                        final_state=np.array([0]))
-        for reader in (SpellStats.from_events, to_panel, EventLog.post_state):
+        for reader in (SpellStats.from_events, to_panel, post_state):
             with pytest.raises(InvalidArgumentError):
                 reader(log, SEGMENT_CONFIG)
 
