@@ -31,6 +31,7 @@ from .experiments import (
     experiment_spec,
     mc_rmse_rows,
     mc_summary_rows,
+    parameter_columns,
     run_monte_carlo,
     simulate_dataset,
     solve_spec,
@@ -163,12 +164,6 @@ def _load_data(path, sampling):
     return Panel.from_csv(path)
 
 
-def _parameter_columns(config):
-    """CSV column names of the parameter vector (fc_1..fc_N, rs, rn, ec)."""
-    return ([f"theta_fc{i + 1}" for i in range(config.n_players)]
-            + ["theta_rs", "theta_rn", "theta_ec"])
-
-
 def cmd_estimate(spec, out, args):
     data = sufficient_statistics(_load_data(args.data, spec.sampling), spec.config)
     ccp_star = solve_spec(spec)[0].ccp if spec.ctnpl_init == "true" else None
@@ -179,7 +174,7 @@ def cmd_estimate(spec, out, args):
     vec = result.theta_hat.as_vector()
     row = {"experiment": spec.name, "init": spec.ctnpl_init, "stages": result.iterations,
            "converged": result.converged, "loglik": result.loglik}
-    names = _parameter_columns(spec.config)
+    names = parameter_columns(spec.config)
     row.update({name: vec[i] for i, name in enumerate(names)})
     write_csv(out / "estimate.csv", [row],
               ["experiment", "init", "stages", "converged", "loglik", *names])
@@ -193,7 +188,7 @@ def cmd_estimate(spec, out, args):
 def cmd_mc(spec, out, args):
     mc = run_monte_carlo(spec, verbose=args.verbose)
 
-    names = _parameter_columns(spec.config)
+    names = parameter_columns(spec.config)
     raw_rows = []
     for estimator, arr in mc.estimates.items():
         for rep, vec in zip(mc.replication_ids[estimator], arr):
@@ -201,6 +196,13 @@ def cmd_mc(spec, out, args):
             row.update({name: vec[i] for i, name in enumerate(names)})
             raw_rows.append(row)
     write_csv(out / "mc_raw.csv", raw_rows, ["replication", "estimator", *names])
+    if mc.failures:
+        write_csv(out / "mc_failures.csv",
+                  [{"replication": rep, "estimator": est, "message": msg}
+                   for rep, est, msg in mc.failures],
+                  ["replication", "estimator", "message"])
+        print(f"warning: {len(mc.failures)} replication failures recorded",
+              file=sys.stderr)
 
     summary_rows = mc_summary_rows(mc)
     summary_fields = ["estimator"]
@@ -209,19 +211,12 @@ def cmd_mc(spec, out, args):
     write_csv(out / "mc_means.csv", summary_rows, summary_fields)
     (out / "mc_means.md").write_text(markdown_table(summary_rows, summary_fields))
 
-    if "2S-True" in mc.estimates and len(mc.estimates) > 1:
-        rmse_rows = mc_rmse_rows(mc)
+    rmse_rows = mc_rmse_rows(mc)
+    if rmse_rows:
         rmse_fields = ["estimator", *REPORTED_PARAMETER_NAMES]
         write_csv(out / "mc_rmse.csv", rmse_rows, rmse_fields)
         (out / "mc_rmse.md").write_text(markdown_table(rmse_rows, rmse_fields))
 
-    if mc.failures:
-        write_csv(out / "mc_failures.csv",
-                  [{"replication": rep, "estimator": est, "message": msg}
-                   for rep, est, msg in mc.failures],
-                  ["replication", "estimator", "message"])
-        print(f"warning: {len(mc.failures)} replication failures recorded",
-              file=sys.stderr)
     print(f"monte carlo complete: {spec.replications} replications, "
           f"{len(mc.failures)} failures")
     return EXIT_OK

@@ -38,6 +38,7 @@ from . import game, markov
 from .equilibrium import (LinearizedPolicy, aggregate_generator, best_response_map, check_ccp,
                           solve_mpe)
 from .errors import ConvergenceError, InvalidArgumentError, NumericalError
+from .estimate import central_difference_gradient
 from .game import Theta
 
 DEFAULT_FD_STEP = 1e-6
@@ -49,38 +50,25 @@ def best_response_jacobian(theta, ccp, config, wrt="sigma", fd_step=DEFAULT_FD_S
     With ``wrt='sigma'``: an (NK, NK) matrix of central differences of the
     action probabilities with respect to the free probability coordinates
     (entry (row i*K+k, col m*K+k') is the response of firm i's action
-    probability in state k to firm m's in state k').  With ``wrt='theta'``:
-    an (NK, P) matrix of derivatives in the parameter vector.  Meaningful
-    as a diagnostic near a fixed point, but computable anywhere.
+    probability in state k to firm m's in state k', the stay probability
+    moving oppositely; the step is ``fd_step``).  With ``wrt='theta'``: an
+    (NK, P) matrix of derivatives in the parameter vector.  Meaningful as a
+    diagnostic near a fixed point, but computable anywhere.
     """
     ccp = check_ccp(ccp, config)
-    n, k_total = config.n_players, config.n_states
-    rows = n * k_total
     if wrt == "sigma":
-        jac = np.empty((rows, rows))
-        for m in range(n):
-            for k in range(k_total):
-                up, down = ccp.copy(), ccp.copy()
-                up[m, 1, k] += fd_step
-                up[m, 0, k] -= fd_step
-                down[m, 1, k] -= fd_step
-                down[m, 0, k] += fd_step
-                diff = (best_response_map(theta, up, config)[:, 1, :]
-                        - best_response_map(theta, down, config)[:, 1, :])
-                jac[:, m * k_total + k] = diff.reshape(-1) / (2 * fd_step)
-        return jac
+        def actions(free):
+            sigma = free.reshape(ccp[:, 1].shape)
+            return best_response_map(theta, np.stack([1 - sigma, sigma], axis=1),
+                                     config)[:, 1].reshape(-1)
+
+        return central_difference_gradient(actions, ccp[:, 1].reshape(-1), fd_step)
     if wrt == "theta":
-        vec = theta.as_vector()
-        jac = np.empty((rows, len(vec)))
-        for q in range(len(vec)):
-            h = fd_step * max(1.0, abs(vec[q]))
-            up, down = vec.copy(), vec.copy()
-            up[q] += h
-            down[q] -= h
-            diff = (best_response_map(Theta.from_vector(up, n), ccp, config)[:, 1, :]
-                    - best_response_map(Theta.from_vector(down, n), ccp, config)[:, 1, :])
-            jac[:, q] = diff.reshape(-1) / (2 * h)
-        return jac
+        def actions(vec):
+            theta_at = Theta.from_vector(vec, config.n_players)
+            return best_response_map(theta_at, ccp, config)[:, 1].reshape(-1)
+
+        return central_difference_gradient(actions, theta.as_vector(), fd_step)
     raise InvalidArgumentError(f"wrt must be 'sigma' or 'theta', got {wrt!r}")
 
 

@@ -59,16 +59,18 @@ INFO_RANK_TOL = 1e-10
 
 
 def central_difference_gradient(fun, x, rel_step=1e-6):
-    """Central-difference gradient with per-coordinate relative steps."""
+    """Central differences with per-coordinate relative steps: the gradient
+    of a scalar ``fun``, or the Jacobian of an array-valued one, with one
+    column per coordinate of ``x``."""
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
+    columns = []
     for q in range(len(x)):
         h = rel_step * max(1.0, abs(x[q]))
         up, down = x.copy(), x.copy()
         up[q] += h
         down[q] -= h
-        grad[q] = (fun(up) - fun(down)) / (2 * h)
-    return grad
+        columns.append((np.asarray(fun(up)) - fun(down)) / (2 * h))
+    return np.stack(columns, axis=-1)
 
 
 def _loglik_and_gradient(stats, policy, vec, counters=None):

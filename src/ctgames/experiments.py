@@ -144,15 +144,6 @@ class McResults:
     replication_ids: dict     # name -> list of replication indices kept
     failures: list = field(default_factory=list)  # (replication, name, message)
 
-    def summary(self):
-        """Mean and standard deviation of each estimator's estimates."""
-        out = {}
-        for name, arr in self.estimates.items():
-            arr = np.asarray(arr)
-            out[name] = {"mean": arr.mean(axis=0), "sd": arr.std(axis=0, ddof=1),
-                         "replications": arr.shape[0]}
-        return out
-
 
 def run_monte_carlo(spec, ccp_star=None, verbose=False):
     """Simulate-and-estimate replications under a paired design.
@@ -189,44 +180,49 @@ def run_monte_carlo(spec, ccp_star=None, verbose=False):
                      failures=failures)
 
 
-def reported_parameter_indices(config):
-    """Column indices of the headline parameters (fc_1, rs, ec, rn)."""
-    n = config.n_players
-    return [0, n, n + 2, n + 1]
+def parameter_columns(config):
+    """CSV column names of the parameter vector (fc_1..fc_N, rs, rn, ec)."""
+    return ([f"theta_fc{i + 1}" for i in range(config.n_players)]
+            + ["theta_rs", "theta_rn", "theta_ec"])
 
 
 REPORTED_PARAMETER_NAMES = ("theta_fc1", "theta_rs", "theta_ec", "theta_rn")
 
 
+def _headline_rows(mc, vectors):
+    """One row per entry of ``vectors``, {row name: {suffix: (P,) array}}: the
+    name, then each array's headline entries under their names plus its suffix."""
+    at = [parameter_columns(mc.spec.config).index(label) for label in REPORTED_PARAMETER_NAMES]
+    return [{"estimator": name, **{label + suffix: vec[i] for suffix, vec in by_suffix.items()
+                                   for label, i in zip(REPORTED_PARAMETER_NAMES, at)}}
+            for name, by_suffix in vectors.items()]
+
+
+def _reported(mc):
+    """The estimates of the estimators that kept the two replications a
+    standard deviation needs."""
+    return {name: arr for name, arr in mc.estimates.items() if len(arr) >= 2}
+
+
 def mc_summary_rows(mc):
-    """One row per estimator with the headline means and sds."""
-    idx = reported_parameter_indices(mc.spec.config)
-    rows = []
+    """The true values, then one row per reported estimator with the headline
+    means and sds."""
     truth = mc.spec.theta_true.as_vector()
-    rows.append({"estimator": "True values",
-                 **{name: truth[i] for name, i in zip(REPORTED_PARAMETER_NAMES, idx)},
-                 **{name + "_sd": 0.0 for name in REPORTED_PARAMETER_NAMES}})
-    for name, stats in mc.summary().items():
-        row = {"estimator": name}
-        for label, i in zip(REPORTED_PARAMETER_NAMES, idx):
-            row[label] = stats["mean"][i]
-            row[label + "_sd"] = stats["sd"][i]
-        rows.append(row)
-    return rows
+    vectors = {"True values": {"": truth, "_sd": np.zeros_like(truth)}}
+    for name, arr in _reported(mc).items():
+        vectors[name] = {"": arr.mean(axis=0), "_sd": arr.std(axis=0, ddof=1)}
+    return _headline_rows(mc, vectors)
 
 
 def mc_rmse_rows(mc, baseline="2S-True"):
-    """Relative RMSE rows against the baseline estimator."""
-    ratios = rmse_relative(mc.estimates, baseline, mc.spec.theta_true)
-    idx = reported_parameter_indices(mc.spec.config)
-    rows = []
-    for name, ratio in ratios.items():
-        if name == baseline:
-            continue
-        rows.append({"estimator": name,
-                     **{label: ratio[i] for label, i in
-                        zip(REPORTED_PARAMETER_NAMES, idx)}})
-    return rows
+    """Relative RMSE rows of the other reported estimators against the
+    baseline; none when the baseline is not reported."""
+    reported = _reported(mc)
+    if baseline not in reported:
+        return []
+    ratios = rmse_relative(reported, baseline, mc.spec.theta_true)
+    return _headline_rows(mc, {name: {"": ratio} for name, ratio in ratios.items()
+                               if name != baseline})
 
 
 def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,

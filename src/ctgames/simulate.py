@@ -12,16 +12,15 @@ simulator or by a CSV loader (which first checks the file's header row
 against the column names): array lengths agree, every market's rows are
 contiguous (in ``markets`` order for an event log, whose events all belong
 to a listed market), event times are finite, nonnegative and nondecreasing
-within a market and end by its horizon, and panel periods strictly increase
-within a market.  The market boundaries are kept as ``offsets`` (market m
-owns rows ``offsets[m]:offsets[m + 1]``), so every reader runs in time
-linear in rows plus markets.  Indices that depend on the game -- states,
-actors, actions -- are checked by ``check_ranges``, which every reader that
-takes the game configuration calls first.  Any violation raises
-`InvalidArgumentError`.
+within a market and end by its horizon, an event file's ``n`` counts each
+market's rows 1, 2, ..., and panel periods strictly increase within a
+market.  The market boundaries are kept as ``offsets`` (market m owns rows
+``offsets[m]:offsets[m + 1]``), so every reader runs in time linear in rows
+plus markets.  Indices that depend on the game -- states, actors, actions --
+are checked by ``check_ranges``, which every reader that takes the game
+configuration calls first.  Any violation raises `InvalidArgumentError`.
 """
 
-import csv
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, fields
@@ -39,7 +38,7 @@ CENSOR = -2
 # A simulator refuses choice probabilities farther than this from equilibrium.
 EQUILIBRIUM_RESIDUAL_TOL = 1e-6
 
-# Rows converted to Python objects at a time when an event log is written.
+# Rows converted to Python objects at a time when a data file is written.
 CSV_BLOCK_ROWS = 8192
 
 # The columns of the event-log and panel CSV files, in order, and their types.
@@ -92,13 +91,27 @@ def _read_columns(path, columns):
     return [table[name] for name in columns]
 
 
+def _write_columns(path, columns, arrays):
+    """Write the header row of the dict ``columns``, then one row per entry
+    of ``arrays``: the bytes `csv.writer` writes (integers by `str`, rows end
+    in \\r\\n), but floats to 17 significant digits, so they round-trip."""
+    row = (",".join("{:.17g}" if kind == np.float64 else "{}" for kind in columns.values())
+           + "\r\n").format
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(columns) + "\r\n")
+        # in blocks, so the rows' Python objects never all exist at once
+        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
+            block = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
+            handle.write("".join(map(row, *block)))
+
+
 @dataclass
 class EventLog:
     """Continuous-time event records plus per-market censoring information.
 
     Event arrays (one entry per recorded state change):
 
-    - ``market_id``, ``index`` : market and 1-based event counter
+    - ``market_id`` : market
     - ``pre_state`` : state the market was in when the event fired
     - ``time`` : absolute event time
     - ``actor`` : ``NATURE`` (-1) or a player index
@@ -108,11 +121,11 @@ class EventLog:
     Market arrays (one entry per market): ``markets``, ``horizon`` (the
     censoring time), and ``final_state`` (state held at the censoring time).
     Each market's events are contiguous and in ``markets`` order; the derived
-    ``offsets`` (length ``n_markets + 1``) bound them.
+    ``offsets`` (length ``n_markets + 1``) bound them, and ``index`` counts
+    each market's events from 1.
     """
 
     market_id: np.ndarray
-    index: np.ndarray
     pre_state: np.ndarray
     time: np.ndarray
     actor: np.ndarray
@@ -123,7 +136,7 @@ class EventLog:
 
     def __post_init__(self):
         lengths = _as_arrays(self)
-        _require(len(set(lengths[:6])) == 1 and len(set(lengths[6:])) == 1,
+        _require(len(set(lengths[:5])) == 1 and len(set(lengths[5:])) == 1,
                  "event arrays and market arrays must each share one length")
         _require(len(np.unique(self.markets)) == self.n_markets, "market ids must be distinct")
         _require(self.n_markets or not self.n_events, "events need a listed market")
@@ -156,6 +169,11 @@ class EventLog:
     def n_markets(self):
         return len(self.markets)
 
+    @property
+    def index(self):
+        """Each event's 1-based counter within its market."""
+        return np.arange(1, self.n_events + 1) - self.offsets[:-1].repeat(np.diff(self.offsets))
+
     def check_ranges(self, config):
         """Raise `InvalidArgumentError` unless every index fits the game.
 
@@ -182,10 +200,9 @@ class EventLog:
     def to_csv(self, path):
         """Write one row per event plus a terminal censor row per market.
 
-        Columns are ``market_id, n, k, t, actor, action``; the censor row
-        has ``actor = -2``, ``k`` the final state, ``t`` the censoring time
-        and ``action = -1``.  Times round-trip losslessly (17 significant
-        digits).
+        Columns are ``market_id, n, k, t, actor, action``; ``n`` counts each
+        market's rows from 1, and the censor row has ``actor = -2``, ``k`` the
+        final state, ``t`` the censoring time and ``action = -1``.
         """
         event_rows, final_rows = self.spell_rows()
 
@@ -195,27 +212,22 @@ class EventLog:
             return out
 
         censor = np.full(self.n_markets, CENSOR)
-        columns = [column(self.market_id, self.markets),
-                   column(self.index, np.diff(self.offsets) + 1),
-                   column(self.pre_state, self.final_state), column(self.time, self.horizon),
-                   column(self.actor, censor), column(self.action, np.full_like(censor, -1))]
-        # the bytes `csv.writer` writes: no field needs quoting, rows end in \r\n
-        row = "{},{},{},{:.17g},{},{}\r\n".format
-        with open(path, "w", newline="") as handle:
-            handle.write(",".join(EVENT_COLUMNS) + "\r\n")
-            # in blocks, so the rows' Python objects never all exist at once
-            for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-                handle.write("".join(map(row, *block)))
+        _write_columns(path, EVENT_COLUMNS, [
+            column(self.market_id, self.markets), column(self.index, np.diff(self.offsets) + 1),
+            column(self.pre_state, self.final_state), column(self.time, self.horizon),
+            column(self.actor, censor), column(self.action, np.full_like(censor, -1))])
 
     @classmethod
     def from_csv(cls, path):
         market_id, index, state, time, actor, action = _read_columns(path, EVENT_COLUMNS)
         event, censor = actor != CENSOR, actor == CENSOR
-        return cls(market_id=market_id[event], index=index[event], pre_state=state[event],
-                   time=time[event], actor=actor[event], action=action[event],
-                   markets=market_id[censor], horizon=time[censor],
-                   final_state=state[censor])
+        log = cls(market_id=market_id[event], pre_state=state[event], time=time[event],
+                  actor=actor[event], action=action[event], markets=market_id[censor],
+                  horizon=time[censor], final_state=state[censor])
+        _require(np.array_equal(index[event], log.index)
+                 and np.array_equal(index[censor], np.diff(log.offsets) + 1),
+                 f"data file {path}: each market's n must read 1, 2, ... down to its censor row")
+        return log
 
 
 @dataclass
@@ -253,11 +265,8 @@ class Panel:
         _require(_within(self.state, k_total), f"panel states must lie in [0, {k_total})")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(PANEL_COLUMNS)
-            writer.writerows(zip(self.market_id.tolist(), self.period.tolist(),
-                                 self.state.tolist()))
+        """Write one row per observation: ``market_id, n, k``."""
+        _write_columns(path, PANEL_COLUMNS, [self.market_id, self.period, self.state])
 
     @classmethod
     def from_csv(cls, path):
@@ -330,7 +339,7 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
     pi = markov.stationary_distribution(aggregate_generator(ccp, config))
     cum_pi = np.cumsum(pi)
 
-    market_id, index, pre_state, time, actor, action = [], [], [], [], [], []
+    market_id, pre_state, time, actor, action = [], [], [], [], []
     horizons = np.empty(n_markets)
     finals = np.empty(n_markets, dtype=np.int64)
 
@@ -352,7 +361,6 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
             who, what, target = outcomes[pick]
             count += 1
             market_id.append(m)
-            index.append(count)
             pre_state.append(k)
             time.append(t)
             actor.append(who)
@@ -364,7 +372,6 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
         finals[m] = k
 
     return EventLog(market_id=np.array(market_id, dtype=np.int64),
-                    index=np.array(index, dtype=np.int64),
                     pre_state=np.array(pre_state, dtype=np.int64),
                     time=np.array(time, dtype=float),
                     actor=np.array(actor, dtype=np.int64),

@@ -224,33 +224,27 @@ def dense_radii(theta, ccp, config):
 
 def information_by_differences(stats, policy, vec):
     """``sum C_kl s_kl s_kl' / M`` of a `TransitionCounts` at
-    ``policy.ccp(vec)``, each score ``s_kl`` the central-difference gradient
-    of ``ln P_kl(theta)`` through the policy; transitions whose probability
-    is below ``LOG_FLOOR`` at ``vec`` are left out."""
+    ``policy.ccp(vec)``, the scores ``s_kl`` the rows of the central-difference
+    Jacobian of ``ln P_kl(theta)`` through the policy; transitions whose
+    probability is below ``LOG_FLOOR`` at ``vec`` are left out."""
     config = stats.config
-    cache = {}
 
-    def log_p(x):
-        key = x.tobytes()
-        if key not in cache:
-            p = transition_matrix(aggregate_generator(policy.ccp(x), config), config.delta)
-            cache[key] = np.log(np.maximum(p, LOG_FLOOR))
-        return cache[key]
+    def transitions(x):
+        return transition_matrix(aggregate_generator(policy.ccp(x), config), config.delta)
 
     vec = np.asarray(vec, dtype=float)
-    p_at = transition_matrix(aggregate_generator(policy.ccp(vec), config), config.delta)
-    information = np.zeros((len(vec), len(vec)))
-    for k, l in zip(*np.nonzero((stats.counts > 0) & (p_at >= LOG_FLOOR))):
-        score = central_difference_gradient(lambda x: log_p(x)[k, l], vec)
-        information += stats.counts[k, l] * np.outer(score, score)
-    return information / stats.n_markets
+    seen = (stats.counts > 0) & (transitions(vec) >= LOG_FLOOR)
+    scores = central_difference_gradient(
+        lambda x: np.log(np.maximum(transitions(x)[seen], LOG_FLOOR)), vec)
+    return scores.T @ (stats.counts[seen][:, None] * scores) / stats.n_markets
 
 
 def event_information_by_differences(stats, policy, vec, rel_step=1e-4):
-    """Negative central-difference Hessian in theta of the event log
-    likelihood through the policy, ``-d2 loglik(policy.ccp(theta))``, on the
-    `SpellStats` whose moves equal their expectation ``lam T_k sigma_ik`` at
-    ``policy.ccp(vec)``; there observed and expected information coincide."""
+    """Negative Hessian in theta of the event log likelihood through the
+    policy, ``-d2 loglik(policy.ccp(theta))``, as central differences of
+    central differences, on the `SpellStats` whose moves equal their
+    expectation ``lam T_k sigma_ik`` at ``policy.ccp(vec)``; there observed
+    and expected information coincide."""
     vec = np.asarray(vec, dtype=float)
     config = stats.config
     expected = SpellStats(
@@ -258,18 +252,10 @@ def event_information_by_differences(stats, policy, vec, rel_step=1e-4):
         moves=config.lam * stats.exposure * policy.ccp(vec)[:, 1, :],
         nature_moves=stats.nature_moves, n_markets=stats.n_markets, config=config)
 
-    def loglik(x):
-        return expected.loglik(policy.ccp(x))
+    def gradient(x):
+        return central_difference_gradient(lambda y: expected.loglik(policy.ccp(y)), x, rel_step)
 
-    steps = np.diag(rel_step * np.maximum(1.0, np.abs(vec)))
-    hessian = np.empty(steps.shape)
-    for q in range(len(vec)):
-        for r in range(q, len(vec)):
-            eq, er = steps[q], steps[r]
-            hessian[q, r] = hessian[r, q] = (
-                loglik(vec + eq + er) - loglik(vec + eq - er)
-                - loglik(vec - eq + er) + loglik(vec - eq - er)) / (4 * steps[q, q] * steps[r, r])
-    return -hessian
+    return -central_difference_gradient(gradient, vec, rel_step)
 
 
 def spell_stats_by_spell_rows(events, config):
@@ -389,3 +375,12 @@ def write_event_log_csv(log, path):
                                  int(log.action[r])])
             writer.writerow([int(log.markets[m]), int(stop - start) + 1, int(log.final_state[m]),
                              f"{float(log.horizon[m]):.17g}", CENSOR, -1])
+
+
+def write_panel_csv(panel, path):
+    """`Panel.to_csv` through `csv.writer`."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["market_id", "n", "k"])
+        writer.writerows(zip(panel.market_id.tolist(), panel.period.tolist(),
+                             panel.state.tolist()))

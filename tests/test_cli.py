@@ -584,6 +584,8 @@ BAD_DATA_FILES = {
     "panel_without_header": ("discrete", "0,0,3\n0,1,4\n1,0,5\n1,1,5\n"),
     "events_file_as_panel": ("discrete", EVENTS_HEADER
                              + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
+    "censor_counter_repeats_last_event": ("continuous", EVENTS_HEADER
+                                          + "0,1,3,0.5,0,1\n0,1,1,2.0,-2,-1\n"),
 }
 
 
@@ -602,6 +604,26 @@ class TestBadDataFiles:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InvalidArgumentError"
+
+    def test_rewritten_counter_column_exits_two(self, tmp_path, capsys):
+        # a simulated event file whose n column reads -40, -33, ...
+        assert run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                       "--sampling", "continuous", "--out", str(tmp_path / "simc")) == 0
+        header, *rows = (tmp_path / "simc" / "events.csv").read_text().splitlines()
+        lines = [header]
+        for r, row in enumerate(rows):
+            market, _, rest = row.split(",", 2)
+            lines.append(f"{market},{7 * r - 40},{rest}")
+        path = tmp_path / "broken.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                       "--sampling", "continuous", "--data", str(path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+        assert not (tmp_path / "out" / "estimate.csv").exists()
 
 
 class TestMcReplications:
@@ -639,3 +661,38 @@ class TestMcFailuresRecorded:
         assert len(mc.failures) == 1
         assert mc.failures[0][0] == 0
         assert mc.estimates["2S-True"].shape[0] == 1
+
+    def test_estimator_left_one_replication_only_in_raw_and_failures(
+            self, tmp_path, monkeypatch, capsys):
+        # the first fit (2S-True, replication 0) fails: 2S-True keeps one
+        # replication, too few for a standard deviation or an RMSE
+        from ctgames import errors as errors_mod
+        from ctgames import experiments as experiments_mod
+
+        calls = {"n": 0}
+        original = experiments_mod.ctnpl
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise errors_mod.OptimizationError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "ctnpl", flaky)
+        out = tmp_path / "mc"
+        capsys.readouterr()
+        code = run_cli("mc", "--experiment", "2", "--scale", "desk", "--markets", "60",
+                       "--replications", "2", "--estimators", "2S-True,2S-Freq",
+                       "--seed", "5", "--out", str(out))
+        assert code == 0
+        assert capsys.readouterr().err == "warning: 1 replication failures recorded\n"
+
+        def column(name, key):
+            with open(out / name, newline="") as handle:
+                return [row[key] for row in csv.DictReader(handle)]
+
+        assert column("mc_failures.csv", "estimator") == ["2S-True"]
+        assert column("mc_failures.csv", "replication") == ["0"]
+        assert column("mc_raw.csv", "estimator") == ["2S-True", "2S-Freq", "2S-Freq"]
+        assert column("mc_means.csv", "estimator") == ["True values", "2S-Freq"]
+        assert not (out / "mc_rmse.csv").exists()

@@ -153,6 +153,31 @@ class TestScoreAtTruth:
         assert np.abs(exact).max() < 1e-6
 
 
+class TestCentralDifferences:
+    def test_jacobian_of_quadratic_map(self, rng):
+        # central differences of a quadratic are exact up to rounding
+        linear, square = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        x = 3 * rng.normal(size=3)
+        jac = central_difference_gradient(lambda v: linear @ v + 0.5 * (square @ v) ** 2, x)
+        assert jac.shape == (4, 3)
+        np.testing.assert_allclose(jac, linear + (square @ x)[:, None] * square,
+                                   rtol=1e-7, atol=1e-7)
+
+    def test_scalar_gradient_is_one_difference_per_coordinate(self, rng):
+        # bit for bit the quotient (f(x + h e_q) - f(x - h e_q)) / 2h, with
+        # h = rel_step * max(1, |x_q|)
+        x = 3 * rng.normal(size=5)
+
+        def fun(v):
+            return float(np.sin(v).sum() + v @ v)
+
+        steps = 1e-6 * np.maximum(1.0, np.abs(x))
+        expected = [(fun(x + h * e) - fun(x - h * e)) / (2 * h) for h, e in zip(steps, np.eye(5))]
+        grad = central_difference_gradient(fun, x)
+        assert grad.shape == (5,) and grad.dtype == np.float64
+        assert np.array_equal(grad, expected)
+
+
 class TestExactGradient:
     @given(kind=st.sampled_from(["discrete", "continuous"]),
            seed=st.integers(0, 2**32 - 1))

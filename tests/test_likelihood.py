@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctgames import GameConfig, InvalidArgumentError, Theta, nature_generator
 from ctgames.equilibrium import solve_mpe, uniform_ccp
+from ctgames.estimate import central_difference_gradient
 from ctgames.likelihood import (
     SpellStats,
     loglik_discrete,
@@ -20,11 +21,11 @@ from oracles import spell_stats_by_spell_rows
 
 
 def make_log(markets, horizon, final_state, events=()):
-    """Tiny hand-built event log; events are (market, n, k, t, actor, action)."""
+    """Tiny hand-built event log; events are rows (market, n, k, t, actor,
+    action) of the CSV file, whose counter n the log derives itself."""
     events = np.array(events, dtype=float).reshape(-1, 6)
     return EventLog(
         market_id=events[:, 0].astype(np.int64),
-        index=events[:, 1].astype(np.int64),
         pre_state=events[:, 2].astype(np.int64),
         time=events[:, 3],
         actor=events[:, 4].astype(np.int64),
@@ -119,8 +120,8 @@ class TestContinuous:
         def restrict(ids):
             sel = np.isin(log.market_id, ids)
             keep = np.isin(log.markets, ids)
-            return EventLog(market_id=log.market_id[sel], index=log.index[sel],
-                            pre_state=log.pre_state[sel], time=log.time[sel],
+            return EventLog(market_id=log.market_id[sel], pre_state=log.pre_state[sel],
+                            time=log.time[sel],
                             actor=log.actor[sel], action=log.action[sel],
                             markets=log.markets[keep], horizon=log.horizon[keep],
                             final_state=log.final_state[keep])
@@ -203,15 +204,9 @@ class TestDiscrete:
         vec = DESK_THETA.as_vector()
 
         def grad(h):
-            out = np.empty(len(vec))
-            for q in range(len(vec)):
-                hq = h * max(1.0, abs(vec[q]))
-                up, dn = vec.copy(), vec.copy()
-                up[q] += hq
-                dn[q] -= hq
-                out[q] = (loglik_discrete(Theta.from_vector(up, 3), mpe.ccp, panel, config)
-                          - loglik_discrete(Theta.from_vector(dn, 3), mpe.ccp, panel, config)) / (2 * hq)
-            return out
+            return central_difference_gradient(
+                lambda x: loglik_discrete(Theta.from_vector(x, 3), mpe.ccp, panel, config),
+                vec, h)
 
         g1, g2 = grad(1e-4), grad(5e-5)
         assert np.abs(g1 - g2).max() < 1e-6 * max(1.0, np.abs(g1).max())

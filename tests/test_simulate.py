@@ -22,7 +22,7 @@ from ctgames.simulate import (
 )
 
 from conftest import DESK_THETA, desk_config
-from oracles import post_state, write_event_log_csv
+from oracles import post_state, write_event_log_csv, write_panel_csv
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ class TestSerialization:
         else:
             ids = [3, 0, 7] if kind == "event_free_markets" else []
             none = np.array([], dtype=np.int64)
-            log = EventLog(market_id=none, index=none, pre_state=none,
+            log = EventLog(market_id=none, pre_state=none,
                            time=np.array([]), actor=none, action=none,
                            markets=np.array(ids, dtype=np.int64),
                            horizon=np.linspace(0.1, 2.0, len(ids)) / 3,
@@ -316,15 +316,13 @@ def event_logs(draw, config=SEGMENT_CONFIG):
     lattice = st.integers(0, 30).map(lambda i: i * config.delta)
     times_of = st.one_of(lattice, lattice.map(lambda t: float(np.nextafter(t, np.inf))),
                          st.floats(0.0, 8.0, allow_nan=False))
-    columns = {name: [] for name in ("market_id", "index", "pre_state", "time",
-                                     "actor", "action")}
+    columns = {name: [] for name in ("market_id", "pre_state", "time", "actor", "action")}
     horizon, final_state = [], []
     for m in ids:
         times = sorted(draw(st.lists(times_of, max_size=5)))
-        for j, t in enumerate(times, 1):
+        for t in times:
             actor = draw(st.integers(NATURE, n - 1))
             columns["market_id"].append(m)
-            columns["index"].append(j)
             columns["pre_state"].append(draw(st.integers(0, k_total - 1)))
             columns["time"].append(t)
             columns["actor"].append(actor)
@@ -431,6 +429,13 @@ class TestSegmentedReaders:
 
     @given(panel=panels())
     @settings(max_examples=60)
+    def test_panel_csv_bytes_match_csv_writer(self, panel, csv_dir):
+        panel.to_csv(csv_dir / "fast.csv")
+        write_panel_csv(panel, csv_dir / "oracle.csv")
+        assert (csv_dir / "fast.csv").read_bytes() == (csv_dir / "oracle.csv").read_bytes()
+
+    @given(panel=panels())
+    @settings(max_examples=60)
     def test_panel_csv_round_trip_exact(self, panel, csv_dir):
         path = csv_dir / "panel.csv"
         panel.to_csv(path)
@@ -463,7 +468,7 @@ def csv_dir(tmp_path_factory):
 
 class TestDataInvariants:
     @pytest.mark.parametrize("change, message", [
-        (dict(market_id=np.array([0, 1, 0]), index=np.array([1, 1, 2])), "contiguous"),
+        (dict(market_id=np.array([0, 1, 0])), "contiguous"),
         (dict(markets=np.array([1, 0]), market_id=np.array([0, 0, 1]),
               horizon=np.array([3.0, 3.0])), "market order"),
         (dict(market_id=np.array([0, 0, 2])), "censor row"),
@@ -474,8 +479,8 @@ class TestDataInvariants:
         (dict(markets=np.array([0, 0])), "distinct"),
     ])
     def test_event_log_rejected_at_construction(self, change, message):
-        fields_ = dict(market_id=np.array([0, 0, 1]), index=np.array([1, 2, 1]),
-                       pre_state=np.array([0, 1, 2]), time=np.array([0.5, 1.0, 0.2]),
+        fields_ = dict(market_id=np.array([0, 0, 1]), pre_state=np.array([0, 1, 2]),
+                       time=np.array([0.5, 1.0, 0.2]),
                        actor=np.array([0, NATURE, 1]), action=np.array([1, 3, 1]),
                        markets=np.array([0, 1]), horizon=np.array([2.0, 3.0]),
                        final_state=np.array([3, 0]))
@@ -487,9 +492,8 @@ class TestDataInvariants:
         (2, 1, 0), (-2, 1, 0), (0, 0, 0), (NATURE, 8, 0), (NATURE, -1, 0), (0, 1, 8),
     ])
     def test_event_indices_checked_by_readers(self, actor, action, pre_state):
-        log = EventLog(market_id=np.array([0]), index=np.array([1]),
-                       pre_state=np.array([pre_state]), time=np.array([0.5]),
-                       actor=np.array([actor]), action=np.array([action]),
+        log = EventLog(market_id=np.array([0]), pre_state=np.array([pre_state]),
+                       time=np.array([0.5]), actor=np.array([actor]), action=np.array([action]),
                        markets=np.array([0]), horizon=np.array([1.0]),
                        final_state=np.array([0]))
         for reader in (SpellStats.from_events, to_panel, post_state):
