@@ -43,10 +43,9 @@ from .simulate import EventLog, Panel
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return value
+def _fmt(value, spec):
+    """``value`` in the format ``spec`` when it is a float, else unchanged."""
+    return format(value, spec) if isinstance(value, float) else value
 
 
 def write_csv(path, rows, fieldnames):
@@ -54,19 +53,15 @@ def write_csv(path, rows, fieldnames):
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(row.get(k, "")) for k in fieldnames})
+            writer.writerow({k: _fmt(row.get(k, ""), ".17g") for k in fieldnames})
 
 
-def markdown_table(rows, fieldnames, digits=4):
-    def cell(value):
-        if isinstance(value, float):
-            return f"{value:.{digits}f}"
-        return str(value)
-
+def markdown_table(rows, fieldnames):
     lines = ["| " + " | ".join(fieldnames) + " |",
              "| " + " | ".join("---" for _ in fieldnames) + " |"]
     for row in rows:
-        lines.append("| " + " | ".join(cell(row.get(k, "")) for k in fieldnames) + " |")
+        lines.append("| " + " | ".join(str(_fmt(row.get(k, ""), ".4f")) for k in fieldnames)
+                     + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -158,24 +153,18 @@ def cmd_simulate(spec, out, args):
     return EXIT_OK
 
 
-def _load_data(path, sampling):
-    if sampling == "continuous":
-        return EventLog.from_csv(path)
-    return Panel.from_csv(path)
-
-
 def cmd_estimate(spec, out, args):
-    data = sufficient_statistics(_load_data(args.data, spec.sampling), spec.config)
+    loader = EventLog if spec.sampling == "continuous" else Panel
+    data = sufficient_statistics(loader.from_csv(args.data), spec.config)
     ccp_star = solve_spec(spec)[0].ccp if spec.ctnpl_init == "true" else None
     start = init_ccp(spec.ctnpl_init, data, spec.config, ccp_star=ccp_star, seed=spec.seed)
     result = ctnpl(data, spec.config, start, max_stages=spec.ctnpl_stages,
                    tol=spec.ctnpl_tol)
 
-    vec = result.theta_hat.as_vector()
-    row = {"experiment": spec.name, "init": spec.ctnpl_init, "stages": result.iterations,
-           "converged": result.converged, "loglik": result.loglik}
     names = parameter_columns(spec.config)
-    row.update({name: vec[i] for i, name in enumerate(names)})
+    row = {"experiment": spec.name, "init": spec.ctnpl_init, "stages": result.iterations,
+           "converged": result.converged, "loglik": result.loglik,
+           **dict(zip(names, result.theta_hat.as_vector()))}
     write_csv(out / "estimate.csv", [row],
               ["experiment", "init", "stages", "converged", "loglik", *names])
     with open(out / "estimate_trace.json", "w") as handle:
@@ -189,12 +178,9 @@ def cmd_mc(spec, out, args):
     mc = run_monte_carlo(spec, verbose=args.verbose)
 
     names = parameter_columns(spec.config)
-    raw_rows = []
-    for estimator, arr in mc.estimates.items():
-        for rep, vec in zip(mc.replication_ids[estimator], arr):
-            row = {"replication": rep, "estimator": estimator}
-            row.update({name: vec[i] for i, name in enumerate(names)})
-            raw_rows.append(row)
+    raw_rows = [{"replication": rep, "estimator": estimator, **dict(zip(names, vec))}
+                for estimator, arr in mc.estimates.items()
+                for rep, vec in zip(mc.replication_ids[estimator], arr)]
     write_csv(out / "mc_raw.csv", raw_rows, ["replication", "estimator", *names])
     if mc.failures:
         write_csv(out / "mc_failures.csv",

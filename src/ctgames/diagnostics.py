@@ -125,6 +125,8 @@ def stability_objects(theta, ccp, config):
     weighted = (blocks.sum(axis=0) / p_stay[:, None]
                 + blocks / p_toggle[:, :, None]).reshape(theta_jac.shape).T  # J_theta' W
     gram = weighted @ theta_jac
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("parameter-direction Gram matrix is not finite")
     rank = np.linalg.matrix_rank(gram)
     if rank < gram.shape[0]:
         raise NumericalError(

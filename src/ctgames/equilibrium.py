@@ -18,7 +18,8 @@ diagnostics.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgetrf
 from scipy.sparse import csc_array
 
 from . import game
@@ -169,7 +170,8 @@ class LinearizedPolicy:
     equals ``best_response_map(Theta.from_vector(vec), ccp_prev, config)``
     for every parameter vector.  ``weights @ vec + offsets`` are the (N, J, K)
     choice values ``psi_ijk + V_i[l(i, j, k)]``, and ``factor`` holds the LU
-    factors of the policy system matrix at ``ccp_prev``.
+    factors of the policy system matrix at ``ccp_prev``.  A singular system
+    matrix, or a solution that is not finite, raises `NumericalError`.
     """
 
     def __init__(self, ccp_prev, config):
@@ -179,10 +181,15 @@ class LinearizedPolicy:
         design, offset = _value_equation(self.ccp_prev, config)
         p = design.shape[2]
 
-        self.factor = lu_factor(_policy_system_matrix(self.ccp_prev, config))
+        # `lu_factor`'s LAPACK call, without its warning on a zero pivot
+        self.factor = dgetrf(_policy_system_matrix(self.ccp_prev, config))[:2]
         # one solve for every player's P weight columns and offset column
         rhs = np.concatenate([design, offset[:, :, None]], axis=2)
-        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1))
+        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1),
+                          check_finite=False)
+        if not np.all(np.isfinite(solved)):
+            raise NumericalError("policy equation rho I - Q is singular or its solution "
+                                 "is not finite")
         solved = solved.reshape(k_total, n, p + 1).transpose(1, 0, 2)  # (N, K, P+1)
 
         dest = game.state_tables(config).continuation

@@ -98,7 +98,12 @@ def _inversion_start(policy):
     design = (weights[:, 1] - weights[:, 0]).reshape(-1, weights.shape[-1])
     log_odds = np.log(ccp[:, 1]) - np.log(ccp[:, 0]) - (offsets[:, 1] - offsets[:, 0])
     ones = np.ones(design.shape[1])
-    return ones + np.linalg.lstsq(design, log_odds.ravel() - design @ ones, rcond=None)[0]
+    target = log_odds.ravel() - design @ ones
+    start = (ones + np.linalg.lstsq(design, target, rcond=None)[0]  # LAPACK prints on NaN
+             if np.isfinite(design).all() and np.isfinite(target).all() else np.nan)
+    if not np.all(np.isfinite(start)):
+        raise NumericalError("stage 1: the CCP-inversion start of theta is not finite")
+    return start
 
 
 def _start_inverse_hessian(stats, policy, x0):
@@ -106,12 +111,21 @@ def _start_inverse_hessian(stats, policy, x0):
     the inverse of the data's information at the start (`SpellStats.information`
     or `TransitionCounts.information`), with unit curvature in its
     eigen-directions at or below ``INFO_RANK_TOL`` times the largest
-    eigenvalue (parameters the data do not identify).
+    eigenvalue (parameters the data do not identify).  `NumericalError` when
+    it is not finite or fails SciPy's Cholesky test of ``hess_inv0``, as when
+    a retained curvature is tiny next to the unit ones.
     """
     ccp = policy.ccp(x0)
-    curvature, basis = np.linalg.eigh(stats.information(ccp, policy.theta_jacobian(ccp)))
-    curvature[curvature <= INFO_RANK_TOL * curvature.max()] = 1.0
-    return _symmetric((basis / curvature) @ basis.T)
+    try:
+        curvature, basis = np.linalg.eigh(stats.information(ccp, policy.theta_jacobian(ccp)))
+        curvature[curvature <= INFO_RANK_TOL * curvature.max()] = 1.0
+        hess_inv = _symmetric((basis / curvature) @ basis.T)
+        if np.isfinite(hess_inv).all():
+            np.linalg.cholesky(hess_inv)
+            return hess_inv
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError("stage 1: the start's inverse Hessian is not finite and positive definite")
 
 
 def _symmetric(matrix):
@@ -167,27 +181,27 @@ class EstimationResult:
     trace: list = field(default_factory=list)
 
 
-def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
+def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
     """Nested pseudo-likelihood estimation from initial probabilities ``ccp0``.
 
     ``data`` is an `EventLog`, a `Panel` or their `sufficient_statistics`.
     Alternates a theta maximization at the current probabilities with one
     best-response update of the probabilities, stopping once both sup-norm
     deltas drop below ``tol``.  ``max_stages=1`` is the two-step pseudo
-    maximum likelihood estimator.  The first stage starts at ``theta_init``,
-    a `Theta`, or when it is None at the CCP inversion of the start
-    probabilities.  Later stages warm-start theta and BFGS's inverse Hessian
-    from the previous stage.  If the loop does not converge, the
-    highest-likelihood visited candidate is returned with ``converged=False``.
+    maximum likelihood estimator.  The first stage starts at the CCP
+    inversion of the start probabilities; later stages warm-start theta and
+    BFGS's inverse Hessian from the previous stage.  If the loop does not
+    converge, the highest-likelihood visited candidate is returned with
+    ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
-    probabilities and parameters (stage 1's parameter change is measured
-    from ``theta_init``, and is infinite without it), the attained pseudo
-    log likelihood, the BFGS iteration, likelihood and gradient evaluation
-    counts (``nit``, ``nfev``, ``njev``) and the observed transitions whose
-    probability was clamped before the log (``clamped_logs``).
+    probabilities and parameters (infinite for stage 1's parameters), the
+    attained pseudo log likelihood, the BFGS iteration, likelihood and
+    gradient evaluation counts (``nit``, ``nfev``, ``njev``) and the observed
+    transitions whose probability was clamped before the log (``clamped_logs``).
     A stage whose pseudo log likelihood is not finite raises
-    `NumericalError` instead of being ranked.
+    `NumericalError` instead of being ranked, as does a first-stage start
+    (theta or inverse Hessian) that is not finite or not positive definite.
     """
     if max_stages < 1:
         raise InvalidArgumentError("max_stages must be >= 1")
@@ -196,16 +210,12 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
     check_ccp(ccp, config)
 
     stats = sufficient_statistics(data, config)
-    theta_prev = None if theta_init is None else theta_init.as_vector()
-    vec = theta_prev
-    trace = []
-    best = None
+    trace, best = [], None
     for stage in range(1, max_stages + 1):
         counts = {}
         policy = LinearizedPolicy(ccp, config)
         if stage == 1:
-            if vec is None:
-                vec = _inversion_start(policy)
+            vec = _inversion_start(policy)
             hess_inv = _start_inverse_hessian(stats, policy, vec)
         try:
             vec, loglik, hess_inv = _maximize(stats, policy, vec, hess_inv, counters=counts)
@@ -215,8 +225,7 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6, theta_init=None):
             raise NumericalError(f"stage {stage}: pseudo log likelihood is {loglik}")
         updated = policy.ccp(vec)
         sigma_delta = float(np.abs(updated - ccp).max())
-        theta_delta = (np.inf if theta_prev is None
-                       else float(np.abs(vec - theta_prev).max()))
+        theta_delta = np.inf if stage == 1 else float(np.abs(vec - theta_prev).max())
         trace.append({"stage": stage, "sigma_delta": sigma_delta,
                       "theta_delta": theta_delta, "loglik": loglik, **counts})
         candidate = EstimationResult(

@@ -48,7 +48,7 @@ BENCHMARK_FC = (-1.9, -1.8, -1.7, -1.6, -1.5)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to run one experiment end to end."""
+    """Everything needed to run one experiment end to end; ``ctnpl_tol`` is a constant."""
 
     name: str
     theta_true: Theta
@@ -60,7 +60,7 @@ class ExperimentSpec:
     seed: int = 20230815
     ctnpl_stages: int = 20
     ctnpl_init: str = "frequency"
-    ctnpl_tol: float = 1e-6
+    ctnpl_tol = 1e-6  # every fit's stopping tolerance: a class attribute, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -214,15 +214,15 @@ def mc_summary_rows(mc):
     return _headline_rows(mc, vectors)
 
 
-def mc_rmse_rows(mc, baseline="2S-True"):
-    """Relative RMSE rows of the other reported estimators against the
-    baseline; none when the baseline is not reported."""
+def mc_rmse_rows(mc):
+    """Relative RMSE rows of the other reported estimators against 2S-True;
+    none when 2S-True is not reported."""
     reported = _reported(mc)
-    if baseline not in reported:
+    if "2S-True" not in reported:
         return []
-    ratios = rmse_relative(reported, baseline, mc.spec.theta_true)
+    ratios = rmse_relative(reported, "2S-True", mc.spec.theta_true)
     return _headline_rows(mc, {name: {"": ratio} for name, ratio in ratios.items()
-                               if name != baseline})
+                               if name != "2S-True"})
 
 
 def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,

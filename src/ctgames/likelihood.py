@@ -143,26 +143,21 @@ def transition_counts(panel, k_total):
     return flat.reshape(shape).astype(float), panel.n_markets
 
 
-def _log_probabilities(counts, p, counters):
-    """Logs of ``p`` clamped at ``LOG_FLOOR``; observed clamps go to ``counters``."""
-    if counters is not None:
-        clamped = (counts > 0) & (p < LOG_FLOOR)
-        counters["clamped_logs"] = counters.get("clamped_logs", 0) + int(clamped.sum())
-    return np.log(np.maximum(p, LOG_FLOOR))
+def _mean_log_probability(counts, n_markets, p):
+    """Per-market sum of observed log transition probabilities, clamped."""
+    return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum() / n_markets)
 
 
-def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, delta=None,
-                                pmatrix_method="expm", counters=None):
+def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, pmatrix_method="expm"):
     """Snapshot likelihood from a transition-count matrix at given best responses."""
     q = aggregate_generator(ccp_br, config)
-    delta = config.delta if delta is None else delta
     if pmatrix_method == "expm":
-        p = markov.transition_matrix(q, delta)
+        p = markov.transition_matrix(q, config.delta)
     elif pmatrix_method == "uniformization":
-        p = markov.uniformization_matrix(q, delta)
+        p = markov.uniformization_matrix(q, config.delta)
     else:
         raise InvalidArgumentError(f"unknown pmatrix_method: {pmatrix_method}")
-    return float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
+    return _mean_log_probability(counts, n_markets, p)
 
 
 @dataclass(frozen=True)
@@ -192,17 +187,21 @@ class TransitionCounts:
         With ``G = C / (M P)`` on unclamped entries, the gradient in the
         generator is the adjoint ``Gbar = delta L(delta Q^T, G)``; firm i's
         action rate in state k adds ``lam`` to ``Q[k, toggle_i(k)]`` and
-        subtracts it from ``Q[k, k]``.
+        subtracts it from ``Q[k, k]``.  ``counters``, a dict, gets the
+        observed transitions clamped at ``LOG_FLOOR`` as ``clamped_logs``.
         """
         config, counts, n_markets = self.config, self.counts, self.n_markets
         q = aggregate_generator(ccp_br, config)
         p, pullback = markov.transition_matrix_pullback(q, config.delta)
-        value = float((counts * _log_probabilities(counts, p, counters)).sum() / n_markets)
-        g = np.where(p >= LOG_FLOOR, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
+        kept = p >= LOG_FLOOR
+        if counters is not None:
+            counters["clamped_logs"] = int(((counts > 0) & ~kept).sum())
+        g = np.where(kept, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
         gbar = pullback(g)
         ks = np.arange(config.n_states)
         toggle = game.state_tables(config).toggle
-        return value, config.lam * (gbar[ks, toggle] - gbar[ks, ks])
+        return (_mean_log_probability(counts, n_markets, p),
+                config.lam * (gbar[ks, toggle] - gbar[ks, ks]))
 
     def information(self, ccp_br, action_jacobian):
         """Outer product of the transition scores in theta, ``sum C_kl s_kl
@@ -253,21 +252,18 @@ def sufficient_statistics(data, config):
     return data
 
 
-def loglik_discrete(theta, ccp, panel, config, delta=None,
-                    pmatrix_method="expm", counters=None):
+def loglik_discrete(theta, ccp, panel, config, pmatrix_method="expm"):
     """Average log pseudo-likelihood of a snapshot panel.
 
     Applies one best-response step to ``(theta, ccp)``, builds the
     aggregate intensity matrix at those probabilities, scores every
-    consecutive transition against ``expm(delta * Q)`` (or the
-    uniformization series with ``pmatrix_method='uniformization'``), and
-    averages over markets.  Probabilities below 1e-300 are clamped, with
-    the count recorded in ``counters['clamped_logs']`` when a dict is
-    passed.
+    consecutive transition against ``expm(delta * Q)`` at the game's own
+    sampling interval ``config.delta`` (or the uniformization series with
+    ``pmatrix_method='uniformization'``), and averages over markets.
+    Probabilities below ``LOG_FLOOR`` are clamped; the estimator's trace
+    counts the clamps (`TransitionCounts.value_and_gradient`).
     """
     ccp = check_ccp(ccp, config)
     ccp_br = best_response_map(theta, ccp, config)
     counts, n_markets = transition_counts(panel, config.n_states)
-    return discrete_loglik_from_counts(counts, n_markets, ccp_br, config,
-                                       delta=delta, pmatrix_method=pmatrix_method,
-                                       counters=counters)
+    return discrete_loglik_from_counts(counts, n_markets, ccp_br, config, pmatrix_method)

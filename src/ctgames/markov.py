@@ -29,6 +29,10 @@ _PADE13 = (
 )
 # Largest 1-norm for which the order-13 approximant attains double precision.
 _THETA13 = 5.371920351148152
+# Most squarings `_pade13` takes, and so most iterates it keeps: over s
+# squarings a rounding error u can grow to 2**s u (a row sum 1 + u becomes
+# (1 + u)**(2**s)), so past 53 no digit is assured.
+MAX_SQUARINGS = 53
 
 # Row-sum slack accepted when validating a generator, per state.
 GENERATOR_ROWSUM_TOL = 1e-12
@@ -77,6 +81,8 @@ def _pade13(a):
     norm1 = np.linalg.norm(a, 1)
     if norm1 == 0.0:
         return np.eye(a.shape[0]), lambda e: np.array(e, dtype=float)
+    if not norm1 <= _THETA13 * 2.0 ** MAX_SQUARINGS:  # about 4.8e16
+        raise NumericalError(f"exp of a 1-norm {norm1:g} takes over {MAX_SQUARINGS} squarings")
     squarings = 0
     if norm1 > _THETA13:
         squarings = int(np.ceil(np.log2(norm1 / _THETA13)))

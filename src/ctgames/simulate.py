@@ -13,8 +13,9 @@ against the column names): array lengths agree, every market's rows are
 contiguous (in ``markets`` order for an event log, whose events all belong
 to a listed market), event times are finite, nonnegative and nondecreasing
 within a market and end by its horizon, an event file's ``n`` counts each
-market's rows 1, 2, ..., and panel periods strictly increase within a
-market.  The market boundaries are kept as ``offsets`` (market m owns rows
+market's rows 1, 2, ... down to its censor row, which follows its events,
+and panel periods strictly increase within a market.  The market
+boundaries are kept as ``offsets`` (market m owns rows
 ``offsets[m]:offsets[m + 1]``), so every reader runs in time linear in rows
 plus markets.  Indices that depend on the game -- states, actors, actions --
 are checked by ``check_ranges``, which every reader that takes the game
@@ -224,6 +225,8 @@ class EventLog:
         log = cls(market_id=market_id[event], pre_state=state[event], time=time[event],
                   actor=actor[event], action=action[event], markets=market_id[censor],
                   horizon=time[censor], final_state=state[censor])
+        _require(np.array_equal(np.flatnonzero(censor), log.spell_rows()[1]),
+                 f"data file {path}: each market's censor row must follow its events")
         _require(np.array_equal(index[event], log.index)
                  and np.array_equal(index[censor], np.diff(log.offsets) + 1),
                  f"data file {path}: each market's n must read 1, 2, ... down to its censor row")
@@ -380,14 +383,12 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
                     horizon=horizons, final_state=finals)
 
 
-def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0,
-                    init_state=None):
+def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0):
     """Draw snapshot panels: states on the lattice {0, delta, ..., periods*delta}.
 
-    Initial states come from the stationary distribution (or ``init_state``
-    when given); successive states are drawn from the rows of
-    ``expm(delta * Q)``.  Deterministic given the seed; each market consumes
-    its own spawned stream.
+    Initial states come from the stationary distribution; successive states
+    are drawn from the rows of ``expm(delta * Q)``.  Deterministic given the
+    seed; each market consumes its own spawned stream.
     """
     ccp = _require_equilibrium(theta, ccp_star, config)
     if periods < 1:
@@ -399,18 +400,10 @@ def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0,
     rngs = _market_rngs(seed, n_markets)
     draws = np.empty((n_markets, periods))
     states = np.empty((n_markets, periods + 1), dtype=np.int64)
-    if init_state is None:
-        cum_pi = np.cumsum(markov.stationary_distribution(q))
-        for m, rng in enumerate(rngs):
-            states[m, 0] = min(int(np.searchsorted(cum_pi, rng.random())),
-                               config.n_states - 1)
-            draws[m] = rng.random(periods)
-    else:
-        if not 0 <= init_state < config.n_states:
-            raise InvalidArgumentError(f"init_state out of range: {init_state}")
-        states[:, 0] = init_state
-        for m, rng in enumerate(rngs):
-            draws[m] = rng.random(periods)
+    cum_pi = np.cumsum(markov.stationary_distribution(q))
+    for m, rng in enumerate(rngs):
+        states[m, 0] = min(int(np.searchsorted(cum_pi, rng.random())), config.n_states - 1)
+        draws[m] = rng.random(periods)
 
     for n in range(1, periods + 1):
         rows = cum_rows[states[:, n - 1]]

@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ctgames.cli import main, make_parser
+from ctgames.estimate import INIT_METHODS
 from ctgames.experiments import (
     EXPERIMENT_SETTINGS,
     counterfactual,
@@ -586,6 +590,9 @@ BAD_DATA_FILES = {
                              + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
     "censor_counter_repeats_last_event": ("continuous", EVENTS_HEADER
                                           + "0,1,3,0.5,0,1\n0,1,1,2.0,-2,-1\n"),
+    # market 0's censor row comes before its event; its n column is right
+    "censor_row_before_its_events": ("continuous", EVENTS_HEADER + "0,2,1,2.0,-2,-1\n"
+                                     "0,1,3,0.5,0,1\n1,1,5,1.0,-2,-1\n"),
 }
 
 
@@ -696,3 +703,147 @@ class TestMcFailuresRecorded:
         assert column("mc_raw.csv", "estimator") == ["2S-True", "2S-Freq", "2S-Freq"]
         assert column("mc_means.csv", "estimator") == ["True values", "2S-Freq"]
         assert not (out / "mc_rmse.csv").exists()
+
+
+# Schema-valid games on which stage 1 of a fit cannot start.  On the first,
+# the start's inverse information keeps a curvature of about 1e-26 next to
+# unit ones, so it is positive definite only in exact arithmetic.  On the
+# second, rho I - Q is singular at the start probabilities of an event fit.
+TINY_CURVATURE_GAME = {
+    "game": {"n_players": 1, "market_levels": 1, "lambda": 0.001, "rho": 58.0,
+             "q_up": 0.0, "q_down": 0.0, "delta": 2e-7},
+    "theta": {"fc": [4e159], "rs": -34.0, "rn": 0.0, "ec": 0.001}}
+SINGULAR_POLICY_GAME = {
+    "game": {"n_players": 2, "market_levels": 1, "lambda": 0.09064834353564964,
+             "rho": 5.0713865292938956e-158, "q_up": 1.208907516863025e+107, "q_down": 0.0,
+             "delta": 1.3237983587673527e+185},
+    "theta": {"fc": [1.2926166863908386e+194, 1.1002873961274106e+132],
+              "rs": 32.06581546021111, "rn": 6.636819893746468,
+              "ec": -1.2784128072023774e-63}}
+# A game whose stability sweep meets a parameter Gram matrix that is not finite.
+NON_FINITE_GRAM_GAME = {
+    "game": {"n_players": 2, "market_levels": 3, "lambda": 4.685810280741961e-59,
+             "rho": 2.5288086513568523e+258, "q_up": 0.0, "q_down": 2.0353866220343778e-92,
+             "delta": 1.422459431345517e-254},
+    "theta": {"fc": [1.59454497977698e+175, 2.3633883097464253e-271],
+              "rs": 2.2634970025749314e+190, "rn": 5.352854889199026e-29,
+              "ec": -6.486188792431545e-85}}
+
+
+def run_quiet(*argv):
+    """`run_cli` with every warning an error, as a warning would print a line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(*argv)
+
+
+class TestEstimateStartFailures:
+    def test_singular_policy_estimate_exits_three(self, tmp_path, capfd):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(SINGULAR_POLICY_GAME))
+        assert run_quiet("simulate", "--config", str(path), "--sampling", "continuous",
+                         "--markets", "30", "--out", str(tmp_path / "sim")) == 0
+        capfd.readouterr()
+        code = run_quiet("estimate", "--config", str(path), "--sampling", "continuous",
+                         "--data", str(tmp_path / "sim" / "events.csv"),
+                         "--out", str(tmp_path / "out"))
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert out == ""  # nothing from LAPACK either, which writes to the descriptor
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "NumericalError"
+        assert not (tmp_path / "out" / "estimate.csv").exists()
+
+    @pytest.mark.parametrize("game, sampling, message", [
+        (TINY_CURVATURE_GAME, "discrete", "inverse Hessian is not finite and positive definite"),
+        (SINGULAR_POLICY_GAME, "continuous", "rho I - Q is singular"),
+    ], ids=["tiny_curvature", "singular_policy"])
+    def test_mc_records_the_failed_starts(self, game, sampling, message, tmp_path, capfd):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(game))
+        out_dir = tmp_path / "mc"
+        capfd.readouterr()
+        code = run_quiet("mc", "--config", str(path), "--sampling", sampling,
+                         "--markets", "30", "--replications", "2", "--out", str(out_dir))
+        out, err = capfd.readouterr()
+        assert code == 0
+        assert out == "monte carlo complete: 2 replications, " + err.split()[1] + " failures\n"
+        assert err.startswith("warning: ") and len(err.splitlines()) == 1
+        with open(out_dir / "mc_failures.csv", newline="") as handle:
+            messages = [row["message"] for row in csv.DictReader(handle)]
+        assert any(message in recorded for recorded in messages)
+
+
+def _rates():
+    return st.floats(-300, 300).map(lambda u: 10.0 ** u)
+
+
+@st.composite
+def custom_games(draw):
+    """Schema-valid config files of small games: each rate and payoff is
+    +-10^u with u in [-300, 300], and nature's rates may be zero."""
+    n = draw(st.integers(1, 3))
+    rate, nature = _rates(), st.one_of(st.just(0.0), _rates())
+    payoff = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), rate)
+    return {"game": {"n_players": n, "market_levels": draw(st.integers(1, 3)),
+                     "lambda": draw(rate), "rho": draw(rate), "q_up": draw(nature),
+                     "q_down": draw(nature), "delta": draw(rate)},
+            "theta": {"fc": draw(st.lists(payoff, min_size=n, max_size=n)),
+                      "rs": draw(payoff), "rn": draw(payoff), "ec": draw(payoff)}}
+
+
+# Every command but `mc`, each as (output directory, arguments).
+PROPERTY_COMMANDS = (
+    ("solve", ["solve"]),
+    ("simd", ["simulate", "--sampling", "discrete", "--markets", "30"]),
+    ("simc", ["simulate", "--sampling", "continuous", "--markets", "30"]),
+    ("estd", ["estimate", "--sampling", "discrete", "--data", "{work}/simd/panel.csv",
+              "--init", "{init}"]),
+    ("estc", ["estimate", "--sampling", "continuous", "--data", "{work}/simc/events.csv",
+              "--init", "{init}"]),
+    ("diag", ["diagnose", "--rn-grid", "0,1"]),
+    ("cf", ["counterfactual", "--draws", "100"]),
+)
+
+
+def _non_finite_cells(out):
+    """CSV cells of ``out`` that read as a number that is not finite, but the
+    NaNs `counterfactual` writes on a degenerate row."""
+    cells = []
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="") as handle:
+            for row in csv.DictReader(handle):
+                for key, text in row.items():
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        continue
+                    if not (np.isfinite(value) or row.get("degenerate") == "True"):
+                        cells.append((path.name, key, text))
+    return cells
+
+
+class TestEveryConfigEndsInADocumentedExit:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=custom_games(), init=st.sampled_from(INIT_METHODS))
+    @example(spec=TINY_CURVATURE_GAME, init="true")
+    @example(spec=SINGULAR_POLICY_GAME, init="frequency")
+    @example(spec=NON_FINITE_GRAM_GAME, init="frequency")
+    def test_exit_zero_with_finite_tables_or_one_json_line(self, spec, init, tmp_path, capfd):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        config = work / "spec.json"
+        config.write_text(json.dumps(spec))
+        for name, argv in PROPERTY_COMMANDS:
+            capfd.readouterr()
+            code = run_quiet(*[arg.format(work=work, init=init) for arg in argv],
+                             "--config", str(config), "--out", str(work / name))
+            out, err = capfd.readouterr()
+            assert "On entry to" not in out, (name, out)
+            if code == 0:
+                assert err == "", (name, err)
+                assert not _non_finite_cells(work / name), name
+            else:
+                assert code in (2, 3), (name, code)
+                (line,) = err.splitlines()
+                assert set(json.loads(line)) == {"error", "message"}, name

@@ -603,12 +603,14 @@ class TestMaximizePseudoLikelihood:
         theta_hat = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
         assert np.abs(theta_hat.as_vector() - theta.as_vector()).max() < 0.35
 
-    def test_start_insensitive(self, mini_game):
+    def test_start_insensitive(self, mini_game, monkeypatch):
         config, theta, ccp_star = mini_game
         log = simulate_continuous(theta, ccp_star, config, 500, seed=43,
                                   events_per_market=1)
         a = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
-        b = ctnpl(log, config, ccp_star, max_stages=1, theta_init=theta).theta_hat
+        # stage 1 started at the truth instead of the CCP inversion
+        monkeypatch.setattr(estimate, "_inversion_start", lambda policy: theta.as_vector())
+        b = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
         assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-4
 
     def test_gradient_zero_at_truth_on_expected_data(self, desk_game):
@@ -804,10 +806,12 @@ class TestMaximizeFailures:
             return original(*args, options={**options, "maxiter": 1}, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
+        # stage 1 started far from the truth
+        far = Theta(fc=(3.0, 3.0), rs=-2.0, rn=-2.0, ec=4.0).as_vector()
+        monkeypatch.setattr(estimate, "_inversion_start", lambda policy: far)
         with pytest.raises(OptimizationError,
                            match=r"^stage 1: .*did not converge.*gradient sup-norm"):
-            ctnpl(panel, config, uniform_ccp(config), theta_init=Theta(
-                fc=(3.0, 3.0), rs=-2.0, rn=-2.0, ec=4.0))
+            ctnpl(panel, config, uniform_ccp(config))
 
 
 class TestRmseRelative:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctgames import GameConfig, InvalidArgumentError, Theta, nature_generator
-from ctgames.equilibrium import solve_mpe, uniform_ccp
+from ctgames.equilibrium import best_response_map, solve_mpe, uniform_ccp
 from ctgames.estimate import central_difference_gradient
 from ctgames.likelihood import (
     SpellStats,
+    TransitionCounts,
     loglik_discrete,
     sufficient_statistics,
     transition_counts,
@@ -151,7 +153,8 @@ class TestDiscrete:
         panel = sample_discrete(theta, mpe.ccp, config, 20, periods=2, seed=5)
         frozen = type(panel)(market_id=panel.market_id, period=panel.period,
                              state=np.repeat(panel.state.reshape(-1, 3)[:, :1], 3, axis=1).reshape(-1))
-        assert loglik_discrete(theta, mpe.ccp, frozen, config, delta=0.0) == 0.0
+        instant = dataclasses.replace(config, delta=1e-20)
+        assert loglik_discrete(theta, mpe.ccp, frozen, instant) == 0.0
 
     def test_matches_direct_formula(self, two_firm_game):
         from ctgames import transition_matrix
@@ -216,7 +219,8 @@ class TestDiscrete:
         mpe = solve_mpe(theta, config, tol=1e-12)
         panel = sample_discrete(theta, mpe.ccp, config, 10, periods=1, seed=16)
         counters = {}
-        loglik_discrete(theta, mpe.ccp, panel, config, counters=counters)
+        br = best_response_map(theta, mpe.ccp, config)
+        TransitionCounts.from_panel(panel, config).value_and_gradient(br, counters=counters)
         assert counters["clamped_logs"] == 0
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
 
 from ctgames import (
+    GameConfig,
     InvalidArgumentError,
     NotIrreducibleError,
+    NumericalError,
     expm,
     stationary_distribution,
     transition_matrix,
     uniformization_matrix,
 )
+from ctgames.equilibrium import aggregate_generator, uniform_ccp
 from ctgames.markov import _pade13, transition_matrix_frechet, transition_matrix_pullback
 
 from conftest import random_generator
@@ -82,6 +86,20 @@ class TestTransitionMatrix:
     def test_rejects_negative_horizon(self, rng):
         with pytest.raises(InvalidArgumentError):
             transition_matrix(random_generator(rng, 4), -0.5)
+
+    def test_huge_horizon_fails_before_the_squarings(self):
+        # the paper-size game (K = 160) over delta = 1e300 would take about
+        # 1000 squarings, every iterate kept for the Frechet derivative
+        config = GameConfig(n_players=5, market_levels=5, q_up=0.2, q_down=0.2)
+        q = aggregate_generator(uniform_ccp(config), config)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="squarings"):
+                transition_matrix(q, 1e300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * q.nbytes
 
     def test_rejects_non_generator(self):
         with pytest.raises(InvalidArgumentError):
