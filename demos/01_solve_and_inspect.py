@@ -8,17 +8,14 @@ to the long-run market structure.
 
 import numpy as np
 
-from ctgames import solve_mpe, stationary_distribution
-from ctgames.equilibrium import aggregate_generator
-from ctgames.experiments import EXPERIMENT_SETTINGS, experiment_spec
+from ctgames.experiments import EXPERIMENT_SETTINGS, experiment_spec, solve_spec
 from ctgames.game import state_tables
 
 print(__doc__)
 
 for number in sorted(EXPERIMENT_SETTINGS):
     spec = experiment_spec(number, scale="paper")
-    result = solve_mpe(spec.theta_true, spec.config)
-    pi = stationary_distribution(aggregate_generator(result.ccp, spec.config))
+    result, pi = solve_spec(spec)
     tables = state_tables(spec.config)
     avg_active = pi @ tables.activity.sum(axis=1)
     activity = pi @ tables.activity

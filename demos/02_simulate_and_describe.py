@@ -12,6 +12,7 @@ import numpy as np
 from ctgames import solve_mpe, transition_matrix
 from ctgames.equilibrium import aggregate_generator
 from ctgames.experiments import experiment_spec
+from ctgames.likelihood import transition_counts
 from ctgames.simulate import descriptive_stats, sample_discrete, simulate_continuous, to_panel
 
 print(__doc__)
@@ -38,10 +39,7 @@ print(f"  per-firm activity {np.round(stats['activity_prob'], 3)}")
 
 # agreement between the two observation schemes
 snap = to_panel(log, spec.config, periods=5)
-counts = np.zeros((spec.config.n_states, spec.config.n_states))
-states = snap.state.reshape(-1, 6)
-for n in range(5):
-    np.add.at(counts, (states[:, n], states[:, n + 1]), 1)
+counts, _ = transition_counts(snap, spec.config.n_states)
 p_hat = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 p_true = transition_matrix(aggregate_generator(mpe.ccp, spec.config), spec.config.delta)
 visited = counts.sum(axis=1) > 50

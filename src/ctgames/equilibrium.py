@@ -88,16 +88,29 @@ def _logistic_slope(ccp):
     return np.where(ccp.min(axis=1) > CCP_FLOOR, ccp[:, 1] * ccp[:, 0], 0.0)
 
 
-def aggregate_generator(ccp, config):
-    """Total intensity matrix: nature plus every firm's choice-driven rates."""
-    q = game.nature_generator(config)
-    tables = game.state_tables(config)
+def add_action_rates(q, rates, config):
+    """Add the (N, K) action rates to the K x K matrix ``q`` in place and
+    return it: firm i's rate in state k goes to ``q[k, toggle_i(k)]`` and
+    off ``q[k, k]``, firm by firm.  `action_rate_gradient` is its adjoint."""
+    toggle = game.state_tables(config).toggle
     ks = np.arange(config.n_states)
     for i in range(config.n_players):
-        rates = config.lam * ccp[i, 1]
-        q[ks, tables.toggle[i]] += rates
-        q[ks, ks] -= rates
+        q[ks, toggle[i]] += rates[i]
+        q[ks, ks] -= rates[i]
     return q
+
+
+def action_rate_gradient(gbar, config):
+    """Adjoint of `add_action_rates`: the (N, K) gradient in the action rates,
+    ``gbar[k, toggle_i(k)] - gbar[k, k]``, of a function whose gradient in
+    the K x K generator is ``gbar``."""
+    ks = np.arange(config.n_states)
+    return gbar[ks, game.state_tables(config).toggle] - gbar[ks, ks]
+
+
+def aggregate_generator(ccp, config):
+    """Total intensity matrix: nature plus every firm's choice-driven rates."""
+    return add_action_rates(game.nature_generator(config), config.lam * ccp[:, 1], config)
 
 
 def _policy_system_matrix(ccp, config):

@@ -73,17 +73,6 @@ def central_difference_gradient(fun, x, rel_step=1e-6):
     return np.stack(columns, axis=-1)
 
 
-def _loglik_and_gradient(stats, policy, vec, counters=None):
-    """Log likelihood of the statistic ``stats`` at ``policy.ccp(vec)`` and its
-    exact gradient in theta.
-
-    ``counters`` collects the snapshot likelihood's ``clamped_logs``.
-    """
-    ccp = policy.ccp(vec)
-    value, action_grad = stats.value_and_gradient(ccp, counters=counters)
-    return value, policy.chain(ccp, action_grad)
-
-
 def _inversion_start(policy):
     """Stage 1's theta: the CCP inversion of ``policy.ccp_prev``.
 
@@ -133,13 +122,13 @@ def _symmetric(matrix):
     return (matrix + matrix.T) / 2
 
 
-def _maximize(stats, policy, x0, hess_inv0, counters=None):
+def _maximize(stats, policy, x0, hess_inv0):
     """Maximize the log likelihood of ``stats`` over theta through the
     `LinearizedPolicy` ``policy`` by BFGS from ``x0`` and the inverse Hessian
-    ``hess_inv0``; returns (theta vector, loglik, final inverse Hessian).
-
-    ``counters``, when a dict, receives BFGS's ``nit``/``nfev``/``njev`` and
-    the snapshot likelihood's ``clamped_logs`` at the returned theta.
+    ``hess_inv0``, with the statistic's exact gradient chained through the
+    policy.  Returns (theta vector, loglik, final inverse Hessian, counts),
+    ``counts`` holding the ``clamped_logs`` at the returned theta and BFGS's
+    ``nit``/``nfev``/``njev``.
     """
     evaluated = []  # (theta bytes, clamped logs) per likelihood evaluation
 
@@ -147,17 +136,16 @@ def _maximize(stats, policy, x0, hess_inv0, counters=None):
         if len(evaluated) >= MAX_EVALS:
             raise OptimizationError(
                 f"pseudo-likelihood maximization exceeded {MAX_EVALS} evaluations")
-        counts = {}
-        value, grad = _loglik_and_gradient(stats, policy, x, counters=counts)
-        evaluated.append((x.tobytes(), counts.get("clamped_logs", 0)))
-        return -value, -grad
+        ccp = policy.ccp(x)
+        value, action_grad, clamped_logs = stats.value_and_gradient(ccp)
+        evaluated.append((x.tobytes(), clamped_logs))
+        return -value, -policy.chain(ccp, action_grad)
 
     result = scipy.optimize.minimize(objective, x0, jac=True, method="BFGS",
                                      options={"gtol": BFGS_GTOL, "maxiter": MAX_EVALS,
                                               "hess_inv0": hess_inv0})
-    if counters is not None:
-        counters.update(clamped_logs=dict(evaluated)[result.x.tobytes()], nit=int(result.nit),
-                        nfev=int(result.nfev), njev=int(result.njev))
+    counts = {"clamped_logs": dict(evaluated)[result.x.tobytes()], "nit": int(result.nit),
+              "nfev": int(result.nfev), "njev": int(result.njev)}
 
     grad_norm = float(np.abs(result.jac).max())
     # BFGS may stop on line-search precision loss with a near-stationary
@@ -166,7 +154,7 @@ def _maximize(stats, policy, x0, hess_inv0, counters=None):
         raise OptimizationError(
             f"pseudo-likelihood maximization did not converge: {result.message} "
             f"(gradient sup-norm {grad_norm:g})")
-    return result.x, float(-result.fun), _symmetric(result.hess_inv)
+    return result.x, float(-result.fun), _symmetric(result.hess_inv), counts
 
 
 @dataclass
@@ -212,13 +200,12 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
     stats = sufficient_statistics(data, config)
     trace, best = [], None
     for stage in range(1, max_stages + 1):
-        counts = {}
         policy = LinearizedPolicy(ccp, config)
         if stage == 1:
             vec = _inversion_start(policy)
             hess_inv = _start_inverse_hessian(stats, policy, vec)
         try:
-            vec, loglik, hess_inv = _maximize(stats, policy, vec, hess_inv, counters=counts)
+            vec, loglik, hess_inv, counts = _maximize(stats, policy, vec, hess_inv)
         except OptimizationError as err:
             raise OptimizationError(f"stage {stage}: {err}") from err
         if not np.isfinite(loglik):
@@ -247,7 +234,9 @@ def rmse_relative(results, baseline, theta_true):
 
     ``results`` maps estimator name to an (R, P) array of replication
     estimates; returns {name: (P,) array} of per-parameter RMSE divided by
-    the baseline's RMSE.
+    the baseline's RMSE.  Errors are squared scaled by a power of two, so no
+    square leaves the float range; where no raw square did either, the
+    scaling changes no bit.
     """
     if baseline not in results:
         raise InvalidArgumentError(f"baseline estimator {baseline!r} missing from results")
@@ -257,7 +246,9 @@ def rmse_relative(results, baseline, theta_true):
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise InvalidArgumentError("each estimator needs >= 2 replications")
-        return np.sqrt(((arr - true_vec) ** 2).mean(axis=0))
+        errors = arr - true_vec
+        exponent = np.frexp(np.abs(errors).max(axis=0))[1]  # per parameter
+        return np.ldexp(np.sqrt((np.ldexp(errors, -exponent) ** 2).mean(axis=0)), exponent)
 
     base = rmse(results[baseline])
     return {name: rmse(arr) / base for name, arr in results.items()}

@@ -216,13 +216,14 @@ def mc_summary_rows(mc):
 
 def mc_rmse_rows(mc):
     """Relative RMSE rows of the other reported estimators against 2S-True;
-    none when 2S-True is not reported."""
+    none when 2S-True is not reported.  A ratio that is not a finite number,
+    where 2S-True's RMSE is zero, is left empty."""
     reported = _reported(mc)
     if "2S-True" not in reported:
         return []
     ratios = rmse_relative(reported, "2S-True", mc.spec.theta_true)
-    return _headline_rows(mc, {name: {"": ratio} for name, ratio in ratios.items()
-                               if name != "2S-True"})
+    return _headline_rows(mc, {name: {"": [r if np.isfinite(r) else "" for r in ratio]}
+                               for name, ratio in ratios.items() if name != "2S-True"})
 
 
 def counterfactual(spec, fc_shift=-0.2, n_draws=50000, seed=0,

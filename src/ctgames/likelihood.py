@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import game, markov
-from .equilibrium import aggregate_generator, best_response_map, check_ccp
+from .equilibrium import (action_rate_gradient, add_action_rates, aggregate_generator,
+                          best_response_map, check_ccp)
 from .errors import InvalidArgumentError
 from .simulate import NATURE, EventLog, Panel, consecutive_pairs
 
@@ -112,13 +113,13 @@ class SpellStats:
         """Average log likelihood of the event data at ``ccp``."""
         return float(sum(self.loglik_parts(ccp)))
 
-    def value_and_gradient(self, ccp, counters=None):
-        """`loglik` and its (N, K) gradient in ``ccp[:, 1, :]``: the firm terms
-        ``moves ln(lam sigma) - exposure lam sigma`` give
-        ``(moves / sigma - lam exposure) / M``.  Nothing is clamped."""
+    def value_and_gradient(self, ccp):
+        """`loglik`, its (N, K) gradient in ``ccp[:, 1, :]`` and the clamped
+        logs, none: the firm terms ``moves ln(lam sigma) - exposure lam
+        sigma`` give ``(moves / sigma - lam exposure) / M``."""
         grad = ((self.moves / ccp[:, 1, :] - self.config.lam * self.exposure)
                 / self.n_markets)
-        return self.loglik(ccp), grad
+        return self.loglik(ccp), grad, 0
 
     def information(self, ccp, action_jacobian):
         """Expected information of the event data in theta, ``sum_ik lam T_k
@@ -181,27 +182,22 @@ class TransitionCounts:
         """`discrete_loglik_from_counts` at the best responses ``ccp_br``."""
         return discrete_loglik_from_counts(self.counts, self.n_markets, ccp_br, self.config)
 
-    def value_and_gradient(self, ccp_br, counters=None):
-        """`loglik` and its (N, K) gradient in ``ccp_br[:, 1, :]``.
+    def value_and_gradient(self, ccp_br):
+        """`loglik`, its (N, K) gradient in ``ccp_br[:, 1, :]`` and the number
+        of observed transitions clamped at ``LOG_FLOOR``.
 
         With ``G = C / (M P)`` on unclamped entries, the gradient in the
-        generator is the adjoint ``Gbar = delta L(delta Q^T, G)``; firm i's
-        action rate in state k adds ``lam`` to ``Q[k, toggle_i(k)]`` and
-        subtracts it from ``Q[k, k]``.  ``counters``, a dict, gets the
-        observed transitions clamped at ``LOG_FLOOR`` as ``clamped_logs``.
+        generator is the adjoint ``Gbar = delta L(delta Q^T, G)``, and
+        `action_rate_gradient` takes it to the action rates ``lam sigma``.
         """
         config, counts, n_markets = self.config, self.counts, self.n_markets
         q = aggregate_generator(ccp_br, config)
         p, pullback = markov.transition_matrix_pullback(q, config.delta)
         kept = p >= LOG_FLOOR
-        if counters is not None:
-            counters["clamped_logs"] = int(((counts > 0) & ~kept).sum())
         g = np.where(kept, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
-        gbar = pullback(g)
-        ks = np.arange(config.n_states)
-        toggle = game.state_tables(config).toggle
         return (_mean_log_probability(counts, n_markets, p),
-                config.lam * (gbar[ks, toggle] - gbar[ks, ks]))
+                config.lam * action_rate_gradient(pullback(g), config),
+                int(((counts > 0) & ~kept).sum()))
 
     def information(self, ccp_br, action_jacobian):
         """Outer product of the transition scores in theta, ``sum C_kl s_kl
@@ -210,27 +206,17 @@ class TransitionCounts:
         ``action_jacobian`` is the (N, K, P) derivative of ``ccp_br[:, 1, :]``
         in theta.  The score of an observed transition is ``s_kl = (dP_kl /
         dtheta) / P_kl``; each parameter's ``dP`` is one forward Frechet
-        derivative in the generator direction that parameter moves, all on
-        the Pade set-up of ``P``.  Entries below ``LOG_FLOOR`` are skipped,
-        as in the gradient.
+        derivative in the generator direction that parameter moves
+        (`add_action_rates` on zeros), all on the Pade set-up of ``P``.
+        Entries below ``LOG_FLOOR`` are skipped, as in the gradient.
         """
         config = self.config
         p, forward = markov.transition_matrix_frechet(
             aggregate_generator(ccp_br, config), config.delta)
-        ks = np.arange(config.n_states)
-        toggle = game.state_tables(config).toggle
-
-        def direction(rates):
-            """Generator change when firm i's action rate in state k moves by
-            ``rates[i, k]``."""
-            e = np.zeros((config.n_states, config.n_states))
-            e[ks, toggle] = rates
-            e[ks, ks] = -rates.sum(axis=0)
-            return e
-
         used = (self.counts > 0) & (p >= LOG_FLOOR)
-        scores = np.array([forward(direction(config.lam * action_jacobian[:, :, q]))[used]
-                           for q in range(action_jacobian.shape[2])]) / p[used]
+        rates = config.lam * action_jacobian
+        scores = np.array([forward(add_action_rates(np.zeros_like(p), rates[:, :, q], config))[used]
+                           for q in range(rates.shape[2])]) / p[used]
         weighted = scores * np.sqrt(self.counts[used])  # X X' is exactly symmetric
         return weighted @ weighted.T / self.n_markets
 

@@ -316,7 +316,7 @@ def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):
 
         def objective(x):
             best_response = policy.ccp(x)
-            value, action_grad = stats.value_and_gradient(best_response)
+            value, action_grad, _ = stats.value_and_gradient(best_response)
             return -value, -policy.chain(best_response, action_grad)
 
         result = minimize(objective, vec, jac=True, method="BFGS",

@@ -20,6 +20,8 @@ from ctgames.equilibrium import (
     STALL_RATIO,
     STALL_WINDOW,
     LinearizedPolicy,
+    action_rate_gradient,
+    add_action_rates,
     aggregate_generator,
     best_response,
     best_response_map,
@@ -110,6 +112,20 @@ class TestChoiceGenerator:
         ccp = np.stack([1 - probs, probs], axis=1)
         q = aggregate_generator(ccp, config)
         assert np.allclose(q, per_firm_generator(ccp, config), rtol=0, atol=1e-14)
+
+    @given(n_players=st.integers(1, 3), levels=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_action_rate_gradient_is_the_adjoint(self, n_players, levels, seed):
+        # <add_action_rates(0, r), G> == <r, action_rate_gradient(G)>
+        config = GameConfig(n_players=n_players, market_levels=levels)
+        rng = np.random.default_rng(seed)
+        rates = rng.normal(size=(n_players, config.n_states))
+        gbar = rng.normal(size=(config.n_states, config.n_states))
+        forward = add_action_rates(np.zeros_like(gbar), rates, config)
+        terms = forward * gbar  # relative to their absolute sum: no cancellation
+        rhs = (rates * action_rate_gradient(gbar, config)).sum()
+        assert abs(terms.sum() - rhs) <= 1e-12 * np.abs(terms).sum()
 
 
 class TestExpectedInstantPayoff:

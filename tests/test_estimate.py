@@ -25,7 +25,6 @@ from ctgames.equilibrium import (
 from ctgames.estimate import (
     _fit_logistic,
     _initializer_features,
-    _loglik_and_gradient,
     central_difference_gradient,
     ctnpl,
     init_ccp,
@@ -193,7 +192,9 @@ class TestExactGradient:
             return stats.loglik(policy.ccp(vec))
 
         vec = theta.as_vector() + rng.uniform(-0.5, 0.5, size=config.n_players + 3)
-        value, exact = _loglik_and_gradient(stats, policy, vec)
+        ccp = policy.ccp(vec)
+        value, action_grad, _ = stats.value_and_gradient(ccp)
+        exact = policy.chain(ccp, action_grad)
         assert value == loglik(vec)
         oracle = central_difference_gradient(loglik, vec)
         scale = max(np.abs(oracle).max(), 1e-3)
@@ -313,8 +314,8 @@ class TestInformationStart:
         calls = []
         maximize = estimate._maximize
 
-        def recorded(stats, policy, x0, hess_inv0, counters=None):
-            out = maximize(stats, policy, x0, hess_inv0, counters=counters)
+        def recorded(stats, policy, x0, hess_inv0):
+            out = maximize(stats, policy, x0, hess_inv0)
             calls.append((hess_inv0, out[2]))
             return out
 
@@ -626,7 +627,8 @@ class TestMaximizePseudoLikelihood:
         grad = central_difference_gradient(lambda vec: stats.loglik(policy.ccp(vec)),
                                            theta.as_vector())
         assert np.abs(grad).max() < 1e-6
-        exact = _loglik_and_gradient(stats, policy, theta.as_vector())[1]
+        ccp = policy.ccp(theta.as_vector())
+        exact = policy.chain(ccp, stats.value_and_gradient(ccp)[1])
         assert np.abs(exact).max() < 1e-6
 
 
@@ -768,8 +770,8 @@ class TestCtnpl:
         original = estimate_mod._maximize
 
         def nan_loglik(*args, **kwargs):
-            vec, _, hess_inv = original(*args, **kwargs)
-            return vec, np.nan, hess_inv
+            vec, _, hess_inv, counts = original(*args, **kwargs)
+            return vec, np.nan, hess_inv, counts
 
         monkeypatch.setattr(estimate_mod, "_maximize", nan_loglik)
         with pytest.raises(NumericalError):
@@ -827,6 +829,18 @@ class TestRmseRelative:
         exact = np.tile(theta.as_vector(), (20, 1))
         out = rmse_relative({"base": noisy, "oracle": exact}, "base", theta)
         assert np.allclose(out["oracle"], 0.0)
+
+    def test_errors_whose_squares_leave_the_float_range(self, rng):
+        # errors near 2^800 square past the largest float and errors near
+        # 2^-600 below the smallest; the ratios equal those of unscaled errors
+        theta = Theta(fc=(0.0, 0.0), rs=0.0, rn=0.0, ec=0.0)
+        errors = {"base": rng.normal(size=(4, 5)), "other": rng.normal(size=(4, 5))}
+        expected = rmse_relative(errors, "base", theta)
+        for scale in (2.0 ** 800, 2.0 ** -600):
+            out = rmse_relative({name: arr * scale for name, arr in errors.items()},
+                                "base", theta)
+            for name in errors:
+                assert np.array_equal(out[name], expected[name])
 
     def test_missing_baseline_rejected(self, rng):
         theta = Theta(fc=(-1.9,), rs=1.0, rn=0.0, ec=1.0)
