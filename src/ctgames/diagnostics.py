@@ -182,14 +182,11 @@ class StabilityReport:
     ``rho_best_response`` is the spectral radius of the probability
     Jacobian; ``rho_npl_update`` that of the annihilator-projected
     Jacobian, whose value below one guarantees local convergence of the
-    nested loop.  ``norm_bound`` is a cheap Frobenius upper bound on the
-    latter, logged as a sanity check.
+    nested loop.
     """
 
     rho_best_response: float
     rho_npl_update: float
-    jacobian_dim: int
-    norm_bound: float
 
 
 def stability_report(theta, ccp, config):
@@ -199,26 +196,12 @@ def stability_report(theta, ccp, config):
     share their nonzero eigenvalues, and so do A C and R A L (Sylvester's
     identity): ``rho_best_response`` is the radius of R L, formed once, and
     ``rho_npl_update`` that of its rank-P update R L - (R J_theta)(O L).
-    ``norm_bound`` = ||A||_F ||C||_F from the factors: ||A||_F^2 = NK - 2
-    tr(O J_theta) + ||T O||_F^2, with T the QR factor of J_theta (T'T =
-    J_theta'J_theta without squaring its scales), and ||C||_F^2 = sum_j
-    ||L e_j||^2 ||e_j' R||^2 over L's stored entries (its columns have
-    disjoint supports).
     """
     theta_jac, oblique, left, right = stability_objects(theta, ccp, config)
     right_left = right @ left
     rho_br = spectral_radius(right_left)
     rho_npl = spectral_radius(right_left - (right @ theta_jac) @ (oblique @ left))
-    dim = left.shape[0]
-    annihilator_sq = (dim - 2 * np.trace(oblique @ theta_jac)
-                      + np.square(np.linalg.qr(theta_jac, mode="r") @ oblique).sum())
-    jacobian_sq = np.square(left.data).reshape(-1, 2).sum(axis=1) @ np.square(right).sum(axis=1)
-    bound = float(np.sqrt(annihilator_sq * jacobian_sq))
-    if rho_npl > bound * (1 + 1e-8) + 1e-12:
-        raise NumericalError(
-            f"spectral radius {rho_npl:g} exceeds its norm bound {bound:g}")
-    return StabilityReport(rho_best_response=rho_br, rho_npl_update=rho_npl,
-                           jacobian_dim=dim, norm_bound=bound)
+    return StabilityReport(rho_best_response=rho_br, rho_npl_update=rho_npl)
 
 
 def stability_sweep(config, theta_base, rn_grid):

@@ -34,7 +34,7 @@ of the probabilities until both sup-norm deltas fall under tolerance; a
 single stage is the two-step pseudo maximum likelihood estimator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -159,7 +159,7 @@ def _maximize(stats, policy, x0, hess_inv0):
 
 @dataclass
 class EstimationResult:
-    """Outcome of the nested estimation loop."""
+    """Outcome of the nested estimation loop; ``first_stage`` is its stage 1."""
 
     theta_hat: Theta
     ccp_hat: np.ndarray
@@ -167,6 +167,7 @@ class EstimationResult:
     converged: bool
     loglik: float
     trace: list = field(default_factory=list)
+    first_stage: "EstimationResult | None" = None
 
 
 def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
@@ -176,11 +177,12 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
     Alternates a theta maximization at the current probabilities with one
     best-response update of the probabilities, stopping once both sup-norm
     deltas drop below ``tol``.  ``max_stages=1`` is the two-step pseudo
-    maximum likelihood estimator.  The first stage starts at the CCP
-    inversion of the start probabilities; later stages warm-start theta and
-    BFGS's inverse Hessian from the previous stage.  If the loop does not
-    converge, the highest-likelihood visited candidate is returned with
-    ``converged=False``.
+    maximum likelihood estimator, and every result's ``first_stage`` equals
+    that result, with its own copy of the first trace entry.  The first
+    stage starts at the CCP inversion of the start probabilities; later
+    stages warm-start theta and BFGS's inverse Hessian from the previous
+    stage.  If the loop does not converge, the highest-likelihood visited
+    candidate is returned with ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
     probabilities and parameters (infinite for stage 1's parameters), the
@@ -219,6 +221,9 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
             theta_hat=Theta.from_vector(vec, config.n_players),
             ccp_hat=updated, iterations=stage, converged=False,
             loglik=loglik, trace=trace)
+        if stage == 1:
+            first_stage = replace(candidate, trace=[dict(trace[0])])
+        candidate.first_stage = first_stage
         if best is None or loglik > best.loglik:
             best = candidate
         if sigma_delta < tol and theta_delta < tol:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibrium import aggregate_generator, solve_mpe
 from .errors import CTGamesError, InvalidArgumentError, NumericalError
-from .estimate import INIT_METHODS, ctnpl, init_ccp, rmse_relative
+from .estimate import INIT_METHODS, EstimationResult, ctnpl, init_ccp, rmse_relative
 from .game import GameConfig, Theta, state_tables
 from .likelihood import sufficient_statistics
 from .markov import stationary_distribution
@@ -113,26 +113,41 @@ def simulate_dataset(spec, ccp_star, rep_seed):
                            spec.n_markets, periods=1, seed=rep_seed)
 
 
-def run_estimators(spec, data, ccp_star, rep_seed):
-    """Fit every estimator named in the spec on one dataset.
-
-    ``data`` is a dataset or its statistic, reduced once for all of them.
-    Two-step estimators are single-stage runs from their initializer; the
-    nested estimator iterates up to ``spec.ctnpl_stages`` stages from
-    ``spec.ctnpl_init``.  Returns {name: EstimationResult}.
-    """
+def fit_estimators(spec, data, ccp_star, rep_seed):
+    """Fit every estimator named in the spec on one dataset, reduced once to
+    its statistic: {name: EstimationResult, or the `CTGamesError` that ended
+    the fit}, in the spec's order.  Two-step estimators are single-stage
+    runs from their initializer.  CTNPL runs first, up to ``spec.ctnpl_stages``
+    stages from ``spec.ctnpl_init``; its stage 1 is the two-step estimate
+    from that start (a random start's seed differs), refitted only if CTNPL
+    fails."""
     data = sufficient_statistics(data, spec.config)
     # (init method, stages, seed of a random start) per estimator
     plans = {"2S-True": ("true", 1, None), "2S-Freq": ("frequency", 1, None),
              "2S-Logit": ("logit", 1, None), "2S-Random": ("random", 1, rep_seed + 101),
              "CTNPL": (spec.ctnpl_init, spec.ctnpl_stages, rep_seed + 103)}
-    out = {}
-    for name in spec.estimators:
+    fits = {}
+    for name in sorted(spec.estimators, key=lambda name: name != "CTNPL"):
         method, stages, seed = plans[name]
-        start = init_ccp(method, data, spec.config, ccp_star=ccp_star, seed=seed)
-        out[name] = ctnpl(data, spec.config, start, max_stages=stages,
-                          tol=spec.ctnpl_tol)
-    return out
+        nested = fits.get("CTNPL")
+        try:
+            if method == spec.ctnpl_init != "random" and isinstance(nested, EstimationResult):
+                fits[name] = nested.first_stage
+            else:
+                start = init_ccp(method, data, spec.config, ccp_star=ccp_star, seed=seed)
+                fits[name] = ctnpl(data, spec.config, start, max_stages=stages, tol=spec.ctnpl_tol)
+        except CTGamesError as err:
+            fits[name] = err
+    return {name: fits[name] for name in spec.estimators}
+
+
+def run_estimators(spec, data, ccp_star, rep_seed):
+    """{name: EstimationResult} from `fit_estimators`; raises the first failed fit's error."""
+    fits = fit_estimators(spec, data, ccp_star, rep_seed)
+    for result in fits.values():
+        if isinstance(result, CTGamesError):
+            raise result
+    return fits
 
 
 @dataclass
@@ -148,11 +163,10 @@ class McResults:
 def run_monte_carlo(spec, ccp_star=None, verbose=False):
     """Simulate-and-estimate replications under a paired design.
 
-    Each replication's dataset is reduced to its statistic once for all
-    the estimators.  Per-replication failures are recorded in ``failures``
-    and the replication is dropped for that estimator only (never
-    silently).  At least two replications are needed for the standard
-    deviations.
+    Each replication is fitted by one `fit_estimators` call.  A failed fit
+    is recorded in ``failures`` and drops the replication for that
+    estimator only (never silently).  At least two replications are needed
+    for the standard deviations.
     """
     if spec.replications < 2:
         raise InvalidArgumentError("a Monte Carlo run needs >= 2 replications")
@@ -164,15 +178,13 @@ def run_monte_carlo(spec, ccp_star=None, verbose=False):
     failures = []
     for rep in range(spec.replications):
         rep_seed = spec.seed + rep
-        data = sufficient_statistics(simulate_dataset(spec, ccp_star, rep_seed), spec.config)
-        for name in spec.estimators:
-            try:
-                single = replace(spec, estimators=(name,))
-                result = run_estimators(single, data, ccp_star, rep_seed)[name]
+        data = simulate_dataset(spec, ccp_star, rep_seed)
+        for name, result in fit_estimators(spec, data, ccp_star, rep_seed).items():
+            if isinstance(result, CTGamesError):
+                failures.append((rep, name, str(result)))
+            else:
                 kept[name].append(result.theta_hat.as_vector())
                 ids[name].append(rep)
-            except CTGamesError as err:
-                failures.append((rep, name, str(err)))
         if verbose:
             print(f"replication {rep + 1}/{spec.replications} done")
     estimates = {name: np.array(rows) for name, rows in kept.items() if rows}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ctgames.cli import main, make_parser
@@ -851,7 +851,10 @@ def _non_finite_cells(out):
 
 
 class TestEveryConfigEndsInADocumentedExit:
+    # no shrink or explain phase: each reruns the nine commands, so a red run
+    # would take many minutes to report
     @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              phases=[Phase.explicit, Phase.generate],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=custom_games(), init=st.sampled_from(INIT_METHODS))
     @example(spec=TINY_CURVATURE_GAME, init="true")

@@ -260,13 +260,22 @@ class TestStabilityObjects:
         assert np.abs(product).max() < 1e-8
 
 
+def dense_frobenius_bound(theta, ccp, config):
+    """||A||_F ||L R||_F from the dense projector and probability Jacobian,
+    which bounds the projected radius, with room for rounding: times
+    1 + 1e-8, plus 1e-12.  Raises as `stability_objects` does."""
+    objects = stability_objects(theta, ccp, config)
+    bound = (np.linalg.norm(objects.annihilator, "fro")
+             * np.linalg.norm(objects.left_factor @ objects.right_factor, "fro"))
+    return bound * (1 + 1e-8) + 1e-12
+
+
 class TestStabilityReport:
     def test_report_at_mini_fixed_point(self, mini_fixed_point):
         config, theta, ccp = mini_fixed_point
         report = stability_report(theta, ccp, config)
         assert 0 <= report.rho_best_response < 1
-        assert 0 <= report.rho_npl_update <= report.norm_bound + 1e-9
-        assert report.jacobian_dim == config.n_players * config.n_states
+        assert 0 <= report.rho_npl_update <= dense_frobenius_bound(theta, ccp, config)
 
     def test_non_finite_ccp_is_invalid_argument(self, mini_fixed_point):
         config, theta, ccp = mini_fixed_point
@@ -320,19 +329,16 @@ class TestStabilityReport:
 
     @given(game=games)
     @settings(max_examples=40)
-    def test_norm_bound_equals_dense_frobenius_product(self, game):
-        # the bound from traces of the factors is ||A||_F ||L R||_F
+    def test_npl_radius_within_dense_frobenius_bound(self, game):
         config, theta, ccp = game
         try:
-            objects = stability_objects(theta, ccp, config)
+            bound = dense_frobenius_bound(theta, ccp, config)
         except (InvalidArgumentError, NumericalError) as err:
             with pytest.raises(type(err)) as raised:
                 stability_report(theta, ccp, config)
             assert str(raised.value) == str(err)
             return
-        dense = (np.linalg.norm(objects.annihilator, "fro")
-                 * np.linalg.norm(objects.left_factor @ objects.right_factor, "fro"))
-        assert stability_report(theta, ccp, config).norm_bound == pytest.approx(dense, rel=1e-10)
+        assert stability_report(theta, ccp, config).rho_npl_update <= bound
 
     def test_peak_memory_below_one_and_a_half_dense_arrays(self):
         # N = 4 firms and 5 demand levels: NK = 320.  R holds half an NK x NK

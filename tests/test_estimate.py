@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -789,6 +790,96 @@ class TestCtnpl:
         result = ctnpl(TransitionCounts(counts, 10, config), config, ccp_star)
         assert [t["clamped_logs"] for t in result.trace] == [1] * len(result.trace)
         assert any(t["nfev"] > 1 for t in result.trace)
+
+
+class TestSharedFirstStage:
+    """CTNPL's stage 1 is the two-step estimate from its start, fitted once."""
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous"])
+    @pytest.mark.parametrize("init, twin",
+                             [("frequency", "2S-Freq"), ("logit", "2S-Logit"), ("true", "2S-True")])
+    def test_two_step_equals_a_lone_first_stage(self, desk_game, desk_data, kind, init, twin):
+        from ctgames.experiments import experiment_spec, run_estimators
+
+        config, _, ccp_star = desk_game
+        spec = experiment_spec(2, scale="desk", sampling=kind, ctnpl_init=init,
+                               estimators=(twin, "CTNPL"))
+        stats = sufficient_statistics(desk_data[kind], config)
+        fits = run_estimators(spec, stats, ccp_star, 1)
+        lone = ctnpl(stats, config, init_ccp(init, stats, config, ccp_star=ccp_star),
+                     max_stages=1)
+        shared = fits[twin]
+        assert np.array_equal(shared.theta_hat.as_vector(), lone.theta_hat.as_vector())
+        assert np.array_equal(shared.ccp_hat, lone.ccp_hat)
+        assert (shared.loglik, shared.iterations, shared.converged, shared.trace) == (
+            lone.loglik, lone.iterations, lone.converged, lone.trace)
+        assert fits["CTNPL"].iterations > 1
+        assert shared.trace[0] is not fits["CTNPL"].trace[0]
+
+    def test_stage_one_runs_once_per_start(self, desk_game, desk_data, monkeypatch):
+        # five estimators, four starts: 2S-Freq is CTNPL's stage 1
+        from ctgames.experiments import ESTIMATOR_NAMES, experiment_spec, run_estimators
+
+        _, _, ccp_star = desk_game
+        starts = []
+        original = estimate._inversion_start
+
+        def counted(policy):
+            starts.append(policy)
+            return original(policy)
+
+        monkeypatch.setattr(estimate, "_inversion_start", counted)
+        fits = run_estimators(experiment_spec(2, scale="desk"), desk_data["discrete"], ccp_star, 1)
+        assert tuple(fits) == ESTIMATOR_NAMES
+        assert len(starts) == 4
+
+    @staticmethod
+    def _fail_at_stage(monkeypatch, failing_stage):
+        """Make every fit fail at ``failing_stage`` (1 or 2) with one message:
+        stage 1 maximizes from `_start_inverse_hessian`'s matrix."""
+        first_hessians = []
+        original_start, original_maximize = estimate._start_inverse_hessian, estimate._maximize
+
+        def start(*args):
+            first_hessians.append(original_start(*args))
+            return first_hessians[-1]
+
+        def maximize(stats, policy, x0, hess_inv0):
+            if any(hess_inv0 is h for h in first_hessians) == (failing_stage == 1):
+                raise OptimizationError("synthetic failure")
+            return original_maximize(stats, policy, x0, hess_inv0)
+
+        monkeypatch.setattr(estimate, "_start_inverse_hessian", start)
+        monkeypatch.setattr(estimate, "_maximize", maximize)
+
+    @pytest.mark.parametrize("failing_stage", [1, 2])
+    def test_monte_carlo_records_a_ctnpl_failure_for_ctnpl_only(self, monkeypatch,
+                                                                failing_stage):
+        # a CTNPL failure at stage 2 leaves 2S-Freq's estimate; at stage 1
+        # 2S-Freq, fitted on its own, fails as it does alone
+        from ctgames.experiments import experiment_spec, run_monte_carlo
+
+        spec = experiment_spec(2, scale="desk", n_markets=60, replications=2, seed=5,
+                               estimators=("2S-Freq", "CTNPL"))
+        alone = run_monte_carlo(replace(spec, estimators=("2S-Freq",)))
+        self._fail_at_stage(monkeypatch, failing_stage)
+        mc = run_monte_carlo(spec)
+        message = f"stage {failing_stage}: synthetic failure"
+        failed = ["CTNPL"] if failing_stage == 2 else ["2S-Freq", "CTNPL"]
+        assert mc.failures == [(rep, name, message) for rep in (0, 1) for name in failed]
+        assert "CTNPL" not in mc.estimates and not mc.replication_ids["CTNPL"]
+        if failing_stage == 2:
+            assert np.array_equal(mc.estimates["2S-Freq"], alone.estimates["2S-Freq"])
+            assert mc.replication_ids["2S-Freq"] == [0, 1]
+
+    def test_run_estimators_raises_a_failed_fit(self, desk_game, desk_data, monkeypatch):
+        from ctgames.experiments import experiment_spec, run_estimators
+
+        _, _, ccp_star = desk_game
+        self._fail_at_stage(monkeypatch, 2)
+        spec = experiment_spec(2, scale="desk", estimators=("2S-Freq", "CTNPL"))
+        with pytest.raises(OptimizationError, match="^stage 2: synthetic failure$"):
+            run_estimators(spec, desk_data["discrete"], ccp_star, 1)
 
 
 class TestMaximizeFailures:
