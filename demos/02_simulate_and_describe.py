@@ -13,7 +13,13 @@ from ctgames import solve_mpe, transition_matrix
 from ctgames.equilibrium import aggregate_generator
 from ctgames.experiments import experiment_spec
 from ctgames.likelihood import transition_counts
-from ctgames.simulate import descriptive_stats, sample_discrete, simulate_continuous, to_panel
+from ctgames.simulate import (
+    CENSOR,
+    descriptive_stats,
+    sample_discrete,
+    simulate_continuous,
+    to_panel,
+)
 
 print(__doc__)
 
@@ -24,7 +30,7 @@ log = simulate_continuous(spec.theta_true, mpe.ccp, spec.config,
                           n_markets=200, seed=7, horizon=5.0)
 print(f"event log: {log.n_events} state changes across {log.n_markets} markets "
       f"observed for 5 time units each")
-movers = np.bincount(log.actor + 1, minlength=spec.config.n_players + 1)
+movers = np.bincount(log.actor[log.actor != CENSOR] + 1, minlength=spec.config.n_players + 1)
 print(f"  moves by nature: {movers[0]}, by firms: {movers[1:]}")
 
 panel = sample_discrete(spec.theta_true, mpe.ccp, spec.config,
@@ -38,7 +44,7 @@ print(f"  entrants/exits per period {stats['avg_entrants']:.3f}/"
 print(f"  per-firm activity {np.round(stats['activity_prob'], 3)}")
 
 # agreement between the two observation schemes
-snap = to_panel(log, spec.config, periods=5)
+snap = to_panel(log, spec.config)
 counts, _ = transition_counts(snap, spec.config.n_states)
 p_hat = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 p_true = transition_matrix(aggregate_generator(mpe.ccp, spec.config), spec.config.delta)

@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .game import GameConfig, Theta
 from .likelihood import sufficient_statistics
-from .simulate import EventLog, Panel
+from .simulate import EventLog, Panel, in_data_file
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
@@ -155,7 +155,9 @@ def cmd_simulate(spec, out, args):
 
 def cmd_estimate(spec, out, args):
     loader = EventLog if spec.sampling == "continuous" else Panel
-    data = sufficient_statistics(loader.from_csv(args.data), spec.config)
+    data = loader.from_csv(args.data)
+    with in_data_file(args.data):  # the checks against the game
+        data = sufficient_statistics(data, spec.config)
     ccp_star = solve_spec(spec)[0].ccp if spec.ctnpl_init == "true" else None
     start = init_ccp(spec.ctnpl_init, data, spec.config, ccp_star=ccp_star, seed=spec.seed)
     result = ctnpl(data, spec.config, start, max_stages=spec.ctnpl_stages,

@@ -98,17 +98,24 @@ def _inversion_start(policy):
 def _start_inverse_hessian(stats, policy, x0):
     """BFGS's first inverse Hessian for the stage-1 maximization from ``x0``:
     the inverse of the data's information at the start (`SpellStats.information`
-    or `TransitionCounts.information`), with unit curvature in its
+    or `TransitionCounts.information`), with unit curvature along each
+    parameter whose row of the information is zero and in the other
     eigen-directions at or below ``INFO_RANK_TOL`` times the largest
     eigenvalue (parameters the data do not identify).  `NumericalError` when
     it is not finite or fails SciPy's Cholesky test of ``hess_inv0``, as when
     a retained curvature is tiny next to the unit ones.
     """
     ccp = policy.ccp(x0)
+    information = stats.information(ccp, policy.theta_jacobian(ccp))
+    # a parameter the data cannot see (a zero row) keeps unit curvature, and
+    # the eigendecomposition never mixes it into the others
+    seen = np.flatnonzero(information.any(axis=0))
+    block = np.ix_(seen, seen)
+    hess_inv = np.eye(len(information))
     try:
-        curvature, basis = np.linalg.eigh(stats.information(ccp, policy.theta_jacobian(ccp)))
-        curvature[curvature <= INFO_RANK_TOL * curvature.max()] = 1.0
-        hess_inv = _symmetric((basis / curvature) @ basis.T)
+        curvature, basis = np.linalg.eigh(information[block])
+        curvature[curvature <= INFO_RANK_TOL * curvature.max(initial=-np.inf)] = 1.0
+        hess_inv[block] = _symmetric((basis / curvature) @ basis.T)
         if np.isfinite(hess_inv).all():
             np.linalg.cholesky(hess_inv)
             return hess_inv

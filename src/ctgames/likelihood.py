@@ -7,8 +7,8 @@ likelihood factors into survival, player-action and nature terms, and
 `TransitionCounts` (the K x K consecutive-snapshot counts) for a panel,
 whose transitions are scored against ``expm(delta * Q)`` at best-response
 probabilities.  `SpellStats.from_events` reduces a log in one pass over its
-events: each event closes a spell that began at the market's previous
-event, and each market's last spell runs to its horizon.  Each statistic
+rows: each row closes a spell that began at the market's previous row, at
+a move or, on each market's censor row, at its horizon.  Each statistic
 gives its log likelihood at given action probabilities
 (``SpellStats.from_events(log, config).loglik(ccp)``, or ``loglik_parts``
 for its three terms) and, with it, the exact gradient in those
@@ -50,25 +50,26 @@ class SpellStats:
     def from_events(cls, events, config):
         events.check_ranges(config)
         k_total, n = config.n_states, config.n_players
-        # each event ends a spell in its pre-state that began at the market's
-        # previous event (or at 0); each market's last, possibly zero-length,
-        # spell sits in its final state until the horizon
-        offsets, time = events.offsets, events.time
-        busy = offsets[1:] > offsets[:-1]
+        # every row closes a spell in its state that began at the market's
+        # previous row (or at 0); the event rows' spells and the censor rows'
+        # (each market's last) are summed apart, censor rows weighing 0 in the first
+        offsets, time, state = events.offsets, events.time, events.state
+        ends = offsets[1:] - 1
         previous = np.empty_like(time)
         previous[1:] = time[:-1]
-        previous[offsets[:-1][busy]] = 0.0
-        last = np.zeros(events.n_markets)
-        last[busy] = time[offsets[1:][busy] - 1]
-        exposure = (np.bincount(events.pre_state, weights=time - previous, minlength=k_total)
-                    + np.bincount(events.final_state, weights=events.horizon - last,
-                                  minlength=k_total))
-        # player moves code as actor * K + pre-state, nature's after them as
-        # N * K + pre-state * K + destination
-        code = np.where(events.actor == NATURE,
-                        (n + events.pre_state) * k_total + events.action,
-                        events.actor * k_total + events.pre_state)
-        counts = np.bincount(code, minlength=(n + k_total) * k_total).astype(float)
+        previous[offsets[:-1]] = 0.0
+        spell = time - previous
+        final = spell[ends]
+        spell[ends] = 0.0
+        exposure = (np.bincount(state, weights=spell, minlength=k_total)
+                    + np.bincount(state[ends], weights=final, minlength=k_total))
+        # player moves code as actor * K + state, nature's after them as
+        # N * K + state * K + destination, and censor rows in a last bin
+        moves_end = (n + k_total) * k_total
+        code = np.where(events.actor == NATURE, (n + state) * k_total + events.action,
+                        events.actor * k_total + state)
+        code[ends] = moves_end
+        counts = np.bincount(code, minlength=moves_end + 1)[:moves_end].astype(float)
         return cls(exposure=exposure, moves=counts[:n * k_total].reshape(n, k_total),
                    nature_moves=counts[n * k_total:].reshape(k_total, k_total),
                    n_markets=events.n_markets, config=config)

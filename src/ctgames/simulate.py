@@ -7,13 +7,15 @@ continuation decisions (choice 0) are invisible to an observer of the state
 path and never enter the event log.
 
 `EventLog` and `Panel` are the only place that knows how a dataset splits
-into markets.  Each checks its invariants when it is built, whether by a
-simulator or by a CSV loader (which first checks the file's header row
-against the column names): array lengths agree, every market's rows are
-contiguous (in ``markets`` order for an event log, whose events all belong
-to a listed market), event times are finite, nonnegative and nondecreasing
-within a market and end by its horizon, an event file's ``n`` counts each
-market's rows 1, 2, ... down to its censor row, which follows its events,
+into markets.  An `EventLog` holds the rows of its file: each market's
+events, then its censor row, so every row closes a spell that began at the
+market's previous row.  Each checks its invariants when it is built,
+whether by a simulator or by a CSV loader (which first checks the file's
+header row against the column names, and names the file in any error):
+array lengths agree, every market's rows are contiguous under an id of
+their own and, in an event log, end in its censor row, event times are
+finite, nonnegative and nondecreasing within a market (so no event follows
+its horizon), an event file's ``n`` counts each market's rows 1, 2, ...,
 and panel periods strictly increase within a market.  The market
 boundaries are kept as ``offsets`` (market m owns rows
 ``offsets[m]:offsets[m + 1]``), so every reader runs in time linear in rows
@@ -24,6 +26,7 @@ configuration calls first.  Any violation raises `InvalidArgumentError`.
 
 import warnings
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,29 +70,39 @@ def _as_arrays(data):
     return [len(getattr(data, f.name)) for f in fields(data)]
 
 
+@contextmanager
+def in_data_file(path):
+    """Prefix ``data file {path}: `` to any `InvalidArgumentError` raised inside."""
+    try:
+        yield
+    except InvalidArgumentError as err:
+        raise InvalidArgumentError(f"data file {path}: {err}") from None
+
+
 def _read_columns(path, columns):
-    """Columns of a CSV data file whose header row lists the names of the
-    dict ``columns``, parsed as its types.
+    """C-contiguous columns of a CSV data file whose header row lists the
+    names of the dict ``columns``, parsed as its types.
 
     An unreadable file, another header, a row with another field count, or a
-    field that does not parse raises `InvalidArgumentError`.
+    field that does not parse raises `InvalidArgumentError` naming the file.
     """
-    try:
-        with open(path) as handle:
-            header = [name.strip() for name in handle.readline().split(",")]
-        _require(header == list(columns),
-                 f"data file {path} has header {header}, expected {list(columns)}")
-        with warnings.catch_warnings():
-            # a header-only file is a valid empty dataset
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # from the path, which NumPy parses faster than a Python file object
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
-                               dtype=list(columns.items()))
-    except InvalidArgumentError:
-        raise
-    except (OSError, ValueError) as err:
-        raise InvalidArgumentError(f"cannot read data file {path}: {err}") from None
-    return [table[name] for name in columns]
+    with in_data_file(path):
+        try:
+            with open(path) as handle:
+                header = [name.strip() for name in handle.readline().split(",")]
+            _require(header == list(columns), f"header {header}, expected {list(columns)}")
+            with warnings.catch_warnings():
+                # a header-only file is a valid empty dataset
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # from the path, which NumPy parses faster than a Python file object
+                table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1,
+                                   dtype=list(columns.items()))
+        except InvalidArgumentError:
+            raise
+        except (OSError, ValueError) as err:
+            raise InvalidArgumentError(f"cannot be read: {err}") from None
+        # a field of the structured table is a strided view
+        return [np.ascontiguousarray(table[name]) for name in columns]
 
 
 def _write_columns(path, columns, arrays):
@@ -108,128 +121,81 @@ def _write_columns(path, columns, arrays):
 
 @dataclass
 class EventLog:
-    """Continuous-time event records plus per-market censoring information.
+    """Event histories censored at each market's horizon: the rows of the
+    event file but its counter ``n``, which ``index`` derives.
 
-    Event arrays (one entry per recorded state change):
-
-    - ``market_id`` : market
-    - ``pre_state`` : state the market was in when the event fired
-    - ``time`` : absolute event time
-    - ``actor`` : ``NATURE`` (-1) or a player index
-    - ``action`` : the player's choice (always 1; choice 0 is unobservable)
-      or, for nature, the destination state
-
-    Market arrays (one entry per market): ``markets``, ``horizon`` (the
-    censoring time), and ``final_state`` (state held at the censoring time).
-    Each market's events are contiguous and in ``markets`` order; the derived
-    ``offsets`` (length ``n_markets + 1``) bound them, and ``index`` counts
-    each market's events from 1.
+    Every row closes a spell, in ``state``, that began at the market's
+    previous row (or at 0) and ends at ``time``: at a move by ``actor``
+    (``NATURE`` = -1 or a player), whose ``action`` is nature's destination
+    or the player's choice (always 1; choice 0 is unobservable), or, on the
+    market's last row, at its horizon (``actor`` ``CENSOR`` = -2, ``action``
+    -1).  The derived ``offsets`` bound each market's rows: market m owns
+    ``offsets[m]:offsets[m + 1]``.
     """
 
     market_id: np.ndarray
-    pre_state: np.ndarray
+    state: np.ndarray
     time: np.ndarray
     actor: np.ndarray
     action: np.ndarray
-    markets: np.ndarray
-    horizon: np.ndarray
-    final_state: np.ndarray
 
     def __post_init__(self):
-        lengths = _as_arrays(self)
-        _require(len(set(lengths[:5])) == 1 and len(set(lengths[5:])) == 1,
-                 "event arrays and market arrays must each share one length")
-        _require(len(np.unique(self.markets)) == self.n_markets, "market ids must be distinct")
-        _require(self.n_markets or not self.n_events, "events need a listed market")
-        # position in `markets` of every event's market
-        order = np.argsort(self.markets)
-        at = np.searchsorted(self.markets[order], self.market_id)
-        at = order[np.minimum(at, max(self.n_markets - 1, 0))]
-        unlisted = self.market_id[self.markets[at] != self.market_id]
-        _require(not unlisted.size, f"markets {unlisted[:3].tolist()} have events but are not "
-                                    f"listed (no censor row)")
-        _require(np.all(at[1:] >= at[:-1]),
-                 "each market's events must be contiguous and in market order")
-        self.offsets = np.concatenate([[0], np.cumsum(np.bincount(at, minlength=self.n_markets))])
-
-        same = at[1:] == at[:-1]
+        _require(len(set(_as_arrays(self))) == 1, "event arrays must share one length")
+        censor = self.actor == CENSOR
+        same = ~censor[:-1]  # rows r and r + 1 belong to one market
+        self.offsets = np.concatenate([[0], np.flatnonzero(censor) + 1])
+        ids = self.market_id[self.offsets[1:] - 1]
+        _require(self.offsets[-1] == len(censor) and np.array_equal(
+            self.market_id, ids.repeat(np.diff(self.offsets))),
+            "each market's rows must be contiguous and end in its censor row")
+        _require(len(np.unique(ids)) == self.n_markets, "market ids must be distinct")
+        _require(np.all(self.action[censor] == -1), "each censor row's action must be -1")
         _require(np.all(np.isfinite(self.time)) and np.all(self.time >= 0)
                  and np.all(self.time[1:][same] >= self.time[:-1][same]),
                  "event times must be finite, nonnegative and nondecreasing within a market")
-        last = np.zeros(self.n_markets)
-        busy = self.offsets[1:] > self.offsets[:-1]
-        last[busy] = self.time[self.offsets[1:][busy] - 1]
-        _require(np.all(np.isfinite(self.horizon)) and np.all(self.horizon >= last),
-                 "each horizon must be finite and at least its market's last event time")
 
     @property
     def n_events(self):
-        return len(self.market_id)
+        return len(self.market_id) - self.n_markets
 
     @property
     def n_markets(self):
-        return len(self.markets)
+        return len(self.offsets) - 1
 
     @property
     def index(self):
-        """Each event's 1-based counter within its market."""
-        return np.arange(1, self.n_events + 1) - self.offsets[:-1].repeat(np.diff(self.offsets))
+        """Each row's 1-based counter within its market."""
+        return np.arange(1, len(self.market_id) + 1) - self.offsets[:-1].repeat(
+            np.diff(self.offsets))
 
     def check_ranges(self, config):
-        """Raise `InvalidArgumentError` unless every index fits the game.
-
-        States must lie in [0, K), actors be ``NATURE`` or a player in
-        [0, N), nature's destinations be states and player actions be 1.
-        """
+        """Raise `InvalidArgumentError` unless every index fits the game:
+        states in [0, K), actors ``CENSOR``, ``NATURE`` or a player in
+        [0, N), nature's destinations states and player actions 1."""
         k_total, n = config.n_states, config.n_players
-        nature = self.actor == NATURE
-        _require(_within(self.pre_state, k_total) and _within(self.final_state, k_total),
-                 f"event states must lie in [0, {k_total})")
-        _require(_within(self.actor[~nature], n),
-                 f"event actors must be nature ({NATURE}) or a player in [0, {n})")
+        nature, player = self.actor == NATURE, self.actor >= 0
+        _require(_within(self.state, k_total), f"event states must lie in [0, {k_total})")
+        # the codes CENSOR < NATURE < 0 and the players fill [CENSOR, N)
+        _require(_within(self.actor - CENSOR, n - CENSOR),
+                 f"event actors must be censor ({CENSOR}), nature ({NATURE}) "
+                 f"or a player in [0, {n})")
         _require(_within(self.action[nature], k_total),
                  f"nature's destinations must lie in [0, {k_total})")
-        _require(np.all(self.action[~nature] == 1), "player actions must be 1")
-
-    def spell_rows(self):
-        """(event rows, final-spell rows) when each market's events are
-        followed by its censored final spell, as in the CSV file."""
-        markets = np.arange(self.n_markets)
-        event_rows = np.arange(self.n_events) + np.repeat(markets, np.diff(self.offsets))
-        return event_rows, self.offsets[1:] + markets
+        _require(np.all(self.action[player] == 1), "player actions must be 1")
 
     def to_csv(self, path):
-        """Write one row per event plus a terminal censor row per market.
-
-        Columns are ``market_id, n, k, t, actor, action``; ``n`` counts each
-        market's rows from 1, and the censor row has ``actor = -2``, ``k`` the
-        final state, ``t`` the censoring time and ``action = -1``.
-        """
-        event_rows, final_rows = self.spell_rows()
-
-        def column(events, finals):
-            out = np.empty(self.n_events + self.n_markets, np.result_type(events, finals))
-            out[event_rows], out[final_rows] = events, finals
-            return out
-
-        censor = np.full(self.n_markets, CENSOR)
-        _write_columns(path, EVENT_COLUMNS, [
-            column(self.market_id, self.markets), column(self.index, np.diff(self.offsets) + 1),
-            column(self.pre_state, self.final_state), column(self.time, self.horizon),
-            column(self.actor, censor), column(self.action, np.full_like(censor, -1))])
+        """Write one row per entry: ``market_id, n, k, t, actor, action``,
+        with ``n`` the `index` and ``k`` the ``state``."""
+        _write_columns(path, EVENT_COLUMNS, [self.market_id, self.index, self.state,
+                                             self.time, self.actor, self.action])
 
     @classmethod
     def from_csv(cls, path):
         market_id, index, state, time, actor, action = _read_columns(path, EVENT_COLUMNS)
-        event, censor = actor != CENSOR, actor == CENSOR
-        log = cls(market_id=market_id[event], pre_state=state[event], time=time[event],
-                  actor=actor[event], action=action[event], markets=market_id[censor],
-                  horizon=time[censor], final_state=state[censor])
-        _require(np.array_equal(np.flatnonzero(censor), log.spell_rows()[1]),
-                 f"data file {path}: each market's censor row must follow its events")
-        _require(np.array_equal(index[event], log.index)
-                 and np.array_equal(index[censor], np.diff(log.offsets) + 1),
-                 f"data file {path}: each market's n must read 1, 2, ... down to its censor row")
+        with in_data_file(path):
+            log = cls(market_id=market_id, state=state, time=time, actor=actor, action=action)
+            _require(np.array_equal(index, log.index),
+                     "each market's n must read 1, 2, ... down to its censor row")
         return log
 
 
@@ -274,7 +240,8 @@ class Panel:
     @classmethod
     def from_csv(cls, path):
         market_id, period, state = _read_columns(path, PANEL_COLUMNS)
-        return cls(market_id=market_id, period=period, state=state)
+        with in_data_file(path):
+            return cls(market_id=market_id, period=period, state=state)
 
 
 def consecutive_pairs(panel, k_total):
@@ -325,9 +292,9 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
     Each market starts from the stationary distribution of the aggregate
     intensity matrix and evolves by competing exponential hazards: nature's
     rates plus ``lam * ccp[i, 1, k]`` per firm.  With ``horizon`` set,
-    events are recorded up to that time and the final spell is censored
-    there; otherwise exactly ``events_per_market`` events are recorded and
-    observation stops at the last event (a zero-length final spell).
+    events are recorded up to that time and the censor row closes the final
+    spell there; otherwise exactly ``events_per_market`` events are recorded
+    and the censor row sits at the last event (a zero-length final spell).
 
     Raises
     ------
@@ -342,10 +309,7 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
     pi = markov.stationary_distribution(aggregate_generator(ccp, config))
     cum_pi = np.cumsum(pi)
 
-    market_id, pre_state, time, actor, action = [], [], [], [], []
-    horizons = np.empty(n_markets)
-    finals = np.empty(n_markets, dtype=np.int64)
-
+    columns = market_id, state, time, actor, action = [], [], [], [], []
     for m, rng in enumerate(_market_rngs(seed, n_markets)):
         k = min(int(np.searchsorted(cum_pi, rng.random())), config.n_states - 1)
         t = 0.0
@@ -364,23 +328,17 @@ def simulate_continuous(theta, ccp_star, config, n_markets, seed,
             who, what, target = outcomes[pick]
             count += 1
             market_id.append(m)
-            pre_state.append(k)
+            state.append(k)
             time.append(t)
             actor.append(who)
             action.append(what)
             k = target
             if horizon is None and count >= events_per_market:
                 break
-        horizons[m] = t
-        finals[m] = k
-
-    return EventLog(market_id=np.array(market_id, dtype=np.int64),
-                    pre_state=np.array(pre_state, dtype=np.int64),
-                    time=np.array(time, dtype=float),
-                    actor=np.array(actor, dtype=np.int64),
-                    action=np.array(action, dtype=np.int64),
-                    markets=np.arange(n_markets, dtype=np.int64),
-                    horizon=horizons, final_state=finals)
+        for column, value in zip(columns, (m, k, t, CENSOR, -1)):
+            column.append(value)
+    return EventLog(*(np.array(column, dtype=kind) for column, kind
+                      in zip(columns, (np.int64, np.int64, float, np.int64, np.int64))))
 
 
 def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0):
@@ -415,36 +373,34 @@ def sample_discrete(theta, ccp_star, config, n_markets, periods=1, seed=0):
     return Panel(market_id=market_id, period=period, state=states.reshape(-1))
 
 
-def to_panel(events, config, periods=None):
+def to_panel(events, config):
     """Snapshot an event log on the lattice {n * delta} up to each horizon.
 
-    Market m gets rows n = 0..``periods`` (default: the last lattice point
-    by its horizon).  The state at ``n * delta`` is the pre-state of the
-    market's first event after that time, else its final state.
+    Market m gets rows n = 0, 1, ... up to the last lattice point by its
+    horizon.  The state at ``n * delta`` is the state of the market's first
+    row after that time: its first later event, else its censor row.
     """
     events.check_ranges(config)
-    last = (np.floor(events.horizon / config.delta + 1e-12) if periods is None
-            else np.full(events.n_markets, periods))
-    width = np.maximum(last + 1, 0).astype(np.int64)
+    ends = events.offsets[1:] - 1  # the censor rows
+    width = (np.floor(events.time[ends] / config.delta + 1e-12) + 1).astype(np.int64)
     # An event has happened by snapshot n when its time is <= n * delta; the
     # least such n of every event counts it into one of its market's slots:
-    # one per snapshot from base[m] on, and a last one for later events.
+    # one per snapshot from base[m] on, and a last one, never reached, for
+    # later events and the censor row.
     markets = np.arange(events.n_markets)
-    event_market = np.repeat(markets, np.diff(events.offsets))
+    row_market = np.repeat(markets, np.diff(events.offsets))
     first = np.searchsorted(np.arange(width.max(initial=0)) * config.delta, events.time)
     base = np.concatenate([[0], np.cumsum(width + 1)])
-    slot = base[event_market] + np.minimum(first, width[event_market])
-    # events that have happened by each slot, counted from the first market
+    slot = base[row_market] + np.minimum(first, width[row_market])
+    slot[ends] = base[1:] - 1
+    # rows that have happened by each slot, counted from the first market
     happened = np.cumsum(np.bincount(slot, minlength=base[-1]))
 
-    row_market = np.repeat(markets, width)
+    snap_market = np.repeat(markets, width)
     period = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    upcoming = happened[base[row_market] + period]
-    pending = upcoming < events.offsets[1:][row_market]
-    state = np.where(pending, np.append(events.pre_state, 0)[upcoming],
-                     events.final_state[row_market])
-    return Panel(market_id=events.markets[row_market].astype(np.int64), period=period,
-                 state=state.astype(np.int64))
+    upcoming = happened[base[snap_market] + period]
+    return Panel(market_id=events.market_id[ends][snap_market], period=period,
+                 state=events.state[upcoming])
 
 
 def descriptive_stats(panel, config):

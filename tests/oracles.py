@@ -259,41 +259,39 @@ def event_information_by_differences(stats, policy, vec, rel_step=1e-4):
 
 
 def spell_stats_by_spell_rows(events, config):
-    """`SpellStats.from_events` with every spell in a row of its own: each
-    market's event spells, then its censored final spell, as in the CSV
-    file; move counts by ``ravel_multi_index`` per actor kind."""
+    """`SpellStats.from_events` with every row's spell in one sum: a row's
+    spell begins at the previous row's time unless that row is a censor row
+    (or there is none); move counts by ``ravel_multi_index`` per actor kind."""
     events.check_ranges(config)
     k_total = config.n_states
-    event_rows, final_rows = events.spell_rows()
-    ends = np.empty(events.n_events + events.n_markets)
-    ends[event_rows], ends[final_rows] = events.time, events.horizon
-    begins = np.zeros_like(ends)
-    begins[1:] = ends[:-1]
-    begins[final_rows[:-1] + 1] = 0.0
-    states = np.empty(len(ends), dtype=np.int64)
-    states[event_rows], states[final_rows] = events.pre_state, events.final_state
-    exposure = np.bincount(states, weights=np.maximum(ends - begins, 0.0), minlength=k_total)
+    ends = events.time
+    begins = np.concatenate([[0.0], ends[:-1]])
+    begins[np.concatenate([[True], events.actor[:-1] == CENSOR])] = 0.0
+    exposure = np.bincount(events.state, weights=np.maximum(ends - begins, 0.0),
+                           minlength=k_total)
 
     def pair_counts(rows, cols, shape):
         flat = np.bincount(np.ravel_multi_index((rows, cols), shape),
                            minlength=shape[0] * shape[1])
         return flat.reshape(shape).astype(float)
 
-    nature = events.actor == NATURE
-    moves = pair_counts(events.actor[~nature], events.pre_state[~nature],
+    nature, player = events.actor == NATURE, events.actor >= 0
+    moves = pair_counts(events.actor[player], events.state[player],
                         (config.n_players, k_total))
-    nature_moves = pair_counts(events.pre_state[nature], events.action[nature],
+    nature_moves = pair_counts(events.state[nature], events.action[nature],
                                (k_total, k_total))
     return SpellStats(exposure=exposure, moves=moves, nature_moves=nature_moves,
-                      n_markets=events.n_markets, config=config)
+                      n_markets=int(np.sum(events.actor == CENSOR)), config=config)
 
 
 def post_state(events, config):
-    """Destination state of every event in an `EventLog`: nature's move
-    names it, a player's move toggles the player's bit (`continuation_state`)."""
+    """State after every row of an `EventLog`: nature's move names it, a
+    player's move toggles the player's bit (`continuation_state`), and a
+    censor row keeps its state."""
     events.check_ranges(config)
-    return np.array([action if actor == NATURE else continuation_state(actor, 1, k, config)
-                     for k, actor, action in zip(events.pre_state, events.actor, events.action)],
+    return np.array([k if actor == CENSOR else action if actor == NATURE
+                     else continuation_state(actor, 1, k, config)
+                     for k, actor, action in zip(events.state, events.actor, events.action)],
                     dtype=np.int64)
 
 
@@ -363,18 +361,19 @@ def plain_solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
 
 
 def write_event_log_csv(log, path):
-    """`EventLog.to_csv` through `csv.writer`, one market at a time: its
-    events, then its censor row."""
+    """`EventLog.to_csv` through `csv.writer`, one row at a time, counting
+    each market's rows from 1 again after every censor row."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["market_id", "n", "k", "t", "actor", "action"])
-        for m, (start, stop) in enumerate(zip(log.offsets[:-1], log.offsets[1:])):
-            for r in range(start, stop):
-                writer.writerow([int(log.market_id[r]), int(log.index[r]), int(log.pre_state[r]),
-                                 f"{float(log.time[r]):.17g}", int(log.actor[r]),
-                                 int(log.action[r])])
-            writer.writerow([int(log.markets[m]), int(stop - start) + 1, int(log.final_state[m]),
-                             f"{float(log.horizon[m]):.17g}", CENSOR, -1])
+        n = 0
+        for r in range(len(log.market_id)):
+            n += 1
+            writer.writerow([int(log.market_id[r]), n, int(log.state[r]),
+                             f"{float(log.time[r]):.17g}", int(log.actor[r]),
+                             int(log.action[r])])
+            if log.actor[r] == CENSOR:
+                n = 0
 
 
 def write_panel_csv(panel, path):

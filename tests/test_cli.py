@@ -589,6 +589,8 @@ BAD_DATA_FILES = {
     "panel_without_header": ("discrete", "0,0,3\n0,1,4\n1,0,5\n1,1,5\n"),
     "events_file_as_panel": ("discrete", EVENTS_HEADER
                              + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
+    "censor_action_not_minus_one": ("continuous", EVENTS_HEADER
+                                    + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,7\n"),
     "censor_counter_repeats_last_event": ("continuous", EVENTS_HEADER
                                           + "0,1,3,0.5,0,1\n0,1,1,2.0,-2,-1\n"),
     # market 0's censor row comes before its event; its n column is right
@@ -611,7 +613,10 @@ class TestBadDataFiles:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "InvalidArgumentError"
+        error = json.loads(lines[0])
+        assert error["error"] == "InvalidArgumentError"
+        assert error["message"].startswith(f"data file {path}: ")
+        assert not (tmp_path / "out" / "estimate.csv").exists()
 
     def test_rewritten_counter_column_exits_two(self, tmp_path, capsys):
         # a simulated event file whose n column reads -40, -33, ...

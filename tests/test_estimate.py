@@ -40,7 +40,13 @@ from ctgames.likelihood import (
     sufficient_statistics,
 )
 from ctgames.markov import transition_matrix
-from ctgames.simulate import Panel, consecutive_pairs, sample_discrete, simulate_continuous
+from ctgames.simulate import (
+    CENSOR,
+    Panel,
+    consecutive_pairs,
+    sample_discrete,
+    simulate_continuous,
+)
 
 from conftest import DESK_THETA, desk_config
 from oracles import (
@@ -351,11 +357,27 @@ class TestInformationStart:
             stats = sufficient_statistics(data, config)
             hess_inv = estimate._start_inverse_hessian(stats, policy, start)
             assert np.array_equal(hess_inv, hess_inv.T)
-            assert hess_inv[rn, rn] == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(np.delete(hess_inv[rn], rn)).max() < 1e-12
+            assert hess_inv[rn, rn] == 1.0
+            assert not np.delete(hess_inv[rn], rn).any()
             assert np.all(np.linalg.eigvalsh(hess_inv) > 0)
             result = ctnpl(stats, config, ccp_star, max_stages=1)
-            assert result.theta_hat.rn == pytest.approx(1.0, abs=1e-12)
+            assert result.theta_hat.rn == 1.0
+
+    def test_parameter_with_zero_information_keeps_its_start_exactly(self):
+        # one firm and no nature moves: the information's rn row is exactly
+        # zero, and every fit of a Monte Carlo run, random starts included,
+        # must return rn = 1 to the bit
+        from ctgames.experiments import ExperimentSpec, run_monte_carlo
+
+        config = GameConfig(n_players=1, market_levels=1, lam=1.0, rho=1.0,
+                            q_up=0.0, q_down=0.0, delta=1.0)
+        spec = ExperimentSpec(name="one-firm", config=config, sampling="continuous",
+                              theta_true=Theta(fc=(-1.0,), rs=-1.0, rn=1.0, ec=-1.0),
+                              n_markets=30, replications=2)
+        mc = run_monte_carlo(spec)
+        assert not mc.failures
+        for name, estimates in mc.estimates.items():
+            assert np.all(estimates[:, 2] == 1.0), name
 
 
 class TestInitCcp:
@@ -376,9 +398,8 @@ class TestInitCcp:
         # Three moves by firm 0 from state 0 over six time units at lam=1
         # gives sigma-hat = 3 / 6 = 0.5.
         config, _, _ = mini_game
-        log = make_log(markets=[0], horizon=[6.0], final_state=[1],
-                       events=[(0, 1, 0, 1.0, 0, 1), (0, 2, 1, 2.5, 0, 1),
-                               (0, 3, 0, 4.5, 0, 1)])
+        log = make_log([(0, 1, 0, 1.0, 0, 1), (0, 2, 1, 2.5, 0, 1),
+                        (0, 3, 0, 4.5, 0, 1), (0, 4, 1, 6.0, CENSOR, -1)])
         # spells: [0,1) in state 0, [1,2.5) in 1, [2.5,4.5) in 0, [4.5,6] in
         # 1 -> 3 time units in each state; firm 0 moves twice from state 0
         # and once from state 1.
@@ -714,7 +735,7 @@ class TestCtnpl:
         path.write_text("market_id,n,k\n")
         unpaired = Panel(market_id=np.array([0, 1]), period=np.array([0, 0]),
                          state=np.array([0, 3]))
-        no_markets = make_log(markets=[], horizon=[], final_state=[])
+        no_markets = make_log()
         for data in (Panel.from_csv(path), unpaired, no_markets):
             with pytest.raises(InvalidArgumentError):
                 ctnpl(data, config, ccp_star)
@@ -757,8 +778,7 @@ class TestCtnpl:
     def test_impossible_nature_move_rejected_at_any_start(self, mini_game):
         # nature toggling a firm's activity bit has rate zero
         config, _, ccp_star = mini_game
-        log = make_log(markets=[0], horizon=[1.0], final_state=[1],
-                       events=[(0, 1, 0, 0.4, -1, 1)])
+        log = make_log([(0, 1, 0, 0.4, -1, 1), (0, 2, 1, 1.0, CENSOR, -1)])
         for start in (ccp_star, uniform_ccp(config)):
             with pytest.raises(InvalidArgumentError, match="impossible nature"):
                 ctnpl(log, config, start)

@@ -16,26 +16,20 @@ from ctgames.likelihood import (
     sufficient_statistics,
     transition_counts,
 )
-from ctgames.simulate import NATURE, EventLog, sample_discrete, simulate_continuous
+from ctgames.simulate import CENSOR, NATURE, EventLog, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
 from oracles import spell_stats_by_spell_rows
 
 
-def make_log(markets, horizon, final_state, events=()):
-    """Tiny hand-built event log; events are rows (market, n, k, t, actor,
-    action) of the CSV file, whose counter n the log derives itself."""
-    events = np.array(events, dtype=float).reshape(-1, 6)
-    return EventLog(
-        market_id=events[:, 0].astype(np.int64),
-        pre_state=events[:, 2].astype(np.int64),
-        time=events[:, 3],
-        actor=events[:, 4].astype(np.int64),
-        action=events[:, 5].astype(np.int64),
-        markets=np.asarray(markets, dtype=np.int64),
-        horizon=np.asarray(horizon, dtype=float),
-        final_state=np.asarray(final_state, dtype=np.int64),
-    )
+def make_log(rows=()):
+    """Tiny hand-built event log; ``rows`` are (market, n, k, t, actor,
+    action) rows of the CSV file, censor rows included, whose counter n the
+    log derives itself."""
+    rows = np.array(rows, dtype=float).reshape(-1, 6)
+    return EventLog(market_id=rows[:, 0].astype(np.int64), state=rows[:, 2].astype(np.int64),
+                    time=rows[:, 3], actor=rows[:, 4].astype(np.int64),
+                    action=rows[:, 5].astype(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +43,14 @@ def two_firm_game():
 class TestContinuous:
     def test_empty_log_is_zero(self, two_firm_game):
         config, _ = two_firm_game
-        log = make_log(markets=[0], horizon=[0.0], final_state=[0])
+        log = make_log([(0, 1, 0, 0.0, CENSOR, -1)])
         assert SpellStats.from_events(log, config).loglik(uniform_ccp(config)) == 0.0
 
     def test_pure_survival_spell(self, two_firm_game):
         config, _ = two_firm_game
         ccp = uniform_ccp(config)
         k, tau = 2, 1.7
-        log = make_log(markets=[0], horizon=[tau], final_state=[k])
+        log = make_log([(0, 1, k, tau, CENSOR, -1)])
         total_hazard = -nature_generator(config)[k, k] + config.lam * ccp[:, 1, k].sum()
         expected = -tau * total_hazard
         assert SpellStats.from_events(log, config).loglik(ccp) == pytest.approx(expected)
@@ -69,8 +63,7 @@ class TestContinuous:
         ccp[0, 1], ccp[1, 1] = 0.4, 0.7
         ccp[:, 0] = 1 - ccp[:, 1]
         k = 0  # demand level 1: only q_up = 0.3 active
-        log = make_log(markets=[0], horizon=[0.5], final_state=[1],
-                       events=[(0, 1, k, 0.5, 0, 1)])
+        log = make_log([(0, 1, k, 0.5, 0, 1), (0, 2, 1, 0.5, CENSOR, -1)])
         value = SpellStats.from_events(log, config).loglik(ccp)
         assert value == pytest.approx(-0.5 * 1.4 + math.log(0.4), abs=1e-12)
 
@@ -78,8 +71,7 @@ class TestContinuous:
         # Nature moves demand up (rate 0.3) out of state 0 at t = 0.5 into
         # state 4; at uniform ccps both states exit at 0.3 + 2 * 0.5 = 1.3.
         config, _ = two_firm_game
-        log = make_log(markets=[0], horizon=[1.0], final_state=[4],
-                       events=[(0, 1, 0, 0.5, NATURE, 4)])
+        log = make_log([(0, 1, 0, 0.5, NATURE, 4), (0, 2, 4, 1.0, CENSOR, -1)])
         parts = SpellStats.from_events(log, config).loglik_parts(uniform_ccp(config))
         assert parts == pytest.approx((0.0, math.log(0.3), -1.3), abs=1e-12)
 
@@ -121,12 +113,8 @@ class TestContinuous:
 
         def restrict(ids):
             sel = np.isin(log.market_id, ids)
-            keep = np.isin(log.markets, ids)
-            return EventLog(market_id=log.market_id[sel], pre_state=log.pre_state[sel],
-                            time=log.time[sel],
-                            actor=log.actor[sel], action=log.action[sel],
-                            markets=log.markets[keep], horizon=log.horizon[keep],
-                            final_state=log.final_state[keep])
+            return EventLog(**{f.name: getattr(log, f.name)[sel]
+                               for f in dataclasses.fields(EventLog)})
 
         def loglik(events):
             return SpellStats.from_events(events, config).loglik(mpe.ccp)
@@ -140,8 +128,7 @@ class TestContinuous:
         # Nature recorded toggling an activity bit: hazard is zero there.
         config, _ = two_firm_game
         k0 = 0
-        log = make_log(markets=[0], horizon=[1.0], final_state=[1],
-                       events=[(0, 1, k0, 0.4, NATURE, 1)])
+        log = make_log([(0, 1, k0, 0.4, NATURE, 1), (0, 2, 1, 1.0, CENSOR, -1)])
         value = SpellStats.from_events(log, config).loglik(uniform_ccp(config))
         assert value == -np.inf
 
@@ -227,8 +214,7 @@ class TestSpellStats:
         config, theta = two_firm_game
         # market 0: spell of 0.4 in state 0, firm 1 acts, spell of 0.6 in
         # state 2 until the horizon at t=1.
-        log = make_log(markets=[0], horizon=[1.0], final_state=[2],
-                       events=[(0, 1, 0, 0.4, 1, 1)])
+        log = make_log([(0, 1, 0, 0.4, 1, 1), (0, 2, 2, 1.0, CENSOR, -1)])
         stats = SpellStats.from_events(log, config)
         assert stats.exposure[0] == pytest.approx(0.4)
         assert stats.exposure[2] == pytest.approx(0.6)
@@ -248,7 +234,7 @@ class TestSpellStats:
         # every market is censored at t = 0: no spell has any length, so the
         # data say nothing about any hazard
         config, _ = two_firm_game
-        log = make_log(markets=[0, 1], horizon=[0.0, 0.0], final_state=[0, 3])
+        log = make_log([(0, 1, 0, 0.0, CENSOR, -1), (1, 1, 3, 0.0, CENSOR, -1)])
         with pytest.raises(InvalidArgumentError, match="no observation time"):
             sufficient_statistics(log, config)
 
@@ -269,16 +255,14 @@ _market = st.tuples(st.lists(_event, max_size=5),
 
 def build_log(markets):
     """`EventLog` of markets drawn by ``_market``, market m with id ``3 m``."""
-    rows, horizon, final_state = [], [], []
+    rows = []
     for m, (events, tail, final) in enumerate(markets):
         t = 0.0
         for n, (gap, actor, pre, destination) in enumerate(events, start=1):
             t += gap
             rows.append((3 * m, n, pre, t, actor, destination if actor == NATURE else 1))
-        horizon.append(t + tail)
-        final_state.append(final)
-    return make_log(markets=3 * np.arange(len(markets)), horizon=horizon,
-                    final_state=final_state, events=rows)
+        rows.append((3 * m, len(events) + 1, final, t + tail, CENSOR, -1))
+    return make_log(rows)
 
 
 class TestOnePassReduction:
@@ -296,20 +280,28 @@ class TestOnePassReduction:
 
     @given(markets=st.lists(_market, min_size=1, max_size=4).filter(
                lambda ms: any(events for events, _, _ in ms)),
-           field=st.sampled_from(["pre_state", "final_state", "actor", "destination",
+           field=st.sampled_from(["event_state", "censor_state", "actor", "destination",
                                   "player_action"]),
            value=st.sampled_from([-7, -2, K_SPELL, 99]))
     @settings(max_examples=50)
     def test_out_of_range_raises_as_before(self, markets, field, value):
         log = build_log(markets)
-        if field in ("pre_state", "final_state"):
-            getattr(log, field)[0] = value
+        event = np.flatnonzero(log.actor != CENSOR)[0]
+        if field == "event_state":
+            log.state[event] = value
+        elif field == "censor_state":
+            log.state[log.offsets[1] - 1] = value
         elif field == "actor":
-            log.actor[0] = value
+            log.actor[event] = value
         elif field == "destination":
-            log.actor[0], log.action[0] = NATURE, value
+            log.actor[event], log.action[event] = NATURE, value
         else:
-            log.actor[0], log.action[0] = 0, value
+            log.actor[event], log.action[event] = 0, value
+        if value == CENSOR and field == "actor":
+            # a censor row inside a market splits it in two markets of one id
+            with pytest.raises(InvalidArgumentError, match="distinct"):
+                EventLog(**{f.name: getattr(log, f.name) for f in dataclasses.fields(EventLog)})
+            return
         with pytest.raises(InvalidArgumentError) as oracle:
             spell_stats_by_spell_rows(log, SPELL_CONFIG)
         with pytest.raises(InvalidArgumentError) as raised:

@@ -12,6 +12,7 @@ from ctgames.equilibrium import aggregate_generator, solve_mpe, uniform_ccp
 from ctgames.game import state_tables
 from ctgames.likelihood import SpellStats
 from ctgames.simulate import (
+    CENSOR,
     NATURE,
     EventLog,
     Panel,
@@ -53,7 +54,7 @@ class TestSimulateContinuous:
         a = simulate_continuous(theta, ccp, config, 50, seed=7, events_per_market=3)
         b = simulate_continuous(theta, ccp, config, 50, seed=7, events_per_market=3)
         assert np.array_equal(a.time, b.time)
-        assert np.array_equal(a.pre_state, b.pre_state)
+        assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.actor, b.actor)
 
     def test_times_increase_and_states_chain(self, mini_game):
@@ -62,9 +63,12 @@ class TestSimulateContinuous:
         post = post_state(log, config)
         for m in range(log.n_markets):
             sel = np.nonzero(log.market_id == m)[0]
-            assert np.all(np.diff(log.time[sel]) > 0)
-            assert np.all(log.pre_state[sel][1:] == post[sel][:-1])
-            assert log.final_state[m] == post[sel][-1]
+            # five events, then the censor row at the last of them
+            assert np.array_equal(log.actor[sel] == CENSOR, [False] * 5 + [True])
+            assert np.all(np.diff(log.time[sel][:-1]) > 0)
+            assert log.time[sel][-1] == log.time[sel][-2]
+            # each row's state is where the row before left the market
+            assert np.all(log.state[sel][1:] == post[sel][:-1])
 
     def test_holding_times_exponential(self, mini_game):
         # Spell lengths in a fixed state are Exponential(total hazard): check
@@ -74,12 +78,13 @@ class TestSimulateContinuous:
         log = simulate_continuous(theta, ccp, config, 11000, seed=11,
                                   events_per_market=60)
         q = aggregate_generator(ccp, config)
-        state = int(np.bincount(log.pre_state).argmax())
+        event = log.actor != CENSOR
+        state = int(np.bincount(log.state[event]).argmax())
         hazard = -q[state, state]
-        # each event's wait runs from the market's previous event, or from 0
+        # each event's wait runs from the market's previous row, or from 0
         previous = np.concatenate([[0.0], log.time[:-1]])
         previous[log.offsets[:-1]] = 0.0
-        waits = (log.time - previous)[log.pre_state == state]
+        waits = (log.time - previous)[event & (log.state == state)]
         assert len(waits) > 100000
         se = (1 / hazard) / np.sqrt(len(waits))
         assert abs(waits.mean() - 1 / hazard) < 4 * se
@@ -90,8 +95,9 @@ class TestSimulateContinuous:
         log = simulate_continuous(theta, ccp, config, 4000, seed=13,
                                   events_per_market=25)
         q0_rate = 0.3
-        state = int(np.bincount(log.pre_state).argmax())
-        sel = log.pre_state == state
+        event = log.actor != CENSOR
+        state = int(np.bincount(log.state[event]).argmax())
+        sel = event & (log.state == state)
         actors = log.actor[sel]
         n = sel.sum()
         hazards = np.concatenate([[q0_rate], config.lam * ccp[:, 1, state]])
@@ -105,7 +111,7 @@ class TestSimulateContinuous:
     def test_horizon_mode_censors(self, mini_game):
         config, theta, ccp = mini_game
         log = simulate_continuous(theta, ccp, config, 30, seed=5, horizon=2.5)
-        assert np.all(log.horizon == 2.5)
+        assert np.all(log.time[log.offsets[1:] - 1] == 2.5)
         assert np.all(log.time <= 2.5)
 
 
@@ -147,7 +153,7 @@ class TestContinuousDiscreteAgreement:
         n_markets = 100000
         log = simulate_continuous(theta, ccp, config, n_markets, seed=21,
                                   horizon=config.delta)
-        panel = to_panel(log, config, periods=1)
+        panel = to_panel(log, config)
         states = panel.state.reshape(-1, 2)
         p = transition_matrix(aggregate_generator(ccp, config), config.delta)
         k_total = config.n_states
@@ -175,12 +181,10 @@ class TestSerialization:
         log.to_csv(path)
         back = EventLog.from_csv(path)
         assert np.array_equal(log.market_id, back.market_id)
-        assert np.array_equal(log.pre_state, back.pre_state)
+        assert np.array_equal(log.state, back.state)
         assert np.array_equal(log.actor, back.actor)
         assert np.array_equal(log.action, back.action)
         assert np.array_equal(log.time, back.time)  # lossless floats
-        assert np.array_equal(log.final_state, back.final_state)
-        assert np.array_equal(log.horizon, back.horizon)
 
     @pytest.mark.parametrize("kind", ["simulated", "event_free_markets", "header_only"])
     def test_event_log_bytes_match_csv_writer(self, mini_game, tmp_path, kind):
@@ -188,13 +192,11 @@ class TestSerialization:
         if kind == "simulated":
             log = simulate_continuous(theta, ccp, config, 25, seed=17, events_per_market=4)
         else:
-            ids = [3, 0, 7] if kind == "event_free_markets" else []
-            none = np.array([], dtype=np.int64)
-            log = EventLog(market_id=none, pre_state=none,
-                           time=np.array([]), actor=none, action=none,
-                           markets=np.array(ids, dtype=np.int64),
-                           horizon=np.linspace(0.1, 2.0, len(ids)) / 3,
-                           final_state=np.arange(len(ids), dtype=np.int64))
+            # censor rows only
+            ids = np.array([3, 0, 7] if kind == "event_free_markets" else [], dtype=np.int64)
+            log = EventLog(market_id=ids, state=np.arange(len(ids), dtype=np.int64),
+                           time=np.linspace(0.1, 2.0, len(ids)) / 3,
+                           actor=np.full_like(ids, CENSOR), action=np.full_like(ids, -1))
         log.to_csv(tmp_path / "fast.csv")
         write_event_log_csv(log, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -208,6 +210,16 @@ class TestSerialization:
         assert np.array_equal(panel.market_id, back.market_id)
         assert np.array_equal(panel.period, back.period)
         assert np.array_equal(panel.state, back.state)
+
+    def test_loaded_columns_are_contiguous(self, mini_game, tmp_path):
+        config, theta, ccp = mini_game
+        simulate_continuous(theta, ccp, config, 20, seed=17, events_per_market=3).to_csv(
+            tmp_path / "events.csv")
+        sample_discrete(theta, ccp, config, 20, periods=2, seed=19).to_csv(tmp_path / "panel.csv")
+        for data in (EventLog.from_csv(tmp_path / "events.csv"),
+                     Panel.from_csv(tmp_path / "panel.csv")):
+            for f in fields(data):
+                assert getattr(data, f.name).flags.c_contiguous, f.name
 
     def test_header_checked_before_rows(self, tmp_path):
         # a headerless panel would lose its first row; an event log read as
@@ -306,34 +318,26 @@ SEGMENT_CONFIG = GameConfig(n_players=2, market_levels=2, q_up=0.3, q_down=0.3,
 
 @st.composite
 def event_logs(draw, config=SEGMENT_CONFIG):
-    """Valid event logs: distinct market ids in any order, zero-event
-    markets, event times on and off the lattice, horizons at or after the
-    last event (zero-length final spells included)."""
+    """Valid event logs: distinct market ids in any order, markets with no
+    event, event times on and off the lattice, censor rows at or after the
+    market's last event (zero-length final spells included)."""
     k_total, n = config.n_states, config.n_players
     ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=6))
     lattice = st.integers(0, 30).map(lambda i: i * config.delta)
     times_of = st.one_of(lattice, lattice.map(lambda t: float(np.nextafter(t, np.inf))),
                          st.floats(0.0, 8.0, allow_nan=False))
-    columns = {name: [] for name in ("market_id", "pre_state", "time", "actor", "action")}
-    horizon, final_state = [], []
+    rows = []  # (market_id, state, time, actor, action)
     for m in ids:
         times = sorted(draw(st.lists(times_of, max_size=5)))
         for t in times:
             actor = draw(st.integers(NATURE, n - 1))
-            columns["market_id"].append(m)
-            columns["pre_state"].append(draw(st.integers(0, k_total - 1)))
-            columns["time"].append(t)
-            columns["actor"].append(actor)
-            columns["action"].append(draw(st.integers(0, k_total - 1))
-                                     if actor == NATURE else 1)
+            rows.append((m, draw(st.integers(0, k_total - 1)), t, actor,
+                         draw(st.integers(0, k_total - 1)) if actor == NATURE else 1))
         tail = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_nan=False)))
-        horizon.append((times[-1] if times else 0.0) + tail)
-        final_state.append(draw(st.integers(0, k_total - 1)))
-    arrays = {name: np.array(values, dtype=float if name == "time" else np.int64)
-              for name, values in columns.items()}
-    return EventLog(**arrays, markets=np.array(ids, dtype=np.int64),
-                    horizon=np.array(horizon, dtype=float),
-                    final_state=np.array(final_state, dtype=np.int64))
+        rows.append((m, draw(st.integers(0, k_total - 1)), (times[-1] if times else 0.0) + tail,
+                     CENSOR, -1))
+    return EventLog(*(np.array([row[c] for row in rows], dtype=float if c == 2 else np.int64)
+                      for c in range(5)))
 
 
 @st.composite
@@ -357,32 +361,30 @@ def spell_stats_oracle(events, config):
     exposure = np.zeros(k_total)
     moves = np.zeros((config.n_players, k_total))
     nature_moves = np.zeros((k_total, k_total))
-    for pos, m in enumerate(events.markets):
+    for m in events.market_id[events.actor == CENSOR]:
         sel = np.nonzero(events.market_id == m)[0]
-        edges = np.concatenate([[0.0], events.time[sel], [events.horizon[pos]]])
-        states = np.concatenate([events.pre_state[sel], [events.final_state[pos]]])
-        for state, length in zip(states, np.diff(edges)):
+        edges = np.concatenate([[0.0], events.time[sel]])
+        for state, length in zip(events.state[sel], np.diff(edges)):
             exposure[state] += max(length, 0.0)
         for row in sel:
-            k = events.pre_state[row]
+            k = events.state[row]
             if events.actor[row] == NATURE:
                 nature_moves[k, events.action[row]] += 1
-            else:
+            elif events.actor[row] != CENSOR:
                 moves[events.actor[row], k] += 1
     return exposure, moves, nature_moves
 
 
-def to_panel_oracle(events, config, periods=None):
+def to_panel_oracle(events, config):
     """Per-market, per-snapshot search of the market's event times."""
     rows = []
-    for pos, m in enumerate(events.markets):
-        sel = events.market_id == m
-        times, pres = events.time[sel], events.pre_state[sel]
-        n_max = (periods if periods is not None
-                 else int(np.floor(events.horizon[pos] / config.delta + 1e-12)))
-        for n in range(n_max + 1):
+    for censor in np.flatnonzero(events.actor == CENSOR):
+        m = events.market_id[censor]
+        sel = (events.market_id == m) & (events.actor != CENSOR)
+        times, states = events.time[sel], events.state[sel]
+        for n in range(int(np.floor(events.time[censor] / config.delta + 1e-12)) + 1):
             after = np.searchsorted(times, n * config.delta, side="right")
-            state = pres[after] if after < len(pres) else events.final_state[pos]
+            state = states[after] if after < len(states) else events.state[censor]
             rows.append((m, n, state))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
@@ -398,11 +400,11 @@ class TestSegmentedReaders:
         assert np.array_equal(stats.nature_moves, nature_moves)
         assert stats.n_markets == events.n_markets
 
-    @given(events=event_logs(), periods=st.sampled_from([None, 0, 1, 3]))
+    @given(events=event_logs())
     @settings(max_examples=150)
-    def test_to_panel_matches_per_market_loop(self, events, periods):
-        panel = to_panel(events, SEGMENT_CONFIG, periods=periods)
-        expected = to_panel_oracle(events, SEGMENT_CONFIG, periods)
+    def test_to_panel_matches_per_market_loop(self, events):
+        panel = to_panel(events, SEGMENT_CONFIG)
+        expected = to_panel_oracle(events, SEGMENT_CONFIG)
         got = np.column_stack([panel.market_id, panel.period, panel.state])
         assert np.array_equal(got.reshape(-1, 3), expected)
         assert all(a.dtype == np.int64 for a in (panel.market_id, panel.period, panel.state))
@@ -466,36 +468,45 @@ def csv_dir(tmp_path_factory):
 
 class TestDataInvariants:
     @pytest.mark.parametrize("change, message", [
-        (dict(market_id=np.array([0, 1, 0])), "contiguous"),
-        (dict(markets=np.array([1, 0]), market_id=np.array([0, 0, 1]),
-              horizon=np.array([3.0, 3.0])), "market order"),
-        (dict(market_id=np.array([0, 0, 2])), "censor row"),
-        (dict(time=np.array([1.0, 0.5, 1.0])), "nondecreasing"),
-        (dict(time=np.array([-1.0, 0.5, 1.0])), "nonnegative"),
-        (dict(horizon=np.array([0.9, 3.0])), "horizon"),
+        (dict(market_id=np.array([0, 1, 0, 1, 1])), "contiguous"),
+        # a censor row inside a market splits it in two of one id
+        (dict(actor=np.array([CENSOR, NATURE, CENSOR, 1, CENSOR])), "distinct"),
+        (dict(actor=np.array([0, NATURE, CENSOR, 1, 1])), "censor row"),
+        (dict(time=np.array([1.0, 0.5, 2.0, 0.2, 3.0])), "nondecreasing"),
+        (dict(time=np.array([-1.0, 0.5, 2.0, 0.2, 3.0])), "nonnegative"),
+        # a censor row timed before its market's last event
+        (dict(time=np.array([0.5, 1.0, 0.9, 0.2, 3.0])), "nondecreasing"),
         (dict(actor=np.array([0, 1])), "one length"),
-        (dict(markets=np.array([0, 0])), "distinct"),
+        (dict(market_id=np.zeros(5, dtype=np.int64)), "distinct"),
+        (dict(action=np.array([1, 3, 7, 1, -1])), "action must be -1"),
     ])
     def test_event_log_rejected_at_construction(self, change, message):
-        fields_ = dict(market_id=np.array([0, 0, 1]), pre_state=np.array([0, 1, 2]),
-                       time=np.array([0.5, 1.0, 0.2]),
-                       actor=np.array([0, NATURE, 1]), action=np.array([1, 3, 1]),
-                       markets=np.array([0, 1]), horizon=np.array([2.0, 3.0]),
-                       final_state=np.array([3, 0]))
+        # market 0: two events and its censor row; market 1: one event and its censor row
+        fields_ = dict(market_id=np.array([0, 0, 0, 1, 1]), state=np.array([0, 1, 3, 2, 0]),
+                       time=np.array([0.5, 1.0, 2.0, 0.2, 3.0]),
+                       actor=np.array([0, NATURE, CENSOR, 1, CENSOR]),
+                       action=np.array([1, 3, -1, 1, -1]))
         fields_.update(change)
         with pytest.raises(InvalidArgumentError, match=message):
             EventLog(**fields_)
 
-    @pytest.mark.parametrize("actor, action, pre_state", [
-        (2, 1, 0), (-2, 1, 0), (0, 0, 0), (NATURE, 8, 0), (NATURE, -1, 0), (0, 1, 8),
+    @pytest.mark.parametrize("actor, action, state", [
+        (2, 1, 0), (-3, 1, 0), (0, 0, 0), (NATURE, 8, 0), (NATURE, -1, 0), (0, 1, 8),
     ])
-    def test_event_indices_checked_by_readers(self, actor, action, pre_state):
-        log = EventLog(market_id=np.array([0]), pre_state=np.array([pre_state]),
-                       time=np.array([0.5]), actor=np.array([actor]), action=np.array([action]),
-                       markets=np.array([0]), horizon=np.array([1.0]),
-                       final_state=np.array([0]))
+    def test_event_indices_checked_by_readers(self, actor, action, state):
+        log = EventLog(market_id=np.array([0, 0]), state=np.array([state, 0]),
+                       time=np.array([0.5, 1.0]), actor=np.array([actor, CENSOR]),
+                       action=np.array([action, -1]))
         for reader in (SpellStats.from_events, to_panel, post_state):
             with pytest.raises(InvalidArgumentError):
+                reader(log, SEGMENT_CONFIG)
+
+    @pytest.mark.parametrize("state", [8, -1])
+    def test_censor_row_state_checked_by_readers(self, state):
+        log = EventLog(market_id=np.array([0]), state=np.array([state]), time=np.array([1.0]),
+                       actor=np.array([CENSOR]), action=np.array([-1]))
+        for reader in (SpellStats.from_events, to_panel, post_state):
+            with pytest.raises(InvalidArgumentError, match="states"):
                 reader(log, SEGMENT_CONFIG)
 
     @pytest.mark.parametrize("market_id, period, message", [
