@@ -13,6 +13,7 @@ import numpy as np
 from ctgames import solve_mpe
 from ctgames.estimate import ctnpl, init_ccp
 from ctgames.experiments import experiment_spec
+from ctgames.likelihood import sufficient_statistics
 from ctgames.simulate import sample_discrete
 
 print(__doc__)
@@ -21,24 +22,23 @@ spec = experiment_spec(2, scale="desk", seed=20240602)
 mpe = solve_mpe(spec.theta_true, spec.config)
 panel = sample_discrete(spec.theta_true, mpe.ccp, spec.config,
                         n_markets=800, periods=1, seed=spec.seed)
+stats = sufficient_statistics(panel, spec.config)  # the panel, reduced once
 truth = spec.theta_true.as_vector()
 names = ["fc1", "fc2", "fc3", "rs", "rn", "ec"]
 print(f"truth: {dict(zip(names, truth))}\n")
 
 for method, seed in (("frequency", None), ("logit", None), ("random", 5)):
-    start = init_ccp(method, panel, spec.config, seed=seed)
-    two_step = ctnpl(panel, spec.config, start, max_stages=1)
-    nested = ctnpl(panel, spec.config, start, max_stages=50, tol=1e-6)
+    start = init_ccp(method, stats, spec.config, seed=seed)
+    # the nested loop's first stage is the two-step estimate from this start
+    nested = ctnpl(stats, spec.config, start, max_stages=50, tol=1e-6)
     print(f"start = {method}:")
-    print(f"  two-step : {np.round(two_step.theta_hat.as_vector(), 3)}")
+    print(f"  two-step : {np.round(nested.first_stage.theta_hat.as_vector(), 3)}")
     print(f"  nested   : {np.round(nested.theta_hat.as_vector(), 3)} "
           f"(converged in {nested.iterations} stages, "
           f"loglik {nested.loglik:.4f})")
 
 print("\nPer-stage trace from the random start (sup-norm deltas):")
-start = init_ccp("random", panel, spec.config, seed=5)
-result = ctnpl(panel, spec.config, start, max_stages=50, tol=1e-6)
-for entry in result.trace[:6]:
+for entry in nested.trace[:6]:  # the loop's last fit, from the random start
     print(f"  stage {entry['stage']}: |d ccp| {entry['sigma_delta']:.2e}, "
           f"|d theta| {entry['theta_delta']:.2e}")
 print("  ...")

@@ -19,7 +19,6 @@ from .game import (
     Theta,
     decode_state,
     encode_state,
-    flow_payoffs,
     instant_payoffs,
     nature_generator,
     state_tables,

@@ -5,8 +5,8 @@ Choice probabilities (CCPs) are stored as an (N, J, K) array ``ccp`` with
 decision opportunity arrives in state ``k``.  The equilibrium object is a
 fixed point of the map "value the current policy, then best-respond":
 solving one K x K linear system per player and applying the logit formula.
-Everything here is a pure function of its inputs; per-player solves share a
-single factorization of the common system matrix.
+Everything here is a pure function of its inputs; `_policy_solve`, the one
+value solve, factors the players' common system matrix once.
 
 This module owns policy valuation and its derivatives.  At fixed
 probabilities the policy values are affine in theta, so `LinearizedPolicy`
@@ -18,8 +18,7 @@ diagnostics.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csc_array
 
 from . import game
@@ -33,6 +32,8 @@ CCP_FLOOR = 1e-12
 # Largest accepted deviation of a (player, state) probability sum from one.
 CCP_SUM_TOL = 1e-12
 
+# Best-response evaluations after which `solve_mpe` gives up.
+MAX_MAPS = 10000
 # Stall rule of `solve_mpe`: a run whose residual has not fallen by 10% over its
 # last 10 evaluations restarts at half the step, down to 1/4.  At 0.9 per 10
 # steps, a run the rule keeps takes 0.5 to 1e-10 within 2120 of its 10000 steps.
@@ -124,6 +125,19 @@ def _policy_system_matrix(ccp, config):
     return xi
 
 
+def _policy_solve(ccp, config, rhs):
+    """The value solve: ``(X, factor)`` with ``X`` solving ``(rho I - Q(ccp)) X
+    = rhs`` for a (K, m) ``rhs`` and ``factor`` the system matrix's LU factors
+    and pivots, by LAPACK ``getrf`` (`lu_factor`'s call, without its warning
+    on a zero pivot) and ``getrs``.  A zero pivot or an entry of ``X`` that is
+    not finite raises `NumericalError`."""
+    factor = dgetrf(_policy_system_matrix(ccp, config))[:2]
+    solved = dgetrs(*factor, rhs)[0]
+    if not np.all(np.isfinite(solved)):
+        raise NumericalError("value equation rho I - Q is singular or its solution is not finite")
+    return solved, factor
+
+
 def _value_equation(ccp, config):
     """Right-hand side of the value equation, affine in theta at fixed ``ccp``.
 
@@ -145,15 +159,12 @@ def value_function(theta, ccp, config):
 
     Returns an (N, K) array ``V`` with ``V[i]`` solving
     ``(rho I - Q(ccp)) V_i = u_i + lam E_i`` where ``u_i`` is the flow
-    payoff and ``E_i`` the expected choice payoff.
+    payoff and ``E_i`` the expected choice payoff, by `_policy_solve`.
     """
     ccp = check_ccp(ccp, config)
     design, offset = _value_equation(ccp, config)
     rhs = design @ theta.as_vector() + offset
-    try:
-        return np.linalg.solve(_policy_system_matrix(ccp, config), rhs.T).T
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"value equation rho I - Q is singular: {err}") from None
+    return _policy_solve(ccp, config, rhs.T)[0].T
 
 
 def best_response(theta, values, config):
@@ -183,8 +194,7 @@ class LinearizedPolicy:
     equals ``best_response_map(Theta.from_vector(vec), ccp_prev, config)``
     for every parameter vector.  ``weights @ vec + offsets`` are the (N, J, K)
     choice values ``psi_ijk + V_i[l(i, j, k)]``, and ``factor`` holds the LU
-    factors of the policy system matrix at ``ccp_prev``.  A singular system
-    matrix, or a solution that is not finite, raises `NumericalError`.
+    factors of the policy system matrix at ``ccp_prev`` (`_policy_solve`).
     """
 
     def __init__(self, ccp_prev, config):
@@ -194,15 +204,10 @@ class LinearizedPolicy:
         design, offset = _value_equation(self.ccp_prev, config)
         p = design.shape[2]
 
-        # `lu_factor`'s LAPACK call, without its warning on a zero pivot
-        self.factor = dgetrf(_policy_system_matrix(self.ccp_prev, config))[:2]
         # one solve for every player's P weight columns and offset column
         rhs = np.concatenate([design, offset[:, :, None]], axis=2)
-        solved = lu_solve(self.factor, rhs.transpose(1, 0, 2).reshape(k_total, -1),
-                          check_finite=False)
-        if not np.all(np.isfinite(solved)):
-            raise NumericalError("policy equation rho I - Q is singular or its solution "
-                                 "is not finite")
+        solved, self.factor = _policy_solve(
+            self.ccp_prev, config, rhs.transpose(1, 0, 2).reshape(k_total, -1))
         solved = solved.reshape(k_total, n, p + 1).transpose(1, 0, 2)  # (N, K, P+1)
 
         dest = game.state_tables(config).continuation
@@ -270,7 +275,7 @@ class LinearizedPolicy:
 
         idle = np.nonzero(tables.activity.T == 0)[1].reshape(n, -1)  # [i, j]: h
         entered = tables.toggle[players[:, None], idle]               # [i, j]: l_i(h)
-        inverse = lu_solve(self.factor, np.eye(k_total))
+        inverse = dgetrs(*self.factor, np.eye(k_total))[0]
         gap = inverse[entered] - inverse[idle]  # [i, j, k]: X[l_i(h), k] - X[h, k]
         right = gap[:, :, None, :] * coef[:, None]
 
@@ -307,15 +312,15 @@ def _anderson_step(xs, fs):
     return (xs[-1] + fs[-1] - (d_x + d_f) @ gamma).reshape(shape)
 
 
-def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
+def solve_mpe(theta, config, tol=1e-10):
     """Markov perfect equilibrium by successive approximation, halving the step
     on a stall and Anderson-mixed near the fixed point.
 
     Iterates ``ccp <- ccp + step * (map(ccp) - ccp)`` from the uniform policy
-    (or ``init``) until the sup-norm fixed-point residual drops below ``tol``.
-    ``step`` starts at 1, but best-response iteration need not contract: a run
-    whose residual has not fallen by 10% over its last ``STALL_WINDOW``
-    iterations restarts from the start point at half the step, down to ``MIN_STEP``.
+    until the sup-norm fixed-point residual drops below ``tol``.  ``step``
+    starts at 1, but best-response iteration need not contract: a run whose
+    residual has not fallen by 10% over its last ``STALL_WINDOW`` iterations
+    restarts from the uniform policy at half the step, down to ``MIN_STEP``.
 
     Once a run's residual first falls below ``MIX_BELOW``, its steps are
     Anderson-mixed: the NK action probabilities ``ccp[:, 1]`` move to the
@@ -339,18 +344,18 @@ def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
     Raises
     ------
     InvalidArgumentError
-        If ``max_iter`` is below 1 or ``tol`` is not a positive finite number.
+        If ``tol`` is not a positive finite number.
+    NumericalError
+        If a value solve fails (`_policy_solve`).
     ConvergenceError
-        If the residual is still above ``tol`` after ``max_iter`` evaluations.
+        If the residual is still above ``tol`` after ``MAX_MAPS`` evaluations.
     """
-    if max_iter < 1:
-        raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tol must be a positive finite number, got {tol}")
-    start = uniform_ccp(config) if init is None else check_ccp(init, config)
+    start = uniform_ccp(config)
     ccp, step, run_start, trace = start, 1.0, 0, []
     xs, fs, mixing = [], [], False  # the run's mixing history
-    while len(trace) < max_iter:
+    while len(trace) < MAX_MAPS:
         updated = best_response_map(theta, ccp, config)
         residual = float(np.abs(updated - ccp).max())
         trace.append(residual)
@@ -376,5 +381,5 @@ def solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
             action = np.clip(_anderson_step(xs, fs), CCP_FLOOR, 1.0 - CCP_FLOOR)
             ccp = np.stack([1.0 - action, action], axis=1)
     raise ConvergenceError(
-        f"no equilibrium after {max_iter} iterations, residual {trace[-1]:g}",
-        residual=trace[-1], iterations=max_iter)
+        f"no equilibrium after {MAX_MAPS} iterations, residual {trace[-1]:g}",
+        residual=trace[-1], iterations=MAX_MAPS)

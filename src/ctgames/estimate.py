@@ -117,7 +117,7 @@ def _start_inverse_hessian(stats, policy, x0):
         curvature[curvature <= INFO_RANK_TOL * curvature.max(initial=-np.inf)] = 1.0
         hess_inv[block] = _symmetric((basis / curvature) @ basis.T)
         if np.isfinite(hess_inv).all():
-            np.linalg.cholesky(hess_inv)
+            scipy.linalg.cholesky(hess_inv)  # SciPy's BFGS tests hess_inv0 by this factor
             return hess_inv
     except np.linalg.LinAlgError:
         pass

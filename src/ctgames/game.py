@@ -208,15 +208,6 @@ def entry_design(config):
     return z
 
 
-def flow_payoffs(theta, config):
-    """All flow payoffs as an (N, K) array: the flow design applied to theta.
-
-    An inactive firm earns zero flow; it pays the lump-sum entry cost only
-    on entering, via `instant_payoffs`.
-    """
-    return flow_design_rows(config) @ theta.as_vector()
-
-
 def instant_payoffs(theta, config):
     """All choice payoffs as an (N, J, K) array (nonzero only for entry)."""
     return theta.ec * entry_design(config)

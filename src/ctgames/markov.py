@@ -3,14 +3,14 @@
 A generator (intensity matrix) is a K x K array with nonnegative
 off-diagonal rates and rows summing to zero.  The transition matrix over a
 horizon ``delta`` is ``expm(delta * Q)``.  Two independent routes to that
-matrix are provided -- a Pade approximant (`expm`, `transition_matrix`) and
-a Poisson-mixture series (`uniformization_matrix`) -- so each can serve as
-an oracle for the other.  The Pade code also yields the Frechet derivative
-of the exponential from the same set-up: `transition_matrix_frechet` pushes
-a direction in ``Q`` forward to ``exp(delta * Q)``, and
-`transition_matrix_pullback` is its adjoint, pulling a gradient in
-``exp(delta * Q)`` back to ``Q`` (scipy's ``expm_frechet`` is the test
-oracle of both).
+matrix are provided -- a Pade approximant (`_pade13`) and a Poisson-mixture
+series (`uniformization_matrix`) -- so each can serve as an oracle for the
+other; both take the scaling rule of `_squarings`.  One Pade set-up gives
+`transition_matrix` and the Frechet derivative of the exponential:
+`transition_matrix_frechet` pushes a direction in ``Q`` forward to
+``exp(delta * Q)``, and `transition_matrix_pullback` is its adjoint, pulling
+a gradient in ``exp(delta * Q)`` back to ``Q`` (scipy's ``expm_frechet`` is
+the test oracle of both).  No package path calls the public `expm`.
 """
 
 import numpy as np
@@ -38,9 +38,10 @@ MAX_SQUARINGS = 53
 GENERATOR_ROWSUM_TOL = 1e-12
 # Transition-matrix entries below this are treated as roundoff and clipped.
 NEGATIVE_PROB_TOL = 1e-10
-# `uniformization_matrix` truncates its series once the Poisson tail mass
-# is below this.
+# `uniformization_matrix` truncates its series at this Poisson tail mass, and
+# raises when its rows miss one by more than criterion 1's row-sum bound.
 UNIFORMIZATION_TAIL = 1e-13
+UNIFORMIZATION_ROWSUM_TOL = 1e-10
 
 
 def check_generator(q):
@@ -69,6 +70,16 @@ def check_generator(q):
     return q
 
 
+def _squarings(a):
+    """Squarings that bring the 1-norm of ``a`` to `_THETA13` or below: the
+    scaling rule of both routes to ``exp(a)``.  A 1-norm that would take more
+    than `MAX_SQUARINGS`, or is not finite, raises `NumericalError`."""
+    norm1 = np.linalg.norm(a, 1)
+    if not norm1 <= _THETA13 * 2.0 ** MAX_SQUARINGS:  # about 4.8e16
+        raise NumericalError(f"exp of a 1-norm {norm1:g} takes over {MAX_SQUARINGS} squarings")
+    return int(np.ceil(np.log2(norm1 / _THETA13))) if norm1 > _THETA13 else 0
+
+
 def _pade13(a):
     """``exp(a)`` by degree-13 Pade scaling and squaring, and its Frechet derivative.
 
@@ -78,15 +89,10 @@ def _pade13(a):
     of the exponential (Al-Mohy & Higham 2009, SIMAX, Alg. 6.4), so one
     set-up serves a direction that depends on ``exp(a)`` itself.
     """
-    norm1 = np.linalg.norm(a, 1)
-    if norm1 == 0.0:
+    squarings = _squarings(a)
+    if not a.any():
         return np.eye(a.shape[0]), lambda e: np.array(e, dtype=float)
-    if not norm1 <= _THETA13 * 2.0 ** MAX_SQUARINGS:  # about 4.8e16
-        raise NumericalError(f"exp of a 1-norm {norm1:g} takes over {MAX_SQUARINGS} squarings")
-    squarings = 0
-    if norm1 > _THETA13:
-        squarings = int(np.ceil(np.log2(norm1 / _THETA13)))
-        a = a / (2.0 ** squarings)
+    a = a / (2.0 ** squarings)
 
     b = _PADE13
     ident = np.eye(a.shape[0])
@@ -150,7 +156,7 @@ def transition_matrix(q, delta):
     negative than ``NEGATIVE_PROB_TOL`` raise `NumericalError`, smaller ones
     are clipped to zero.
     """
-    return _transition(q, delta, lambda a: (expm(a), None))[0]
+    return _transition(q, delta)[0]
 
 
 def transition_matrix_frechet(q, delta):
@@ -161,7 +167,7 @@ def transition_matrix_frechet(q, delta):
     set-up that gave ``p``.  Clipping and renormalization contribute no
     derivative: the rows of ``exp(delta Q)`` sum to one for every generator.
     """
-    p, frechet = _transition(q, delta, _pade13)
+    p, frechet = _transition(q, delta)
     return p, lambda e: delta * frechet(e)
 
 
@@ -176,11 +182,16 @@ def transition_matrix_pullback(q, delta):
     return p, lambda g: forward(np.asarray(g).T).T
 
 
-def _transition(q, delta, exponential):
+def _scaled_generator(q, delta):
+    """``delta * q`` for a checked generator ``q`` and horizon ``delta``."""
     q = check_generator(q)
     if not np.isfinite(delta) or delta < 0:
         raise InvalidArgumentError(f"delta must be nonnegative, got {delta}")
-    p, frechet = exponential(delta * q)
+    return delta * q
+
+
+def _transition(q, delta):
+    p, frechet = _pade13(_scaled_generator(q, delta))
     if p.min() < -NEGATIVE_PROB_TOL:
         raise NumericalError(f"transition matrix entry {p.min():g} below -{NEGATIVE_PROB_TOL:g}")
     np.clip(p, 0.0, None, out=p)
@@ -197,27 +208,20 @@ def uniformization_matrix(q, delta):
     Independent oracle for `transition_matrix`: the series
     ``sum_r Poisson(r; Lambda*delta) Z**r`` with ``Z = I + Q/Lambda`` and
     ``Lambda`` the largest total exit rate, truncated once the Poisson tail
-    mass drops below `UNIFORMIZATION_TAIL`.  Long horizons are split in
-    halves (exact semigroup property) to keep the Poisson weights in range.
+    mass drops below `UNIFORMIZATION_TAIL`.  The series runs over
+    ``delta / 2**s`` and is squared ``s`` times, ``s`` from `_squarings` as
+    for Pade.  Squaring can grow the truncated tail and the rounding of the
+    row sums ``2**s``-fold, so rows that miss one by more than
+    `UNIFORMIZATION_ROWSUM_TOL` raise `NumericalError`.
     """
-    q = check_generator(q)
-    if not np.isfinite(delta) or delta < 0:
-        raise InvalidArgumentError(f"delta must be nonnegative, got {delta}")
-    k = q.shape[0]
-    rate = float(np.max(-np.diag(q)))
-    if delta == 0 or rate == 0.0:
+    a = _scaled_generator(q, delta)
+    squarings, k = _squarings(a), a.shape[0]
+    mean = float(np.max(-np.diag(a)))  # Lambda * delta
+    if mean == 0.0:
         return np.eye(k)
-
-    # Halve the horizon until the Poisson mean is moderate, square afterwards.
-    halvings = 0
-    mean = rate * delta
-    while mean > 64.0:
-        mean /= 2.0
-        halvings += 1
-    step = delta / (2 ** halvings)
-
-    z = np.eye(k) + q / rate
-    weight = np.exp(-rate * step)
+    z = np.eye(k) + a / mean
+    mean /= 2.0 ** squarings
+    weight = np.exp(-mean)
     covered = weight
     power = np.eye(k)
     total = weight * power
@@ -225,13 +229,14 @@ def uniformization_matrix(q, delta):
     while 1.0 - covered > UNIFORMIZATION_TAIL:
         r += 1
         power = power @ z
-        weight *= rate * step / r
+        weight *= mean / r
         total += weight * power
         covered += weight
-        if r > 100000:
-            raise NumericalError("uniformization series failed to converge")
-    for _ in range(halvings):
+    for _ in range(squarings):
         total = total @ total
+    miss = np.abs(total.sum(axis=1) - 1.0).max()
+    if not miss <= UNIFORMIZATION_ROWSUM_TOL:
+        raise NumericalError(f"uniformization rows miss one by {miss:g} after {squarings} squarings")
     return total
 
 

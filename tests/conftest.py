@@ -36,6 +36,26 @@ def desk_config(**overrides):
 
 DESK_THETA = Theta(fc=(-1.9, -1.8, -1.7), rs=1.0, rn=1.0, ec=1.0)
 
+# Schema-valid config files whose kernels overflow.  Nature's rates near the
+# largest float overflow the value solve; a horizon near it makes delta Q
+# infinite, so exp(delta Q) cannot be formed.
+VALUE_OVERFLOW_GAME = {
+    "game": {"n_players": 1, "market_levels": 2, "lambda": 1.0, "rho": 0.05,
+             "q_up": 1e307, "q_down": 1e307, "delta": 1.0},
+    "theta": {"fc": [-1.0], "rs": 1.0, "rn": 0.0, "ec": 1.0}}
+EXP_OVERFLOW_GAME = {
+    "game": {"n_players": 2, "market_levels": 2, "lambda": 1.0, "rho": 0.05,
+             "q_up": 10.0, "q_down": 10.0, "delta": 1e308},
+    "theta": {"fc": [-1.0, -1.1], "rs": 1.0, "rn": 1.0, "ec": 1.0}}
+
+
+def game_from_config(config):
+    """The `GameConfig` and `Theta` of a config file's game and theta blocks."""
+    game = dict(config["game"])
+    game["lam"] = game.pop("lambda")
+    theta = dict(config["theta"], fc=tuple(config["theta"]["fc"]))
+    return GameConfig(**game), Theta(**theta)
+
 
 def random_generator(rng, k, scale=1.0):
     """Random valid intensity matrix with total exit rates of order ``scale``."""

@@ -40,7 +40,6 @@ from ctgames.equilibrium import (
     MpeResult,
     aggregate_generator,
     best_response_map,
-    check_ccp,
     uniform_ccp,
 )
 from ctgames.estimate import INIT_FLOOR, MAX_EVALS, central_difference_gradient
@@ -330,19 +329,20 @@ def identity_start_ctnpl(stats, config, ccp, max_stages, tol, theta_start=None):
     return vec, False, nfev
 
 
-def plain_solve_mpe(theta, config, init=None, tol=1e-10, max_iter=10000):
+def plain_solve_mpe(theta, config, tol=1e-10, max_iter=10000):
     """Markov perfect equilibrium by successive approximation, halving the step on a stall.
 
     Iterates ``ccp <- ccp + step * (map(ccp) - ccp)`` from the uniform policy
-    (or ``init``) until the sup-norm fixed-point residual drops below ``tol``.
-    ``step`` starts at 1, but best-response iteration need not contract: a run
-    whose residual has not fallen by 10% over its last ``STALL_WINDOW``
-    iterations restarts from the start point at half the step, down to ``MIN_STEP``.
-    This is `equilibrium.solve_mpe` without its Anderson mixing.
+    until the sup-norm fixed-point residual drops below ``tol``.  ``step``
+    starts at 1, but best-response iteration need not contract: a run whose
+    residual has not fallen by 10% over its last ``STALL_WINDOW`` iterations
+    restarts from the uniform policy at half the step, down to ``MIN_STEP``.
+    This is `equilibrium.solve_mpe` without its Anderson mixing, with its own
+    map budget ``max_iter``.
     """
     if max_iter < 1:
         raise InvalidArgumentError(f"max_iter must be >= 1, got {max_iter}")
-    start = uniform_ccp(config) if init is None else check_ccp(init, config)
+    start = uniform_ccp(config)
     ccp, step, run_start, trace = start, 1.0, 0, []
     while len(trace) < max_iter:
         updated = best_response_map(theta, ccp, config)

@@ -24,6 +24,7 @@ from ctgames.experiments import (
     run_monte_carlo,
 )
 
+from conftest import EXP_OVERFLOW_GAME, VALUE_OVERFLOW_GAME
 from test_estimate import STILL_PANEL_CSV
 
 
@@ -486,6 +487,35 @@ class TestExitCodes:
         assert json.loads(lines[0])["error"] == "NumericalError"
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("game, argv, message", [
+        (VALUE_OVERFLOW_GAME, ("solve",), "value equation"),
+        (EXP_OVERFLOW_GAME, ("simulate", "--sampling", "discrete", "--markets", "5"),
+         "squarings"),
+        (EXP_OVERFLOW_GAME, ("estimate", "--sampling", "discrete", "--data", "{tmp}/panel.csv"),
+         "squarings"),
+    ], ids=["value-solve", "exp-simulate", "exp-estimate"])
+    def test_overflowing_kernel_exits_three(self, game, argv, message, tmp_path, capsys):
+        # the same failure on every command: the value solve's policy values,
+        # or delta Q, overflow; the panel is the game's over delta = 1
+        if "--data" in argv:
+            finite = {**game, "game": {**game["game"], "delta": 1.0}}
+            (tmp_path / "finite.json").write_text(json.dumps(finite))
+            assert run_cli("simulate", "--config", str(tmp_path / "finite.json"), "--sampling",
+                           "discrete", "--markets", "50", "--out", str(tmp_path)) == 0
+        (tmp_path / "spec.json").write_text(json.dumps(game))
+        out = tmp_path / "out"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--config", str(tmp_path / "spec.json"), "--out", str(out))
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NumericalError"
+        assert message in json.loads(lines[0])["message"]
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ("solve", "--seed", "1"),
         ("simulate", "--replications", "2"),
@@ -726,6 +756,13 @@ SINGULAR_POLICY_GAME = {
     "theta": {"fc": [1.2926166863908386e+194, 1.1002873961274106e+132],
               "rs": 32.06581546021111, "rn": 6.636819893746468,
               "ec": -1.2784128072023774e-63}}
+# On event data from the true start, NumPy's Cholesky factor of this game's
+# start inverse Hessian succeeds and SciPy's, the one BFGS tests, fails.
+CHOLESKY_SPLIT_GAME = {
+    "game": {"n_players": 3, "market_levels": 3, "lambda": 7.326897579816315e-92,
+             "rho": 10000.0, "q_up": 79.43282347242814, "q_down": 1.0, "delta": 1.0},
+    "theta": {"fc": [-1.278165280736435e+49, -2.312386250967726e-190, 2.943548577267642e-300],
+              "rs": 1.3913866087715695e+271, "rn": -1.0, "ec": -0.9999999995710841}}
 # A game whose stability sweep meets a parameter Gram matrix that is not finite.
 NON_FINITE_GRAM_GAME = {
     "game": {"n_players": 2, "market_levels": 3, "lambda": 4.685810280741961e-59,
@@ -780,6 +817,22 @@ class TestEstimateStartFailures:
         assert out == ""  # nothing from LAPACK either, which writes to the descriptor
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "NumericalError"
+        assert not (tmp_path / "out" / "estimate.csv").exists()
+
+    def test_start_that_bfgs_would_reject_exits_three(self, tmp_path, capfd):
+        # the start is checked by the factorization BFGS checks it with, so
+        # the fit ends in exit 3 instead of SciPy's ValueError
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(CHOLESKY_SPLIT_GAME))
+        assert run_quiet("simulate", "--config", str(path), "--sampling", "continuous",
+                         "--markets", "30", "--out", str(tmp_path / "sim")) == 0
+        capfd.readouterr()
+        code = run_quiet("estimate", "--config", str(path), "--sampling", "continuous",
+                         "--data", str(tmp_path / "sim" / "events.csv"), "--init", "true",
+                         "--out", str(tmp_path / "out"))
+        (line,) = capfd.readouterr().err.splitlines()
+        assert code == 3
+        assert "inverse Hessian" in json.loads(line)["message"]
         assert not (tmp_path / "out" / "estimate.csv").exists()
 
     @pytest.mark.parametrize("game, sampling, message", [

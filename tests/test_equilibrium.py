@@ -10,6 +10,7 @@ from ctgames import (
     ConvergenceError,
     GameConfig,
     InvalidArgumentError,
+    NumericalError,
     Theta,
     encode_state,
     nature_generator,
@@ -33,8 +34,8 @@ from ctgames.equilibrium import (
 from ctgames.experiments import experiment_spec
 from ctgames.game import state_tables
 
-from conftest import DESK_THETA, desk_config
-from oracles import continuation_state, expected_instant_payoffs, plain_solve_mpe
+from conftest import DESK_THETA, VALUE_OVERFLOW_GAME, desk_config, game_from_config
+from oracles import continuation_state, expected_instant_payoffs, flow_payoff, plain_solve_mpe
 
 
 def single_agent_config(levels=1, **overrides):
@@ -211,14 +212,11 @@ class TestValueFunction:
         # V_ik (rho + H0_k + N lam) = u_ik + sum_l q_kl V_il
         #   + lam sum_{m != i} [(1-s_m) V_ik + s_m V_i,tog(m,k)]
         #   + lam [E_ik + (1-s_i) V_ik + s_i V_i,tog(i,k)]
-        from ctgames.game import flow_payoffs
-
         config = desk_config()
         theta = DESK_THETA
         probs = rng.uniform(0.1, 0.9, size=(config.n_players, config.n_states))
         ccp = np.stack([1 - probs, probs], axis=1)
         values = value_function(theta, ccp, config)
-        u = flow_payoffs(theta, config)
         e = expected_instant_payoffs(theta, ccp, config)
         q0 = nature_generator(config)
         tables = state_tables(config)
@@ -226,7 +224,7 @@ class TestValueFunction:
         for i in range(n):
             for k in range(config.n_states):
                 hazard0 = -q0[k, k]
-                rhs = u[i, k] + q0[k] @ values[i] + hazard0 * values[i, k]
+                rhs = flow_payoff(theta, i, k, config) + q0[k] @ values[i] + hazard0 * values[i, k]
                 for m in range(n):
                     tog = tables.toggle[m, k]
                     rhs += lam * ((1 - ccp[m, 1, k]) * values[i, k]
@@ -283,10 +281,12 @@ class TestSolveMpe:
         assert result.residual < 1e-10
 
     def test_restart_converges_immediately(self):
+        # a restart at the equilibrium would stop at its first map: the map
+        # moves the returned probabilities by the recorded residual, below tol
         config = desk_config()
-        result = solve_mpe(DESK_THETA, config)
-        again = solve_mpe(DESK_THETA, config, init=result.ccp)
-        assert again.iterations <= 2
+        result = solve_mpe(DESK_THETA, config, tol=1e-12)
+        gap = np.abs(best_response_map(DESK_THETA, result.ccp, config) - result.ccp).max()
+        assert gap == result.residual < 1e-12
 
     def test_no_interaction_decouples_into_single_agent_problems(self):
         config = desk_config()
@@ -317,22 +317,14 @@ class TestSolveMpe:
             swapped = encode_state(demand, a[::-1], config)
             assert result.ccp[0, 1, k] == pytest.approx(result.ccp[1, 1, swapped], abs=1e-9)
 
-    def test_nonconvergence_raises_with_residual(self):
-        config = desk_config()
-        with pytest.raises(ConvergenceError) as excinfo:
-            solve_mpe(DESK_THETA, config, max_iter=2)
-        assert excinfo.value.residual > 0
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_no_iteration_budget_is_rejected(self, max_iter, monkeypatch):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
         from ctgames import equilibrium
 
-        def forbidden(*args):
-            raise AssertionError("best response evaluated")
-
-        monkeypatch.setattr(equilibrium, "best_response_map", forbidden)
-        with pytest.raises(InvalidArgumentError):
-            solve_mpe(DESK_THETA, desk_config(), max_iter=max_iter)
+        monkeypatch.setattr(equilibrium, "MAX_MAPS", 2)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_mpe(DESK_THETA, desk_config())
+        assert excinfo.value.residual > 0
+        assert excinfo.value.iterations == 2
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_bad_tolerance_is_rejected(self, tol, monkeypatch):
@@ -350,9 +342,14 @@ class TestSolveMpe:
         init = uniform_ccp(config)
         init[1, :, 5] = math.nan
         with pytest.raises(InvalidArgumentError, match="finite"):
-            solve_mpe(DESK_THETA, config, init=init)
-        with pytest.raises(InvalidArgumentError, match="finite"):
             LinearizedPolicy(init, config)
+
+    def test_overflowing_value_solve_is_a_numeric_failure(self):
+        # nature's rates near the largest float: a later map's policy values
+        # overflow, a numeric failure rather than a bad argument to the logit
+        config, theta = game_from_config(VALUE_OVERFLOW_GAME)
+        with pytest.raises(NumericalError, match="value equation"):
+            solve_mpe(theta, config)
 
     def test_stalled_solve_restarts_at_half_step_before_mixing(self):
         # Paper experiment 1 at rn = 5: plain best-response iteration locks
@@ -381,7 +378,7 @@ class TestSolveMpe:
         except ConvergenceError:
             plain = None
         assume(plain is not None)
-        result = solve_mpe(theta, config, max_iter=2000)
+        result = solve_mpe(theta, config)
         assert np.abs(result.ccp - plain.ccp).max() < 1e-9
         switch = next(n for n, r in enumerate(plain.trace) if r < MIX_BELOW) + 1
         assert result.trace[:switch] == plain.trace[:switch]

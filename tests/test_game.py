@@ -11,13 +11,23 @@ from ctgames import (
     Theta,
     decode_state,
     encode_state,
-    flow_payoffs,
     instant_payoffs,
     nature_generator,
     state_tables,
 )
+from ctgames.game import flow_design_rows
 
 from conftest import BENCH_THETA, benchmark_config
+from oracles import flow_payoff
+
+
+def flow_payoffs(theta, config):
+    """(N, K) flow payoffs from the package's design rows, each entry checked
+    against the scalar oracle."""
+    u = flow_design_rows(config) @ theta.as_vector()
+    for i, k in np.ndindex(u.shape):
+        assert u[i, k] == pytest.approx(flow_payoff(theta, i, k, config), abs=1e-12)
+    return u
 
 
 class TestEncoding:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,25 @@ from ctgames import (
     uniformization_matrix,
 )
 from ctgames.equilibrium import aggregate_generator, uniform_ccp
-from ctgames.markov import _pade13, transition_matrix_frechet, transition_matrix_pullback
+from ctgames.markov import (
+    UNIFORMIZATION_ROWSUM_TOL,
+    _pade13,
+    transition_matrix_frechet,
+    transition_matrix_pullback,
+)
 
-from conftest import random_generator
+from conftest import EXP_OVERFLOW_GAME, game_from_config, random_generator
+
+# An overflowing exit rate: the uniformization oracle once halved its
+# infinite Poisson mean forever.
+INFINITE_MEAN_PROBE = """
+import numpy as np
+from ctgames import NumericalError, uniformization_matrix
+try:
+    uniformization_matrix(np.array([[-1e308, 1e308], [1.0, -1.0]]), 10.0)
+except NumericalError as err:
+    print("NumericalError:", err)
+"""
 
 
 def two_state_transition(a, b, t):
@@ -105,6 +125,16 @@ class TestTransitionMatrix:
         with pytest.raises(InvalidArgumentError):
             transition_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
 
+    def test_infinite_scaled_generator_is_a_numeric_failure_on_every_route(self):
+        # delta Q overflows to inf: a game the solvers cannot handle, not a bad
+        # argument, whichever route forms exp(delta Q)
+        config, _ = game_from_config(EXP_OVERFLOW_GAME)
+        q = aggregate_generator(uniform_ccp(config), config)
+        for route in (transition_matrix, transition_matrix_frechet,
+                      transition_matrix_pullback, uniformization_matrix):
+            with np.errstate(over="ignore"), pytest.raises(NumericalError, match="squarings"):
+                route(q, config.delta)
+
 
 class TestFrechet:
     @given(k=st.integers(1, 12), scale=st.floats(0.01, 100.0),
@@ -166,6 +196,28 @@ class TestUniformization:
         q = random_generator(rng, 8, scale=40.0)
         gap = np.abs(uniformization_matrix(q, 3.0) - transition_matrix(q, 3.0)).max()
         assert gap < 1e-10
+
+    def test_moderate_scale_keeps_stochastic_rows(self, rng):
+        q = random_generator(rng, 8, scale=100.0)
+        p = uniformization_matrix(q, 1.0)
+        assert np.abs(p.sum(axis=1) - 1).max() <= UNIFORMIZATION_ROWSUM_TOL
+        assert np.abs(p - transition_matrix(q, 1.0)).max() < 1e-10
+
+    def test_rows_that_miss_one_raise(self, rng):
+        # at 1e16 the series' entries once all fell below 3e-41; squared 52
+        # times, its rows no longer sum to one
+        q = random_generator(rng, 8) * 1e16
+        with pytest.raises(NumericalError, match="rows miss one"):
+            uniformization_matrix(q, 1.0)
+
+    def test_infinite_poisson_mean_raises_without_hanging(self):
+        # in a subprocess with a timeout, so a regression fails instead of
+        # hanging the suite
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", INFINITE_MEAN_PROBE],
+                              capture_output=True, text=True, check=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.startswith("NumericalError: exp of a 1-norm inf")
 
 
 class TestStationaryDistribution:

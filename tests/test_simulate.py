@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ctgames import CTGamesError, GameConfig, InvalidArgumentError, Theta, transition_matrix
+from ctgames import (
+    CTGamesError,
+    GameConfig,
+    InvalidArgumentError,
+    NumericalError,
+    Theta,
+    transition_matrix,
+)
 from ctgames.equilibrium import aggregate_generator, solve_mpe, uniform_ccp
 from ctgames.game import state_tables
 from ctgames.likelihood import SpellStats
@@ -22,7 +29,7 @@ from ctgames.simulate import (
     to_panel,
 )
 
-from conftest import DESK_THETA, desk_config
+from conftest import DESK_THETA, EXP_OVERFLOW_GAME, desk_config, game_from_config
 from oracles import post_state, write_event_log_csv, write_panel_csv
 
 
@@ -137,6 +144,13 @@ class TestSampleDiscrete:
             for l in range(config.n_states):
                 se = np.sqrt(max(p[start, l] * (1 - p[start, l]), 1e-12) / n)
                 assert abs(counts[l] / n - p[start, l]) <= 4 * se + 1e-9
+
+    def test_infinite_scaled_generator_is_a_numeric_failure(self):
+        # delta Q overflows to inf: no panel, a numeric failure
+        config, theta = game_from_config(EXP_OVERFLOW_GAME)
+        ccp = solve_mpe(theta, config).ccp
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="squarings"):
+            sample_discrete(theta, ccp, config, 5, periods=1, seed=0)
 
     def test_deterministic_given_seed(self, mini_game):
         config, theta, ccp = mini_game
