@@ -118,7 +118,7 @@ def _policy_system_matrix(ccp, config):
     """The K x K matrix ``rho I - Q(ccp)`` inverted by the value solve.
 
     Shared by all players; strictly diagonally dominant for rho > 0, hence
-    nonsingular.
+    nonsingular in exact arithmetic.
     """
     xi = -aggregate_generator(ccp, config)
     xi[np.diag_indices_from(xi)] += config.rho
@@ -129,9 +129,15 @@ def _policy_solve(ccp, config, rhs):
     """The value solve: ``(X, factor)`` with ``X`` solving ``(rho I - Q(ccp)) X
     = rhs`` for a (K, m) ``rhs`` and ``factor`` the system matrix's LU factors
     and pivots, by LAPACK ``getrf`` (`lu_factor`'s call, without its warning
-    on a zero pivot) and ``getrs``.  A zero pivot or an entry of ``X`` that is
-    not finite raises `NumericalError`."""
-    factor = dgetrf(_policy_system_matrix(ccp, config))[:2]
+    on a zero pivot) and ``getrs``.  A discount rate lost to rounding beside
+    the largest exit rate, a zero pivot or an entry of ``X`` that is not
+    finite raises `NumericalError`."""
+    xi = _policy_system_matrix(ccp, config)
+    largest = xi.diagonal().max()
+    if config.rho <= np.finfo(float).eps * largest:
+        raise NumericalError(f"value equation rho I - Q is singular: rho = {config.rho:g} "
+                             f"is lost to rounding beside a diagonal entry of {largest:g}")
+    factor = dgetrf(xi)[:2]
     solved = dgetrs(*factor, rhs)[0]
     if not np.all(np.isfinite(solved)):
         raise NumericalError("value equation rho I - Q is singular or its solution is not finite")

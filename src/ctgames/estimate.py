@@ -349,6 +349,11 @@ def _initializer_features(config):
     return np.concatenate([base * (1 - active), base * active], axis=2)
 
 
+def _logistic(index):
+    """The logistic function ``1 / (1 + exp(-index))``."""
+    return 1.0 / (1.0 + np.exp(-index))
+
+
 def _fit_logistic(features, successes, trials):
     """Newton (IRLS) fit of successes/trials ~ logistic(features @ beta).
 
@@ -358,7 +363,7 @@ def _fit_logistic(features, successes, trials):
     n_feat = features.shape[1]
     beta = np.zeros(n_feat)
     for _ in range(100):
-        prob = 1.0 / (1.0 + np.exp(-(features @ beta)))
+        prob = _logistic(features @ beta)
         weight = trials * prob * (1 - prob)
         grad = features.T @ (successes - trials * prob)
         hessian = features.T @ (features * weight[:, None])
@@ -378,14 +383,14 @@ def _logit_from_counts(stats):
     feats = _initializer_features(stats.config)
     beta = _fit_logistic(feats.reshape(-1, feats.shape[2]), toggles.ravel(),
                          np.broadcast_to(visits, toggles.shape).ravel())
-    probs = 1.0 / (1.0 + np.exp(-(feats @ beta)))
+    probs = _logistic(feats @ beta)
     return _as_ccp(probs, stats.config)
 
 
 def _hazard_logit_objective(beta, feats, moves, exposure):
     """Negative logistic-hazard log likelihood of `_logit_from_spells` and its
     gradient ``-F'[(n / p - lam T) p (1 - p)]``, zero where p is clipped."""
-    prob = 1.0 / (1.0 + np.exp(-(feats @ beta)))
+    prob = _logistic(feats @ beta)
     clipped = np.clip(prob, 1e-12, 1 - 1e-12)
     slope = np.where(clipped == prob, prob * (1 - prob), 0.0)
     value = -(moves * np.log(clipped) - exposure * clipped).sum()
@@ -404,7 +409,7 @@ def _logit_from_spells(stats):
         _hazard_logit_objective, np.zeros(feats.shape[2]), jac=True,
         args=(feats, stats.moves, stats.config.lam * stats.exposure[None, :]),
         method="BFGS", options={"gtol": 1e-8, "maxiter": 500})
-    probs = 1.0 / (1.0 + np.exp(-(feats @ result.x)))
+    probs = _logistic(feats @ result.x)
     return _as_ccp(probs, stats.config)
 
 

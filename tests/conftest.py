@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import ctgames
 from ctgames import GameConfig, Theta
 
 # Property tests draw the same examples on every run and never time out, so
@@ -55,6 +61,15 @@ def game_from_config(config):
     game["lam"] = game.pop("lambda")
     theta = dict(config["theta"], fc=tuple(config["theta"]["fc"]))
     return GameConfig(**game), Theta(**theta)
+
+
+def run_fresh_python(code, *args, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports the ctgames under
+    test, whether the checkout's or an installed copy; a nonzero exit raises."""
+    package_parent = Path(ctgames.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(package_parent)}, **kwargs)
 
 
 def random_generator(rng, k, scale=1.0):

@@ -1,10 +1,7 @@
 import argparse
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -24,7 +21,7 @@ from ctgames.experiments import (
     run_monte_carlo,
 )
 
-from conftest import EXP_OVERFLOW_GAME, VALUE_OVERFLOW_GAME
+from conftest import EXP_OVERFLOW_GAME, VALUE_OVERFLOW_GAME, run_fresh_python
 from test_estimate import STILL_PANEL_CSV
 
 
@@ -89,38 +86,44 @@ class TestCliSolve:
         assert run_cli("solve", "--out", str(tmp_path)) == 2
 
 
+# The data file `simulate` writes under each sampling scheme.
+DATA_FILES = {"discrete": "panel.csv", "continuous": "events.csv"}
+
+
 class TestCliSimulateEstimate:
     def test_round_trip_desk_pipeline(self, tmp_path):
-        out = tmp_path / "sim"
-        code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
-                       "--seed", "11", "--markets", "300", "--out", str(out))
-        assert code == 0
-        panel = out / "panel.csv"
-        assert panel.exists()
-
-        est_out = tmp_path / "est"
-        code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                       "--data", str(panel), "--init", "frequency",
-                       "--stages", "15", "--out", str(est_out))
-        assert code == 0
-        rows = (est_out / "estimate.csv").read_text().splitlines()
-        assert len(rows) == 2
-        trace = json.loads((est_out / "estimate_trace.json").read_text())
-        for key in ("nit", "nfev", "njev", "clamped_logs"):
-            assert all(isinstance(stage[key], int) for stage in trace)
+        for sampling, data in DATA_FILES.items():
+            out = tmp_path / sampling
+            code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                           "--sampling", sampling, "--seed", "11", "--markets", "300",
+                           "--out", str(out / "sim"))
+            assert code == 0
+            code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                           "--sampling", sampling, "--data", str(out / "sim" / data),
+                           "--init", "frequency", "--stages", "15", "--out", str(out / "est"))
+            assert code == 0
+            with open(out / "est" / "estimate.csv", newline="") as handle:
+                (row,) = csv.DictReader(handle)
+            assert row["converged"] == "True" and np.isfinite(float(row["loglik"])), sampling
+            trace = json.loads((out / "est" / "estimate_trace.json").read_text())
+            for key in ("nit", "nfev", "njev", "clamped_logs"):
+                assert all(isinstance(stage[key], int) for stage in trace)
 
     def test_estimate_writes_artifacts_deterministically(self, tmp_path):
-        code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
-                       "--seed", "13", "--markets", "300", "--out", str(tmp_path / "sim"))
-        assert code == 0
-        outs = (tmp_path / "a", tmp_path / "b")
-        for out in outs:
-            code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                           "--data", str(tmp_path / "sim" / "panel.csv"), "--init", "frequency",
-                           "--out", str(out))
+        for sampling, data in DATA_FILES.items():
+            sim = tmp_path / sampling / "sim"
+            code = run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                           "--sampling", sampling, "--seed", "13", "--markets", "300",
+                           "--out", str(sim))
             assert code == 0
-        for name in ("estimate.csv", "estimate_trace.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            outs = (tmp_path / sampling / "a", tmp_path / sampling / "b")
+            for out in outs:
+                code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
+                               "--sampling", sampling, "--data", str(sim / data),
+                               "--init", "frequency", "--out", str(out))
+                assert code == 0
+            for name in ("estimate.csv", "estimate_trace.json"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_continuous_sampling_writes_events(self, tmp_path):
         out = tmp_path / "sim"
@@ -131,6 +134,10 @@ class TestCliSimulateEstimate:
         assert (out / "events.csv").exists()
 
 
+# The five tables of a Monte Carlo run that keeps 2S-True.
+MC_TABLES = ("mc_raw.csv", "mc_means.csv", "mc_means.md", "mc_rmse.csv", "mc_rmse.md")
+
+
 class TestCliMc:
     def test_tiny_mc_produces_tables(self, tmp_path):
         out = tmp_path / "mc"
@@ -139,8 +146,7 @@ class TestCliMc:
                        "--estimators", "2S-True,CTNPL", "--seed", "17",
                        "--out", str(out))
         assert code == 0
-        for name in ("mc_raw.csv", "mc_means.csv", "mc_means.md",
-                     "mc_rmse.csv", "mc_rmse.md"):
+        for name in MC_TABLES:
             assert (out / name).exists()
         raw = (out / "mc_raw.csv").read_text().splitlines()
         assert len(raw) == 1 + 2 * 2  # header + 2 estimators x 2 replications
@@ -152,11 +158,11 @@ class TestCliMc:
         for out in outs:
             code = run_cli("mc", "--experiment", "2", "--scale", "desk",
                            "--markets", "60", "--replications", "2",
-                           "--estimators", "2S-Freq,CTNPL", "--seed", "19",
+                           "--estimators", "2S-True,2S-Freq,CTNPL", "--seed", "19",
                            "--out", str(out))
             assert code == 0
-        assert len((outs[0] / "mc_raw.csv").read_text().splitlines()) == 1 + 2 * 2
-        for name in ("mc_raw.csv", "mc_means.csv"):
+        assert len((outs[0] / "mc_raw.csv").read_text().splitlines()) == 1 + 3 * 2
+        for name in MC_TABLES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
@@ -177,6 +183,13 @@ class TestCliDiagnose:
             assert code == 0
         name = "stability_sweep.csv"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # a sweep that failed at every point would still write its header
+        with open(outs[0] / name, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["rn"] for row in rows] == ["0", "5"]
+        for row in rows:
+            assert row["error"] == "" and np.isfinite(float(row["rho"])), row
+            assert np.isfinite(float(row["rho_br"])), row
 
     @pytest.mark.parametrize("players, levels, unidentified",
                              [(1, 5, "rn"), (2, 1, "rs")], ids=["one_firm", "one_level"])
@@ -586,15 +599,67 @@ print(json.dumps(records))
 class TestLazyImports:
     def test_optimizer_and_validator_load_only_when_used(self, tmp_path):
         # a fresh process: this one has loaded both modules already
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_PROBE, str(tmp_path)],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        done = run_fresh_python(LAZY_IMPORT_PROBE, str(tmp_path))
         *before_fit, fit = json.loads(done.stdout.splitlines()[-1])
         assert [command for command, _, _ in before_fit] == [
             "import", "solve", "simulate", "simulate", "diagnose", "counterfactual"]
         assert all(code == 0 and not loaded for _, code, loaded in before_fit)
         assert fit == ["estimate", 0, ["scipy.optimize"]]
+
+
+# Runs each (output directory, arguments) command of the JSON list argv[2]
+# under the directory argv[1], and prints the list of exit codes.
+FRESH_PROCESS_PROBE = """
+import json, sys
+import ctgames.cli
+
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+print(json.dumps([ctgames.cli.main([*argv, "--out", out + "/" + name])
+                  for name, argv in commands]))
+"""
+# Desk commands whose artifacts a fresh process must write to the bytes this
+# one writes, then the paper's criterion-6 grid; {events} is a desk event file.
+FRESH_PROCESS_COMMANDS = (
+    ("solve", ["solve", "--experiment", "2", "--scale", "desk"]),
+    ("diagnose", ["diagnose", "--experiment", "1", "--scale", "desk", "--rn-grid", "0,5"]),
+    ("estimate", ["estimate", "--experiment", "2", "--scale", "desk",
+                  "--sampling", "continuous", "--data", "{events}"]),
+    ("mc", ["mc", "--experiment", "2", "--scale", "desk", "--replications", "3",
+            "--markets", "100"]),
+    ("paper", ["diagnose", "--experiment", "1", "--scale", "paper",
+               "--rn-grid", "0,1,2,3,4,5"]),
+)
+# The benchmark's recorded radii, read only, and its tolerance on them.
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "ctbench" / "reference.json"
+RADIUS_TOL = 1e-6
+
+
+class TestFreshProcess:
+    def test_same_bytes_as_this_process_and_the_recorded_paper_radii(self, tmp_path):
+        assert run_cli("simulate", "--experiment", "2", "--scale", "desk",
+                       "--sampling", "continuous", "--out", str(tmp_path / "sim")) == 0
+        events = str(tmp_path / "sim" / "events.csv")
+        commands = [(name, [arg.format(events=events) for arg in argv])
+                    for name, argv in FRESH_PROCESS_COMMANDS]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        done = run_fresh_python(FRESH_PROCESS_PROBE, str(fresh), json.dumps(commands))
+        assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(commands)
+        for name, argv in commands[:-1]:
+            assert run_cli(*argv, "--out", str(here / name)) == 0
+            names = sorted(path.name for path in (here / name).iterdir())
+            assert names == sorted(path.name for path in (fresh / name).iterdir())
+            for artifact in names:
+                assert ((here / name / artifact).read_bytes()
+                        == (fresh / name / artifact).read_bytes()), (name, artifact)
+
+        recorded = json.loads(REFERENCE_JSON.read_text())["sweep"]["paper"]
+        with open(fresh / "paper" / "stability_sweep.csv", newline="") as handle:
+            rows = {f"{float(row['rn']):g}": row for row in csv.DictReader(handle)}
+        assert sorted(rows) == sorted(recorded)
+        for rn, want in recorded.items():
+            assert rows[rn]["error"] == "", rn
+            for column in ("rho", "rho_br"):
+                assert abs(float(rows[rn][column]) - want[column]) <= RADIUS_TOL, (rn, column)
 
 
 EVENTS_HEADER = "market_id,n,k,t,actor,action\n"
@@ -740,11 +805,29 @@ class TestMcFailuresRecorded:
         assert column("mc_means.csv", "estimator") == ["True values", "2S-Freq"]
         assert not (out / "mc_rmse.csv").exists()
 
+    def test_mc_overflowing_errors_leave_finite_rmse_ratios(self, tmp_path, capfd):
+        # rn's errors near 1e253 square past the largest float: the failed
+        # fits are recorded and each RMSE ratio is still finite
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(OVERFLOW_RMSE_GAME))
+        capfd.readouterr()
+        code = run_quiet("mc", "--config", str(path), "--markets", "30",
+                         "--replications", "2", "--out", str(tmp_path / "mc"))
+        assert code == 0
+        assert MC_WARNING.fullmatch(capfd.readouterr().err)
+        with open(tmp_path / "mc" / "mc_rmse.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows
+        for row in rows:
+            assert all(np.isfinite(float(value)) for key, value in row.items()
+                       if key != "estimator"), row
 
-# Schema-valid games on which stage 1 of a fit cannot start.  On the first,
-# the start's inverse information keeps a curvature of about 1e-26 next to
-# unit ones, so it is positive definite only in exact arithmetic.  On the
-# second, rho I - Q is singular at the start probabilities of an event fit.
+
+# Schema-valid games on which a fit cannot start.  On the first, stage 1's
+# start inverse information keeps a curvature of about 1e-26 next to unit
+# ones, so it is positive definite only in exact arithmetic.  On the second,
+# rho is lost to rounding beside exit rates near 0.1, so rho I - Q is
+# singular in floating point at any probabilities.
 TINY_CURVATURE_GAME = {
     "game": {"n_players": 1, "market_levels": 1, "lambda": 0.001, "rho": 58.0,
              "q_up": 0.0, "q_down": 0.0, "delta": 2e-7},
@@ -804,14 +887,15 @@ def run_quiet(*argv):
 
 class TestEstimateStartFailures:
     def test_singular_policy_estimate_exits_three(self, tmp_path, capfd):
+        # the game cannot be solved to simulate its own data: one hand-written
+        # market sees firm 0 enter, the other sees no move
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(SINGULAR_POLICY_GAME))
-        assert run_quiet("simulate", "--config", str(path), "--sampling", "continuous",
-                         "--markets", "30", "--out", str(tmp_path / "sim")) == 0
+        events = tmp_path / "events.csv"
+        events.write_text(EVENTS_HEADER + "0,1,0,0.5,0,1\n0,2,1,2.0,-2,-1\n1,1,0,1.0,-2,-1\n")
         capfd.readouterr()
         code = run_quiet("estimate", "--config", str(path), "--sampling", "continuous",
-                         "--data", str(tmp_path / "sim" / "events.csv"),
-                         "--out", str(tmp_path / "out"))
+                         "--data", str(events), "--out", str(tmp_path / "out"))
         out, err = capfd.readouterr()
         assert code == 3
         assert out == ""  # nothing from LAPACK either, which writes to the descriptor
@@ -835,16 +919,12 @@ class TestEstimateStartFailures:
         assert "inverse Hessian" in json.loads(line)["message"]
         assert not (tmp_path / "out" / "estimate.csv").exists()
 
-    @pytest.mark.parametrize("game, sampling, message", [
-        (TINY_CURVATURE_GAME, "discrete", "inverse Hessian is not finite and positive definite"),
-        (SINGULAR_POLICY_GAME, "continuous", "rho I - Q is singular"),
-    ], ids=["tiny_curvature", "singular_policy"])
-    def test_mc_records_the_failed_starts(self, game, sampling, message, tmp_path, capfd):
+    def test_mc_records_the_failed_starts(self, tmp_path, capfd):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(game))
+        path.write_text(json.dumps(TINY_CURVATURE_GAME))
         out_dir = tmp_path / "mc"
         capfd.readouterr()
-        code = run_quiet("mc", "--config", str(path), "--sampling", sampling,
+        code = run_quiet("mc", "--config", str(path), "--sampling", "discrete",
                          "--markets", "30", "--replications", "2", "--out", str(out_dir))
         out, err = capfd.readouterr()
         assert code == 0
@@ -852,7 +932,8 @@ class TestEstimateStartFailures:
         assert err.startswith("warning: ") and len(err.splitlines()) == 1
         with open(out_dir / "mc_failures.csv", newline="") as handle:
             messages = [row["message"] for row in csv.DictReader(handle)]
-        assert any(message in recorded for recorded in messages)
+        assert any("inverse Hessian is not finite and positive definite" in recorded
+                   for recorded in messages)
 
 
 def _rates():

@@ -351,6 +351,16 @@ class TestSolveMpe:
         with pytest.raises(NumericalError, match="value equation"):
             solve_mpe(theta, config)
 
+    def test_rho_lost_to_rounding_is_a_numeric_failure(self):
+        # rho = 0.05 beside nature's rates of 1e307: the solve would return
+        # values for two demand levels 2.0 apart, though nature switches them at once
+        config, theta = game_from_config(VALUE_OVERFLOW_GAME)
+        ccp = uniform_ccp(config)
+        with pytest.raises(NumericalError, match="value equation"):
+            value_function(theta, ccp, config)
+        with pytest.raises(NumericalError, match="value equation"):
+            LinearizedPolicy(ccp, config)
+
     def test_stalled_solve_restarts_at_half_step_before_mixing(self):
         # Paper experiment 1 at rn = 5: plain best-response iteration locks
         # into a 2-cycle, so the solve restarts from the uniform policy at

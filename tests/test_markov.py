@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +25,7 @@ from ctgames.markov import (
     transition_matrix_pullback,
 )
 
-from conftest import EXP_OVERFLOW_GAME, game_from_config, random_generator
+from conftest import EXP_OVERFLOW_GAME, game_from_config, random_generator, run_fresh_python
 
 # An overflowing exit rate: the uniformization oracle once halved its
 # infinite Poisson mean forever.
@@ -213,10 +209,7 @@ class TestUniformization:
     def test_infinite_poisson_mean_raises_without_hanging(self):
         # in a subprocess with a timeout, so a regression fails instead of
         # hanging the suite
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", INFINITE_MEAN_PROBE],
-                              capture_output=True, text=True, check=True, timeout=30,
-                              env={**os.environ, "PYTHONPATH": str(src)})
+        done = run_fresh_python(INFINITE_MEAN_PROBE, timeout=30)
         assert done.stdout.startswith("NumericalError: exp of a 1-norm inf")
 
 
