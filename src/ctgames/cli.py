@@ -12,6 +12,7 @@ failure); stderr carries one JSON diagnostic line on error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -88,9 +89,8 @@ def load_spec_file(path):
     return raw
 
 
-# the `ExperimentSpec` fields a config file or a flag may set
-SPEC_KEYS = ("name", "sampling", "seed", "n_markets", "replications", "estimators",
-             "ctnpl_stages", "ctnpl_init")
+# the `ExperimentSpec` fields a config file or a flag may set: all but the game
+SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"theta_true", "config"}
 
 
 def build_spec(args):
@@ -98,7 +98,7 @@ def build_spec(args):
     beats the preset."""
     raw = load_spec_file(args.config) if args.config else {}
     merged = {**raw, **{key: value for key, value in vars(args).items() if value is not None}}
-    settings = {key: merged[key] for key in SPEC_KEYS if key in merged}
+    settings = {key: value for key, value in merged.items() if key in SPEC_KEYS}
     if "game" in raw:  # the schema admits it only with a theta block
         game_raw = dict(raw["game"])
         game_raw["lam"] = game_raw.pop("lambda")

@@ -24,10 +24,10 @@ equilibrium; directions the log-odds do not identify keep the value 1.
 BFGS starts from a real inverse Hessian: at the first stage, the inverse of
 the data's information in theta at the start, with unit curvature in
 directions the data do not identify.  On event data the information is in
-closed form (`SpellStats.information`); on snapshot data it takes one
-forward Frechet derivative of ``expm`` per parameter
-(`TransitionCounts.information`).  Every later stage starts from the
-previous stage's final inverse Hessian.
+closed form (`SpellStats.information`); on snapshot data it takes one forward
+Frechet derivative of ``expm`` per parameter (`TransitionCounts.information`).
+Every later stage starts from the previous stage's final inverse Hessian,
+and every stage's start passes one check, BFGS's own test, in `_maximize`.
 
 The nested loop alternates that maximization with one best-response update
 of the probabilities until both sup-norm deltas fall under tolerance; a
@@ -91,7 +91,7 @@ def _inversion_start(policy):
     start = (ones + np.linalg.lstsq(design, target, rcond=None)[0]  # LAPACK prints on NaN
              if np.isfinite(design).all() and np.isfinite(target).all() else np.nan)
     if not np.all(np.isfinite(start)):
-        raise NumericalError("stage 1: the CCP-inversion start of theta is not finite")
+        raise NumericalError("the CCP-inversion start of theta is not finite")
     return start
 
 
@@ -101,9 +101,9 @@ def _start_inverse_hessian(stats, policy, x0):
     or `TransitionCounts.information`), with unit curvature along each
     parameter whose row of the information is zero and in the other
     eigen-directions at or below ``INFO_RANK_TOL`` times the largest
-    eigenvalue (parameters the data do not identify).  `NumericalError` when
-    it is not finite or fails SciPy's Cholesky test of ``hess_inv0``, as when
-    a retained curvature is tiny next to the unit ones.
+    eigenvalue (parameters the data do not identify).  `_maximize` checks
+    it as it checks every stage's start; it fails there when a retained
+    curvature is tiny next to the unit ones or ``eigh`` does not converge.
     """
     ccp = policy.ccp(x0)
     information = stats.information(ccp, policy.theta_jacobian(ccp))
@@ -114,14 +114,11 @@ def _start_inverse_hessian(stats, policy, x0):
     hess_inv = np.eye(len(information))
     try:
         curvature, basis = np.linalg.eigh(information[block])
-        curvature[curvature <= INFO_RANK_TOL * curvature.max(initial=-np.inf)] = 1.0
-        hess_inv[block] = _symmetric((basis / curvature) @ basis.T)
-        if np.isfinite(hess_inv).all():
-            scipy.linalg.cholesky(hess_inv)  # SciPy's BFGS tests hess_inv0 by this factor
-            return hess_inv
     except np.linalg.LinAlgError:
-        pass
-    raise NumericalError("stage 1: the start's inverse Hessian is not finite and positive definite")
+        return np.full_like(hess_inv, np.nan)  # a start `_maximize` rejects
+    curvature[curvature <= INFO_RANK_TOL * curvature.max(initial=-np.inf)] = 1.0
+    hess_inv[block] = _symmetric((basis / curvature) @ basis.T)
+    return hess_inv
 
 
 def _symmetric(matrix):
@@ -132,11 +129,15 @@ def _symmetric(matrix):
 def _maximize(stats, policy, x0, hess_inv0):
     """Maximize the log likelihood of ``stats`` over theta through the
     `LinearizedPolicy` ``policy`` by BFGS from ``x0`` and the inverse Hessian
-    ``hess_inv0``, with the statistic's exact gradient chained through the
-    policy.  Returns (theta vector, loglik, final inverse Hessian, counts),
-    ``counts`` holding the ``clamped_logs`` at the returned theta and BFGS's
-    ``nit``/``nfev``/``njev``.
+    ``hess_inv0`` (every stage's start: not finite or failing BFGS's Cholesky
+    test, it raises `NumericalError`), with the exact gradient chained through
+    the policy.  Returns (theta, loglik, final inverse Hessian, counts), with
+    the ``clamped_logs`` at theta and BFGS's ``nit``/``nfev``/``njev``.
     """
+    try:  # the test BFGS applies to hess_inv0; a ValueError when it is not finite
+        scipy.linalg.cholesky(hess_inv0)
+    except (ValueError, np.linalg.LinAlgError):
+        raise NumericalError("the start's inverse Hessian is not finite and positive definite")
     evaluated = []  # (theta bytes, clamped logs) per likelihood evaluation
 
     def objective(x):
@@ -188,17 +189,17 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
     that result, with its own copy of the first trace entry.  The first
     stage starts at the CCP inversion of the start probabilities; later
     stages warm-start theta and BFGS's inverse Hessian from the previous
-    stage.  If the loop does not converge, the highest-likelihood visited
-    candidate is returned with ``converged=False``.
+    stage.  Every stage's start passes one check (`_maximize`).  If the loop
+    does not converge, the highest-likelihood visited candidate is returned
+    with ``converged=False``.
 
     Trace entries record, per stage, the sup-norm changes in the
     probabilities and parameters (infinite for stage 1's parameters), the
     attained pseudo log likelihood, the BFGS iteration, likelihood and
     gradient evaluation counts (``nit``, ``nfev``, ``njev``) and the observed
     transitions whose probability was clamped before the log (``clamped_logs``).
-    A stage whose pseudo log likelihood is not finite raises
-    `NumericalError` instead of being ranked, as does a first-stage start
-    (theta or inverse Hessian) that is not finite or not positive definite.
+    A stage whose pseudo log likelihood or start is not finite, or whose start
+    inverse Hessian fails that check, raises `NumericalError` naming the stage.
     """
     if max_stages < 1:
         raise InvalidArgumentError("max_stages must be >= 1")
@@ -210,15 +211,15 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
     trace, best = [], None
     for stage in range(1, max_stages + 1):
         policy = LinearizedPolicy(ccp, config)
-        if stage == 1:
-            vec = _inversion_start(policy)
-            hess_inv = _start_inverse_hessian(stats, policy, vec)
         try:
+            if stage == 1:
+                vec = _inversion_start(policy)
+                hess_inv = _start_inverse_hessian(stats, policy, vec)
             vec, loglik, hess_inv, counts = _maximize(stats, policy, vec, hess_inv)
-        except OptimizationError as err:
-            raise OptimizationError(f"stage {stage}: {err}") from err
-        if not np.isfinite(loglik):
-            raise NumericalError(f"stage {stage}: pseudo log likelihood is {loglik}")
+            if not np.isfinite(loglik):
+                raise NumericalError(f"pseudo log likelihood is {loglik}")
+        except (NumericalError, OptimizationError) as err:
+            raise type(err)(f"stage {stage}: {err}") from err
         updated = policy.ccp(vec)
         sigma_delta = float(np.abs(updated - ccp).max())
         theta_delta = np.inf if stage == 1 else float(np.abs(vec - theta_prev).max())
@@ -236,8 +237,7 @@ def ctnpl(data, config, ccp0, max_stages=20, tol=1e-6):
         if sigma_delta < tol and theta_delta < tol:
             candidate.converged = True
             return candidate
-        ccp = updated
-        theta_prev = vec
+        ccp, theta_prev = updated, vec
     return best
 
 

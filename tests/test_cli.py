@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -22,7 +23,7 @@ from ctgames.experiments import (
 )
 
 from conftest import EXP_OVERFLOW_GAME, VALUE_OVERFLOW_GAME, run_fresh_python
-from test_estimate import STILL_PANEL_CSV
+from test_estimate import CARRIED_HESSIAN_EVENTS_CSV, STILL_PANEL_CSV
 
 
 class TestPresets:
@@ -992,8 +993,7 @@ def _non_finite_cells(out):
 class TestEveryConfigEndsInADocumentedExit:
     # no shrink or explain phase: each reruns the nine commands, so a red run
     # would take many minutes to report
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
-              phases=[Phase.explicit, Phase.generate],
+    @settings(max_examples=50, phases=[Phase.explicit, Phase.generate],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=custom_games(), init=st.sampled_from(INIT_METHODS))
     @example(spec=TINY_CURVATURE_GAME, init="true")
@@ -1019,3 +1019,64 @@ class TestEveryConfigEndsInADocumentedExit:
                 assert code in (2, 3), (name, code)
                 (line,) = err.splitlines()
                 assert set(json.loads(line)) == {"error", "message"}, name
+
+
+DESK_CONFIG = experiment_spec(2, scale="desk").config
+
+
+@st.composite
+def desk_data_files(draw):
+    """Well-formed data files of the desk game, as (sampling, text): event
+    files of 1-4 markets of 0-3 moves each (a firm's toggle or nature's
+    demand level +-1) at exponential gaps times 10^u, u in [-300, 300], each
+    market closed by its censor row; or panels of 1-4 markets of 1-3
+    snapshots."""
+    n, k_total = DESK_CONFIG.n_players, DESK_CONFIG.n_states
+    level = 2 ** n  # the states of one demand level
+    state = st.integers(0, k_total - 1)
+    rows = []
+    if draw(st.booleans()):
+        for m in range(draw(st.integers(1, 4))):
+            for period, k in enumerate(draw(st.lists(state, min_size=1, max_size=3))):
+                rows.append(f"{m},{period},{k}\n")
+        return "discrete", "market_id,n,k\n" + "".join(rows)
+    gap = st.floats(0.0, 1.0, exclude_min=True).map(lambda v: -math.log(v))
+    for m in range(draw(st.integers(1, 4))):
+        scale, k, t = 10.0 ** draw(st.floats(-300, 300)), draw(state), 0.0
+        n_moves = draw(st.integers(0, 3))
+        for index in range(1, n_moves + 2):
+            t += scale * draw(gap)
+            if index > n_moves:
+                rows.append(f"{m},{index},{k},{t!r},-2,-1\n")
+                break
+            moves = [(i, 1, k ^ (1 << i)) for i in range(n)] + [
+                (-1, j, j) for j in (k - level, k + level) if 0 <= j < k_total]
+            actor, action, after = draw(st.sampled_from(moves))
+            rows.append(f"{m},{index},{k},{t!r},{actor},{action}\n")
+            k = after
+    return "continuous", EVENTS_HEADER + "".join(rows)
+
+
+class TestEveryDataFileEndsInADocumentedExit:
+    # no shrink or explain phase, as for the configs above
+    @settings(max_examples=40, phases=[Phase.explicit, Phase.generate],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data_file=desk_data_files(), init=st.sampled_from(INIT_METHODS))
+    @example(data_file=("continuous", CARRIED_HESSIAN_EVENTS_CSV), init="frequency")
+    def test_estimate_exits_zero_with_finite_cells_or_one_json_line(self, data_file, init,
+                                                                    tmp_path, capfd):
+        sampling, text = data_file
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "data.csv").write_text(text)
+        capfd.readouterr()
+        code = run_quiet("estimate", "--experiment", "2", "--scale", "desk",
+                         "--sampling", sampling, "--data", str(work / "data.csv"),
+                         "--init", init, "--out", str(work / "out"))
+        out, err = capfd.readouterr()
+        if code == 0:
+            assert err == "" and (work / "out" / "estimate.csv").exists()
+            assert not _non_finite_cells(work / "out")
+        else:
+            assert code in (2, 3) and out == ""
+            (line,) = err.splitlines()
+            assert set(json.loads(line)) == {"error", "message"}

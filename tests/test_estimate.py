@@ -24,6 +24,7 @@ from ctgames.equilibrium import (
     uniform_ccp,
 )
 from ctgames.estimate import (
+    EstimationResult,
     _fit_logistic,
     _initializer_features,
     central_difference_gradient,
@@ -42,6 +43,7 @@ from ctgames.likelihood import (
 from ctgames.markov import transition_matrix
 from ctgames.simulate import (
     CENSOR,
+    EventLog,
     Panel,
     consecutive_pairs,
     sample_discrete,
@@ -62,6 +64,14 @@ from test_likelihood import make_log
 
 # A desk-game panel of three two-snapshot markets in which nothing toggles.
 STILL_PANEL_CSV = "market_id,n,k\n0,0,3\n0,1,3\n1,0,5\n1,1,5\n2,0,0\n2,1,0\n"
+# A desk-game event file of one market on which a later CTNPL stage's carried
+# inverse Hessian fails BFGS's test of its start: stage 7 from the frequency
+# start, stage 2 from the logit start.
+CARRIED_HESSIAN_EVENTS_CSV = ("market_id,n,k,t,actor,action\n"
+                              "0,1,21,67.17631389207203,1,1\n"
+                              "0,2,6,54466.75409090725,2,1\n"
+                              "0,3,10,54517.433684893265,2,1\n"
+                              "0,4,21,55145.317406272065,-2,-1\n")
 
 
 @pytest.fixture(scope="module")
@@ -636,23 +646,6 @@ class TestMaximizePseudoLikelihood:
         b = ctnpl(log, config, ccp_star, max_stages=1).theta_hat
         assert np.abs(a.as_vector() - b.as_vector()).max() < 1e-4
 
-    def test_gradient_zero_at_truth_on_expected_data(self, desk_game):
-        # With expectation-level discrete data and sigma_prev = sigma*, the
-        # maximizer started at the truth should barely move.
-        config, theta, ccp_star = desk_game
-        q = aggregate_generator(ccp_star, config)
-        pi = stationary_distribution(q)
-        counts = pi[:, None] * transition_matrix(q, config.delta)
-
-        stats = TransitionCounts(counts=counts, n_markets=1, config=config)
-        policy = LinearizedPolicy(ccp_star, config)
-        grad = central_difference_gradient(lambda vec: stats.loglik(policy.ccp(vec)),
-                                           theta.as_vector())
-        assert np.abs(grad).max() < 1e-6
-        ccp = policy.ccp(theta.as_vector())
-        exact = policy.chain(ccp, stats.value_and_gradient(ccp)[1])
-        assert np.abs(exact).max() < 1e-6
-
 
 class TestCtnpl:
     def test_single_stage_is_two_step(self, mini_game):
@@ -892,6 +885,22 @@ class TestSharedFirstStage:
             assert np.array_equal(mc.estimates["2S-Freq"], alone.estimates["2S-Freq"])
             assert mc.replication_ids["2S-Freq"] == [0, 1]
 
+    def test_carried_inverse_hessian_that_fails_its_check_fails_ctnpl_only(self, tmp_path):
+        # the carried matrix is checked as stage 1's start is, so the fit
+        # ends in `NumericalError` instead of SciPy's ValueError, and
+        # 2S-Freq, refitted on its own, keeps its estimate
+        from ctgames.experiments import experiment_spec, fit_estimators
+
+        path = tmp_path / "events.csv"
+        path.write_text(CARRIED_HESSIAN_EVENTS_CSV)
+        spec = experiment_spec(2, scale="desk", sampling="continuous", ctnpl_init="frequency",
+                               estimators=("2S-Freq", "CTNPL"))
+        fits = fit_estimators(spec, EventLog.from_csv(path), None, 1)
+        assert isinstance(fits["CTNPL"], NumericalError)
+        assert str(fits["CTNPL"]) == (
+            "stage 7: the start's inverse Hessian is not finite and positive definite")
+        assert isinstance(fits["2S-Freq"], EstimationResult)
+
     def test_run_estimators_raises_a_failed_fit(self, desk_game, desk_data, monkeypatch):
         from ctgames.experiments import experiment_spec, run_estimators
 
@@ -925,6 +934,19 @@ class TestMaximizeFailures:
         with pytest.raises(OptimizationError,
                            match=r"^stage 1: .*did not converge.*gradient sup-norm"):
             ctnpl(panel, config, uniform_ccp(config))
+
+    def test_eigendecomposition_that_does_not_converge_fails_the_start_check(
+            self, mini_game, monkeypatch):
+        config, theta, ccp_star = mini_game
+        panel = sample_discrete(theta, ccp_star, config, 50, periods=1, seed=61)
+
+        def no_convergence(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalError, match="^stage 1: the start's inverse Hessian is "
+                                                 "not finite and positive definite$"):
+            ctnpl(panel, config, ccp_star)
 
 
 class TestRmseRelative:
