@@ -29,7 +29,7 @@ from . import game, markov
 from .equilibrium import (action_rate_gradient, add_action_rates, aggregate_generator,
                           best_response_map, check_ccp)
 from .errors import InvalidArgumentError
-from .simulate import NATURE, EventLog, Panel, consecutive_pairs
+from .simulate import EventLog, Panel, consecutive_pairs
 
 # Transition probabilities below this floor are clamped before the log.
 LOG_FLOOR = 1e-300
@@ -48,26 +48,25 @@ class SpellStats:
 
     @classmethod
     def from_events(cls, events, config):
-        events.check_ranges(config)
+        nature = events.check_ranges(config)
         k_total, n = config.n_states, config.n_players
         # every row closes a spell in its state that began at the market's
         # previous row (or at 0); the event rows' spells and the censor rows'
         # (each market's last) are summed apart, censor rows weighing 0 in the first
         offsets, time, state = events.offsets, events.time, events.state
-        ends = offsets[1:] - 1
-        previous = np.empty_like(time)
-        previous[1:] = time[:-1]
-        previous[offsets[:-1]] = 0.0
-        spell = time - previous
+        starts, ends = offsets[:-1], offsets[1:] - 1
+        spell = np.empty_like(time)
+        np.subtract(time[1:], time[:-1], out=spell[1:])
+        spell[starts] = time[starts]
         final = spell[ends]
         spell[ends] = 0.0
         exposure = (np.bincount(state, weights=spell, minlength=k_total)
                     + np.bincount(state[ends], weights=final, minlength=k_total))
-        # player moves code as actor * K + state, nature's after them as
-        # N * K + state * K + destination, and censor rows in a last bin
+        # every row codes as a player move, actor * K + state; nature's rows are
+        # recoded after them as N * K + state * K + destination, censor rows a last bin
         moves_end = (n + k_total) * k_total
-        code = np.where(events.actor == NATURE, (n + state) * k_total + events.action,
-                        events.actor * k_total + state)
+        code = events.actor * k_total + state
+        code[nature] = (n + state[nature]) * k_total + events.action[nature]
         code[ends] = moves_end
         counts = np.bincount(code, minlength=moves_end + 1)[:moves_end].astype(float)
         return cls(exposure=exposure, moves=counts[:n * k_total].reshape(n, k_total),

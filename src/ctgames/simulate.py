@@ -21,7 +21,8 @@ boundaries are kept as ``offsets`` (market m owns rows
 ``offsets[m]:offsets[m + 1]``), so every reader runs in time linear in rows
 plus markets.  Indices that depend on the game -- states, actors, actions --
 are checked by ``check_ranges``, which every reader that takes the game
-configuration calls first.  Any violation raises `InvalidArgumentError`.
+configuration calls first: one elementwise test per check, no boolean-mask
+gather, and it returns nature's rows.  Any violation raises `InvalidArgumentError`.
 """
 
 import warnings
@@ -142,16 +143,16 @@ class EventLog:
     def __post_init__(self):
         _require(len(set(_as_arrays(self))) == 1, "event arrays must share one length")
         censor = self.actor == CENSOR
-        same = ~censor[:-1]  # rows r and r + 1 belong to one market
         self.offsets = np.concatenate([[0], np.flatnonzero(censor) + 1])
-        ids = self.market_id[self.offsets[1:] - 1]
+        ends = self.offsets[1:] - 1
+        ids = self.market_id[ends]
         _require(self.offsets[-1] == len(censor) and np.array_equal(
             self.market_id, ids.repeat(np.diff(self.offsets))),
             "each market's rows must be contiguous and end in its censor row")
         _require(len(np.unique(ids)) == self.n_markets, "market ids must be distinct")
-        _require(np.all(self.action[censor] == -1), "each censor row's action must be -1")
+        _require(np.all(self.action[ends] == -1), "each censor row's action must be -1")
         _require(np.all(np.isfinite(self.time)) and np.all(self.time >= 0)
-                 and np.all(self.time[1:][same] >= self.time[:-1][same]),
+                 and np.all((self.time[1:] >= self.time[:-1]) | censor[:-1]),
                  "event times must be finite, nonnegative and nondecreasing within a market")
 
     @property
@@ -169,19 +170,21 @@ class EventLog:
             np.diff(self.offsets))
 
     def check_ranges(self, config):
-        """Raise `InvalidArgumentError` unless every index fits the game:
-        states in [0, K), actors ``CENSOR``, ``NATURE`` or a player in
-        [0, N), nature's destinations states and player actions 1."""
+        """Nature's rows, once every index fits the game: states in [0, K),
+        actors ``CENSOR``, ``NATURE`` or a player in [0, N), nature's
+        destinations states and player actions 1; else the first failing
+        check, in that order, raises `InvalidArgumentError`."""
         k_total, n = config.n_states, config.n_players
-        nature, player = self.actor == NATURE, self.actor >= 0
         _require(_within(self.state, k_total), f"event states must lie in [0, {k_total})")
         # the codes CENSOR < NATURE < 0 and the players fill [CENSOR, N)
         _require(_within(self.actor - CENSOR, n - CENSOR),
                  f"event actors must be censor ({CENSOR}), nature ({NATURE}) "
                  f"or a player in [0, {n})")
+        nature = np.flatnonzero(self.actor == NATURE)
         _require(_within(self.action[nature], k_total),
                  f"nature's destinations must lie in [0, {k_total})")
-        _require(np.all(self.action[player] == 1), "player actions must be 1")
+        _require(np.all((self.action == 1) | (self.actor < 0)), "player actions must be 1")
+        return nature
 
     def to_csv(self, path):
         """Write one row per entry: ``market_id, n, k, t, actor, action``,

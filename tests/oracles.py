@@ -11,7 +11,8 @@ than the half-rank factors, the snapshot information from
 central-difference scores rather than Frechet derivatives, the event
 information as the central-difference Hessian of the log likelihood rather
 than in closed form, the event-log statistic by placing every spell in a
-row of its own rather than in one pass over the events, each event's
+row of its own rather than in one pass over the events, the event-log
+range checks one row at a time rather than one array at a time, each event's
 destination state from the state encoding rather than the simulator's
 toggle table, CTNPL with every BFGS maximization started from the identity
 rather than from the data's information (and by default at all ones rather
@@ -257,17 +258,40 @@ def event_information_by_differences(stats, policy, vec, rel_step=1e-4):
     return -central_difference_gradient(gradient, vec, rel_step)
 
 
+def check_event_ranges(events, config):
+    """`EventLog.check_ranges` one row at a time, with its four messages
+    written out: each check runs over every row before the next, so the
+    first check in the documented order that some row fails raises."""
+    k_total, n = config.n_states, config.n_players
+    rows = list(zip(events.state.tolist(), events.actor.tolist(), events.action.tolist()))
+    checks = [
+        (lambda k, actor, action: 0 <= k < k_total, f"event states must lie in [0, {k_total})"),
+        (lambda k, actor, action: actor in (CENSOR, NATURE) or 0 <= actor < n,
+         f"event actors must be censor (-2), nature (-1) or a player in [0, {n})"),
+        (lambda k, actor, action: actor != NATURE or 0 <= action < k_total,
+         f"nature's destinations must lie in [0, {k_total})"),
+        (lambda k, actor, action: actor in (CENSOR, NATURE) or action == 1,
+         "player actions must be 1"),
+    ]
+    for ok, message in checks:
+        if not all(ok(*row) for row in rows):
+            raise InvalidArgumentError(message)
+
+
 def spell_stats_by_spell_rows(events, config):
-    """`SpellStats.from_events` with every row's spell in one sum: a row's
-    spell begins at the previous row's time unless that row is a censor row
-    (or there is none); move counts by ``ravel_multi_index`` per actor kind."""
-    events.check_ranges(config)
+    """`SpellStats.from_events` with every row's spell in a row of its own:
+    a row's spell begins at the previous row's time unless that row is a
+    censor row (or there is none); the event rows' spells and the censor
+    rows' are summed apart, each in row order, as `from_events` documents;
+    move counts by ``ravel_multi_index`` per actor kind."""
+    check_event_ranges(events, config)
     k_total = config.n_states
     ends = events.time
     begins = np.concatenate([[0.0], ends[:-1]])
     begins[np.concatenate([[True], events.actor[:-1] == CENSOR])] = 0.0
-    exposure = np.bincount(events.state, weights=np.maximum(ends - begins, 0.0),
-                           minlength=k_total)
+    spells, censor = np.maximum(ends - begins, 0.0), events.actor == CENSOR
+    exposure = (np.bincount(events.state[~censor], weights=spells[~censor], minlength=k_total)
+                + np.bincount(events.state[censor], weights=spells[censor], minlength=k_total))
 
     def pair_counts(rows, cols, shape):
         flat = np.bincount(np.ravel_multi_index((rows, cols), shape),
@@ -287,7 +311,7 @@ def post_state(events, config):
     """State after every row of an `EventLog`: nature's move names it, a
     player's move toggles the player's bit (`continuation_state`), and a
     censor row keeps its state."""
-    events.check_ranges(config)
+    check_event_ranges(events, config)
     return np.array([k if actor == CENSOR else action if actor == NATURE
                      else continuation_state(actor, 1, k, config)
                      for k, actor, action in zip(events.state, events.actor, events.action)],
