@@ -128,8 +128,8 @@ def _policy_system_matrix(ccp, config):
 def _policy_solve(ccp, config, rhs):
     """The value solve: ``(X, factor)`` with ``X`` solving ``(rho I - Q(ccp)) X
     = rhs`` for a (K, m) ``rhs`` and ``factor`` the system matrix's LU factors
-    and pivots, by LAPACK ``getrf`` (`lu_factor`'s call, without its warning
-    on a zero pivot) and ``getrs``.  A discount rate lost to rounding beside
+    and pivots, by LAPACK ``getrf`` (called directly, so a zero pivot gives
+    no warning) and ``getrs``.  A discount rate lost to rounding beside
     the largest exit rate, a zero pivot or an entry of ``X`` that is not
     finite raises `NumericalError`."""
     xi = _policy_system_matrix(ccp, config)

@@ -5,11 +5,11 @@ sufficient statistic, built once per dataset by `sufficient_statistics`:
 `SpellStats` (state exposures and move counts) for an event log, whose
 likelihood factors into survival, player-action and nature terms, and
 `TransitionCounts` (the K x K consecutive-snapshot counts) for a panel,
-whose transitions are scored against ``expm(delta * Q)`` at best-response
-probabilities.  `SpellStats.from_events` reduces a log in one pass over its
-rows: each row closes a spell that began at the market's previous row, at
-a move or, on each market's censor row, at its horizon.  Each statistic
-gives its log likelihood at given action probabilities
+whose observed transitions alone are scored against ``expm(delta * Q)`` at
+best-response probabilities.  `SpellStats.from_events` reduces a log in
+one pass over its rows: each row closes a spell that began at the market's
+previous row, at a move or, on each market's censor row, at its horizon.
+Each statistic gives its log likelihood at given action probabilities
 (``SpellStats.from_events(log, config).loglik(ccp)``, or ``loglik_parts``
 for its three terms) and, with it, the exact gradient in those
 probabilities for the estimator to chain through to theta; the theta-free
@@ -145,8 +145,12 @@ def transition_counts(panel, k_total):
 
 
 def _mean_log_probability(counts, n_markets, p):
-    """Per-market sum of observed log transition probabilities, clamped."""
-    return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum() / n_markets)
+    """Per-market sum of observed log transition probabilities, clamped, with
+    their flat indices and probabilities: ``p`` is read only where observed."""
+    seen = np.flatnonzero(counts)
+    observed = p.ravel()[seen]
+    value = (counts.ravel()[seen] * np.log(np.maximum(observed, LOG_FLOOR))).sum()
+    return float(value / n_markets), seen, observed
 
 
 def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, pmatrix_method="expm"):
@@ -158,7 +162,7 @@ def discrete_loglik_from_counts(counts, n_markets, ccp_br, config, pmatrix_metho
         p = markov.uniformization_matrix(q, config.delta)
     else:
         raise InvalidArgumentError(f"unknown pmatrix_method: {pmatrix_method}")
-    return _mean_log_probability(counts, n_markets, p)
+    return _mean_log_probability(counts, n_markets, p)[0]
 
 
 @dataclass(frozen=True)
@@ -186,18 +190,19 @@ class TransitionCounts:
         """`loglik`, its (N, K) gradient in ``ccp_br[:, 1, :]`` and the number
         of observed transitions clamped at ``LOG_FLOOR``.
 
-        With ``G = C / (M P)`` on unclamped entries, the gradient in the
-        generator is the adjoint ``Gbar = delta L(delta Q^T, G)``, and
+        With ``G = C / (M P)`` on the observed, unclamped entries and zero
+        elsewhere (``P`` is read only at observed transitions), the gradient
+        in the generator is the adjoint ``Gbar = delta L(delta Q^T, G)``, and
         `action_rate_gradient` takes it to the action rates ``lam sigma``.
         """
         config, counts, n_markets = self.config, self.counts, self.n_markets
         q = aggregate_generator(ccp_br, config)
         p, pullback = markov.transition_matrix_pullback(q, config.delta)
-        kept = p >= LOG_FLOOR
-        g = np.where(kept, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
-        return (_mean_log_probability(counts, n_markets, p),
-                config.lam * action_rate_gradient(pullback(g), config),
-                int(((counts > 0) & ~kept).sum()))
+        value, seen, observed = _mean_log_probability(counts, n_markets, p)
+        kept = seen[observed >= LOG_FLOOR]
+        g = np.zeros(p.shape)
+        g.flat[kept] = counts.ravel()[kept] / (n_markets * p.ravel()[kept])
+        return value, config.lam * action_rate_gradient(pullback(g), config), seen.size - kept.size
 
     def information(self, ccp_br, action_jacobian):
         """Outer product of the transition scores in theta, ``sum C_kl s_kl
@@ -243,7 +248,7 @@ def loglik_discrete(theta, ccp, panel, config, pmatrix_method="expm"):
 
     Applies one best-response step to ``(theta, ccp)``, builds the
     aggregate intensity matrix at those probabilities, scores every
-    consecutive transition against ``expm(delta * Q)`` at the game's own
+    observed transition against ``expm(delta * Q)`` at the game's own
     sampling interval ``config.delta`` (or the uniformization series with
     ``pmatrix_method='uniformization'``), and averages over markets.
     Probabilities below ``LOG_FLOOR`` are clamped; the estimator's trace

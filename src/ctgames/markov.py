@@ -5,16 +5,16 @@ off-diagonal rates and rows summing to zero.  The transition matrix over a
 horizon ``delta`` is ``expm(delta * Q)``.  Two independent routes to that
 matrix are provided -- a Pade approximant (`_pade13`) and a Poisson-mixture
 series (`uniformization_matrix`) -- so each can serve as an oracle for the
-other; both take the scaling rule of `_squarings`.  One Pade set-up gives
-`transition_matrix` and the Frechet derivative of the exponential:
-`transition_matrix_frechet` pushes a direction in ``Q`` forward to
-``exp(delta * Q)``, and `transition_matrix_pullback` is its adjoint, pulling
-a gradient in ``exp(delta * Q)`` back to ``Q`` (scipy's ``expm_frechet`` is
-the test oracle of both).  No package path calls the public `expm`.
+other; both take the scaling rule of `_squarings`.  One Pade set-up (its
+denominator inverted once) gives `transition_matrix` and the Frechet
+derivative of the exponential: `transition_matrix_frechet` pushes a
+direction in ``Q`` forward to ``exp(delta * Q)``, and its adjoint
+`transition_matrix_pullback` pulls a gradient back to ``Q`` (scipy's
+``expm_frechet`` is the test oracle of both).  No package path calls `expm`.
 """
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -85,41 +85,55 @@ def _pade13(a):
 
     Returns ``(exp(a), frechet)``; ``frechet(e)`` is ``L(a, e)``, the
     derivative of the exponential at ``a`` in the direction ``e``.  It reuses
-    the powers of ``a``, the LU factors of ``V - U`` and the squaring iterates
+    the powers of ``a``, the inverse of ``V - U``, formed once and checked
+    (well conditioned after scaling: Higham 2005), and the squaring iterates
     of the exponential (Al-Mohy & Higham 2009, SIMAX, Alg. 6.4), so one
     set-up serves a direction that depends on ``exp(a)`` itself.
     """
     squarings = _squarings(a)
     if not a.any():
         return np.eye(a.shape[0]), lambda e: np.array(e, dtype=float)
-    a = a / (2.0 ** squarings)
+    if squarings:
+        a = a / (2.0 ** squarings)
 
-    b = _PADE13
-    ident = np.eye(a.shape[0])
+    # ``total + c1 x1 + c2 x2 + ...`` in place from the left: the written-out sum's bits
+    def polynomial(coefficients, matrices, total=None):
+        for c, x in zip(coefficients, matrices):
+            total = c * x if total is None else np.add(total, c * x, out=total)
+        return total
+
+    b, k = _PADE13, a.shape[0]
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
-    w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-    w = a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
+    powers = (a6, a4, a2)
+    w1 = polynomial(b[13:8:-2], powers)
+    w = polynomial(b[7:2:-2], powers, a6 @ w1)
+    w.flat[::k + 1] += b[1]
+    z1 = polynomial(b[12:7:-2], powers)
     u = a @ w
-    v = a6 @ z1 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    factor = lu_factor(v - u)
-    iterates = [lu_solve(factor, v + u)]
+    v = polynomial(b[6:1:-2], powers, a6 @ z1)
+    v.flat[::k + 1] += b[0]
+    factor, pivots, info = dgetrf(v - u, overwrite_a=True)
+    inverse, status = dgetri(factor, pivots, lwork=int(dgetri_lwork(k)[0]), overwrite_lu=True)
+    if info or status:
+        raise NumericalError(f"Pade denominator V - U is singular (LAPACK info {info or status})")
+    iterates = [inverse @ np.add(v, u, out=v)]
     for _ in range(squarings):
         iterates.append(iterates[-1] @ iterates[-1])
 
     def frechet(e):
-        e = np.asarray(e, dtype=float) / (2.0 ** squarings)
+        e = np.asarray(e, dtype=float)
+        if squarings:
+            e = e / (2.0 ** squarings)
         m2 = a @ e + e @ a
         m4 = a2 @ m2 + m2 @ a2
         m6 = a4 @ m2 + m4 @ a2
-        lw = a6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + m6 @ w1 + (
-            b[7] * m6 + b[5] * m4 + b[3] * m2)
+        moved = (m6, m4, m2)
+        lw = a6 @ polynomial(b[13:8:-2], moved) + m6 @ w1 + polynomial(b[7:2:-2], moved)
         lu = a @ lw + e @ w
-        lv = a6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + m6 @ z1 + (
-            b[6] * m6 + b[4] * m4 + b[2] * m2)
-        out = lu_solve(factor, lu + lv + (lu - lv) @ iterates[0])
+        lv = a6 @ polynomial(b[12:7:-2], moved) + m6 @ z1 + polynomial(b[6:1:-2], moved)
+        out = inverse @ (lu + lv + (lu - lv) @ iterates[0])
         for r in iterates[:-1]:
             out = r @ out + out @ r
         return out
@@ -128,19 +142,9 @@ def _pade13(a):
 
 
 def expm(a):
-    """Matrix exponential via scaling-and-squaring with a degree-13 Pade approximant.
-
-    Parameters
-    ----------
-    a : array_like
-        Square real matrix with finite entries.
-
-    Returns
-    -------
-    ndarray
-        ``e**a``, accurate to a relative backward error near machine
-        precision for 1-norms up to about 1e6.
-    """
+    """``e**a`` of a square real matrix ``a`` with finite entries, by `_pade13`:
+    a relative backward error near machine precision for 1-norms up to about
+    1e6."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"expm requires a square matrix, got shape {a.shape}")

@@ -7,7 +7,9 @@ closed form rather than split inside the value equation, the spectral
 radius by power iteration rather than the dense LAPACK spectrum, the
 NPL projection on the full (firm, choice, state) coordinates rather than
 the free ones, the stability radii from the dense (NK, NK) spectra rather
-than the half-rank factors, the snapshot information from
+than the half-rank factors, the snapshot likelihood and its gradient in the
+transition matrix over all K^2 entries rather than at the observed
+transitions only, the snapshot information from
 central-difference scores rather than Frechet derivatives, the event
 information as the central-difference Hessian of the log likelihood rather
 than in closed form, the event-log statistic by placing every spell in a
@@ -237,6 +239,17 @@ def information_by_differences(stats, policy, vec):
     scores = central_difference_gradient(
         lambda x: np.log(np.maximum(transitions(x)[seen], LOG_FLOOR)), vec)
     return scores.T @ (stats.counts[seen][:, None] * scores) / stats.n_markets
+
+
+def dense_snapshot_scores(counts, n_markets, p):
+    """``(value, G, clamped)`` of a snapshot count matrix at the transition
+    matrix ``p`` over all K^2 entries: ``sum C ln max(P, LOG_FLOOR) / M``,
+    ``G = C / (M P)`` where ``P >= LOG_FLOOR`` and 0 elsewhere, and the number
+    of observed transitions below ``LOG_FLOOR``."""
+    kept = p >= LOG_FLOOR
+    value = float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum() / n_markets)
+    g = np.where(kept, counts, 0.0) / (n_markets * np.maximum(p, LOG_FLOOR))
+    return value, g, int(((counts > 0) & ~kept).sum())
 
 
 def event_information_by_differences(stats, policy, vec, rel_step=1e-4):

@@ -18,6 +18,7 @@ from ctgames import (
 )
 from ctgames.equilibrium import (
     LinearizedPolicy,
+    add_action_rates,
     aggregate_generator,
     best_response_map,
     solve_mpe,
@@ -40,7 +41,11 @@ from ctgames.likelihood import (
     discrete_loglik_from_counts,
     sufficient_statistics,
 )
-from ctgames.markov import transition_matrix
+from ctgames.markov import (
+    transition_matrix,
+    transition_matrix_frechet,
+    transition_matrix_pullback,
+)
 from ctgames.simulate import (
     CENSOR,
     EventLog,
@@ -267,6 +272,30 @@ class TestInformation:
         assert np.array_equal(exact, stats.information(ccp, policy.theta_jacobian(ccp)))
         oracle = information_by_differences(clamped, policy, theta.as_vector())
         assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("delta", [1.0, 40.0])
+    def test_one_set_up_serves_every_direction(self, desk_game, rng, delta):
+        # information's parameter directions, the first again, then the adjoint,
+        # all on one set-up, each byte for byte as on a fresh set-up; neither p
+        # nor a direction moves (delta = 40 takes squarings, 1 none)
+        config, theta, ccp_star = desk_game
+        policy = LinearizedPolicy(ccp_star, config)
+        ccp = policy.ccp(theta.as_vector())
+        q = aggregate_generator(ccp, config)
+        rates = config.lam * policy.theta_jacobian(ccp)
+        directions = [add_action_rates(np.zeros_like(q), rates[:, :, j], config)
+                      for j in range(rates.shape[2])]
+        directions.append(directions[0])
+        kept = [d.tobytes() for d in directions]
+        g = rng.normal(size=q.shape)
+        p, forward = transition_matrix_frechet(q, delta)
+        p_bytes = p.tobytes()
+        moved = [forward(d).tobytes() for d in directions]
+        pulled = forward(g.T).T.tobytes()
+        assert p.tobytes() == p_bytes
+        assert [d.tobytes() for d in directions] == kept
+        assert moved == [transition_matrix_frechet(q, delta)[1](d).tobytes() for d in directions]
+        assert pulled == transition_matrix_pullback(q, delta)[1](g).tobytes()
 
 
 def small_game(n_players, levels, seed):

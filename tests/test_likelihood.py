@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctgames import GameConfig, InvalidArgumentError, Theta, nature_generator
-from ctgames.equilibrium import best_response_map, solve_mpe, uniform_ccp
+from ctgames.equilibrium import (
+    action_rate_gradient,
+    aggregate_generator,
+    best_response_map,
+    solve_mpe,
+    uniform_ccp,
+)
 from ctgames.estimate import central_difference_gradient
 from ctgames.likelihood import (
     SpellStats,
@@ -16,10 +22,11 @@ from ctgames.likelihood import (
     sufficient_statistics,
     transition_counts,
 )
+from ctgames.markov import transition_matrix_pullback
 from ctgames.simulate import CENSOR, NATURE, EventLog, sample_discrete, simulate_continuous
 
 from conftest import DESK_THETA, desk_config
-from oracles import spell_stats_by_spell_rows
+from oracles import dense_snapshot_scores, spell_stats_by_spell_rows
 
 
 def make_log(rows=()):
@@ -207,6 +214,54 @@ class TestDiscrete:
         panel = sample_discrete(theta, mpe.ccp, config, 10, periods=1, seed=16)
         br = best_response_map(theta, mpe.ccp, config)
         assert TransitionCounts.from_panel(panel, config).value_and_gradient(br)[2] == 0
+
+
+def check_observed_entry_scoring(stats, ccp_br):
+    """`TransitionCounts` against the dense formula over all K^2 entries at
+    ``ccp_br``: value within 1e-13 relative, gradient within 1e-12 and the
+    same clamp count.  Returns the count."""
+    config = stats.config
+    p, pullback = transition_matrix_pullback(aggregate_generator(ccp_br, config), config.delta)
+    value, g, clamped = dense_snapshot_scores(stats.counts, stats.n_markets, p)
+    grad = config.lam * action_rate_gradient(pullback(g), config)
+    got_value, got_grad, got_clamped = stats.value_and_gradient(ccp_br)
+    assert got_value == stats.loglik(ccp_br)
+    assert abs(got_value - value) <= 1e-13 * abs(value)
+    assert np.abs(got_grad - grad).max() <= 1e-12 * np.abs(grad).max()
+    assert got_clamped == clamped
+    return clamped
+
+
+@pytest.fixture(scope="module")
+def desk_equilibrium():
+    config = desk_config()
+    return config, solve_mpe(DESK_THETA, config, tol=1e-13).ccp
+
+
+class TestObservedEntryScoring:
+    @given(n_markets=st.integers(1, 400), periods=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_matches_dense_formula(self, desk_equilibrium, n_markets, periods, seed):
+        config, ccp_star = desk_equilibrium
+        panel = sample_discrete(DESK_THETA, ccp_star, config, n_markets, periods=periods,
+                                seed=seed)
+        probs = np.random.default_rng(seed).uniform(0.05, 0.95, size=ccp_star[:, 1].shape)
+        stats = TransitionCounts.from_panel(panel, config)
+        assert check_observed_entry_scoring(stats, np.stack([1 - probs, probs], axis=1)) == 0
+
+    def test_clamped_transition_counted(self, two_firm_game):
+        # test_clamp_counter_exposed's panel plus one jump across all three
+        # coordinates, scored over a horizon on which that jump's probability
+        # is far below LOG_FLOOR
+        config, theta = two_firm_game
+        mpe = solve_mpe(theta, config, tol=1e-12)
+        panel = sample_discrete(theta, mpe.ccp, config, 10, periods=1, seed=16)
+        br = best_response_map(theta, mpe.ccp, config)
+        counts, n_markets = transition_counts(panel, config.n_states)
+        counts[0, config.n_states - 1] += 1.0
+        stats = TransitionCounts(counts, n_markets, dataclasses.replace(config, delta=1e-120))
+        assert check_observed_entry_scoring(stats, br) >= 1
 
 
 class TestSpellStats:

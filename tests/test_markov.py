@@ -13,6 +13,7 @@ from ctgames import (
     NotIrreducibleError,
     NumericalError,
     expm,
+    markov,
     stationary_distribution,
     transition_matrix,
     uniformization_matrix,
@@ -116,6 +117,14 @@ class TestTransitionMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 20 * q.nbytes
+
+    def test_zero_pivot_of_the_pade_denominator_is_a_numeric_failure(self, rng, monkeypatch):
+        # the scaling keeps V - U well conditioned, so a zero pivot is forced by
+        # factoring a zero matrix in its place
+        getrf = markov.dgetrf
+        monkeypatch.setattr(markov, "dgetrf", lambda x, **kw: getrf(np.zeros_like(x), **kw))
+        with pytest.raises(NumericalError, match="Pade denominator V - U is singular"):
+            transition_matrix(random_generator(rng, 6), 1.0)
 
     def test_rejects_non_generator(self):
         with pytest.raises(InvalidArgumentError):
