@@ -3,11 +3,13 @@
 Subcommands: solve | simulate | estimate | mc | diagnose | counterfactual.
 Every command takes ``--config --experiment --scale --out`` and only the
 other flags it reads (see `make_parser`); a flag its command does not read
-is an argument error.  Every command is deterministic given its spec and
-seed: re-running writes byte-identical artifacts.  Exit codes: 0 on
-success, 2 on invalid arguments or configuration (including a game whose
-state chain is not irreducible), 3 on any other package error (numeric
-failure); stderr carries one JSON diagnostic line on error.
+is an argument error.  ``estimate`` reads the event log or the panel that
+its data file's header row names.  Every command is deterministic given
+its spec and seed: re-running writes byte-identical artifacts.  Exit
+codes: 0 on success, 2 on invalid arguments or configuration (including a
+game whose state chain is not irreducible, or an ``--out`` that cannot be
+written), 3 on any other package error (numeric failure); stderr carries
+one JSON diagnostic line on error.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from .experiments import (
 )
 from .game import GameConfig, Theta
 from .likelihood import sufficient_statistics
-from .simulate import EventLog, Panel, in_data_file
+from .simulate import in_data_file, read_data_file
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC = 0, 2, 3
 
@@ -154,8 +156,7 @@ def cmd_simulate(spec, out, args):
 
 
 def cmd_estimate(spec, out, args):
-    loader = EventLog if spec.sampling == "continuous" else Panel
-    data = loader.from_csv(args.data)
+    data = read_data_file(args.data)
     with in_data_file(args.data):  # the checks against the game
         data = sufficient_statistics(data, spec.config)
     ccp_star = solve_spec(spec)[0].ccp if spec.ctnpl_init == "true" else None
@@ -285,7 +286,7 @@ def make_parser():
         ("simulate", cmd_simulate, "simulate one dataset from the equilibrium",
          "--sampling --seed --markets"),
         ("estimate", cmd_estimate, "estimate parameters from a dataset file",
-         "--sampling --seed --data --init --stages"),
+         "--seed --data --init --stages"),
         ("mc", cmd_mc, "Monte Carlo estimator comparison",
          "--sampling --seed --markets --replications --estimators --verbose"),
         ("diagnose", cmd_diagnose, "stability sweep over the competition effect",
@@ -307,9 +308,13 @@ def main(argv=None):
         args = make_parser().parse_args(argv)
         spec = build_spec(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with np.errstate(all="ignore"):  # keep NumPy's warnings off stderr: one line per error
-            return args.func(spec, out, args)
+        try:  # an unusable --out: a data file's read errors are argument errors already
+            out.mkdir(parents=True, exist_ok=True)
+            with np.errstate(all="ignore"):  # keep NumPy's warnings off stderr: one line per error
+                return args.func(spec, out, args)
+        except OSError as err:
+            raise InvalidArgumentError(
+                f"cannot write {err.filename or out}: {err.strerror}") from None
     except CTGamesError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),
               file=sys.stderr)

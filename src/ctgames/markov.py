@@ -198,7 +198,7 @@ def _transition(q, delta):
     p, frechet = _pade13(_scaled_generator(q, delta))
     if p.min() < -NEGATIVE_PROB_TOL:
         raise NumericalError(f"transition matrix entry {p.min():g} below -{NEGATIVE_PROB_TOL:g}")
-    np.clip(p, 0.0, None, out=p)
+    p = np.clip(p, 0.0, None)  # a copy: with no squaring, `p` is the iterate `frechet` reads
     rows = p.sum(axis=1, keepdims=True)
     if not np.all((0.0 < rows) & (rows < np.inf)):
         raise NumericalError("transition matrix has a row without a positive finite sum")

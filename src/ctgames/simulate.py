@@ -10,8 +10,9 @@ path and never enter the event log.
 into markets.  An `EventLog` holds the rows of its file: each market's
 events, then its censor row, so every row closes a spell that began at the
 market's previous row.  Each checks its invariants when it is built,
-whether by a simulator or by a CSV loader (which first checks the file's
-header row against the column names, and names the file in any error):
+whether by a simulator or by a CSV loader, which names the file in any
+error.  The header row names a data file's format: `read_data_file` reads
+either, `EventLog.from_csv` and `Panel.from_csv` their own.  The checks:
 array lengths agree, every market's rows are contiguous under an id of
 their own and, in an event log, end in its censor row, event times are
 finite, nonnegative and nondecreasing within a market (so no event follows
@@ -80,18 +81,20 @@ def in_data_file(path):
         raise InvalidArgumentError(f"data file {path}: {err}") from None
 
 
-def _read_columns(path, columns):
-    """C-contiguous columns of a CSV data file whose header row lists the
-    names of the dict ``columns``, parsed as its types.
+def _read_data(path, *formats):
+    """The `EventLog` or `Panel` in a CSV data file whose header row lists the
+    names of one of ``formats``, built from C-contiguous columns of their types.
 
-    An unreadable file, another header, a row with another field count, or a
-    field that does not parse raises `InvalidArgumentError` naming the file.
+    An unreadable file, another header, a row with another field count, a
+    field that does not parse or an invalid dataset raises `InvalidArgumentError`.
     """
     with in_data_file(path):
         try:
             with open(path) as handle:
                 header = [name.strip() for name in handle.readline().split(",")]
-            _require(header == list(columns), f"header {header}, expected {list(columns)}")
+            columns = next((names for names in formats if header == list(names)), None)
+            _require(columns, f"header {header}, expected "
+                     + " or ".join(str(list(names)) for names in formats))
             with warnings.catch_warnings():
                 # a header-only file is a valid empty dataset
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -103,7 +106,13 @@ def _read_columns(path, columns):
         except (OSError, ValueError) as err:
             raise InvalidArgumentError(f"cannot be read: {err}") from None
         # a field of the structured table is a strided view
-        return [np.ascontiguousarray(table[name]) for name in columns]
+        market_id, n, *rest = [np.ascontiguousarray(table[name]) for name in columns]
+        if columns is PANEL_COLUMNS:
+            return Panel(market_id, n, *rest)
+        log = EventLog(market_id, *rest)
+        _require(np.array_equal(n, log.index),
+                 "each market's n must read 1, 2, ... down to its censor row")
+        return log
 
 
 def _write_columns(path, columns, arrays):
@@ -194,12 +203,7 @@ class EventLog:
 
     @classmethod
     def from_csv(cls, path):
-        market_id, index, state, time, actor, action = _read_columns(path, EVENT_COLUMNS)
-        with in_data_file(path):
-            log = cls(market_id=market_id, state=state, time=time, actor=actor, action=action)
-            _require(np.array_equal(index, log.index),
-                     "each market's n must read 1, 2, ... down to its censor row")
-        return log
+        return _read_data(path, EVENT_COLUMNS)
 
 
 @dataclass
@@ -242,9 +246,12 @@ class Panel:
 
     @classmethod
     def from_csv(cls, path):
-        market_id, period, state = _read_columns(path, PANEL_COLUMNS)
-        with in_data_file(path):
-            return cls(market_id=market_id, period=period, state=state)
+        return _read_data(path, PANEL_COLUMNS)
+
+
+def read_data_file(path):
+    """The `EventLog` or `Panel` in a CSV data file, as its header row names."""
+    return _read_data(path, EVENT_COLUMNS, PANEL_COLUMNS)
 
 
 def consecutive_pairs(panel, k_total):

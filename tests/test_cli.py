@@ -100,7 +100,7 @@ class TestCliSimulateEstimate:
                            "--out", str(out / "sim"))
             assert code == 0
             code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                           "--sampling", sampling, "--data", str(out / "sim" / data),
+                           "--data", str(out / "sim" / data),
                            "--init", "frequency", "--stages", "15", "--out", str(out / "est"))
             assert code == 0
             with open(out / "est" / "estimate.csv", newline="") as handle:
@@ -120,7 +120,7 @@ class TestCliSimulateEstimate:
             outs = (tmp_path / sampling / "a", tmp_path / sampling / "b")
             for out in outs:
                 code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                               "--sampling", sampling, "--data", str(sim / data),
+                               "--data", str(sim / data),
                                "--init", "frequency", "--out", str(out))
                 assert code == 0
             for name in ("estimate.csv", "estimate_trace.json"):
@@ -479,6 +479,22 @@ class TestExitCodes:
         # rejected before any work: no partial artifacts
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("blocked", ["out", "out/ccp.csv"],
+                             ids=["out_is_a_file", "artifact_is_a_directory"])
+    def test_unusable_out_exits_two_naming_the_path(self, blocked, tmp_path, capsys):
+        out, path = tmp_path / "out", tmp_path / blocked
+        if path == out:
+            out.write_text("")
+        else:
+            path.mkdir(parents=True)
+        capsys.readouterr()
+        code = run_cli("solve", "--experiment", "1", "--scale", "desk", "--out", str(out))
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "InvalidArgumentError"
+        assert error["message"].startswith(f"cannot write {path}: ")
+
     @pytest.mark.parametrize("command, key, value", [
         ("solve", "rho", 1e-17),      # rho I - Q singular in the value solve
         ("solve", "lambda", 1e-300),  # singular stationary system
@@ -505,7 +521,7 @@ class TestExitCodes:
         (VALUE_OVERFLOW_GAME, ("solve",), "value equation"),
         (EXP_OVERFLOW_GAME, ("simulate", "--sampling", "discrete", "--markets", "5"),
          "squarings"),
-        (EXP_OVERFLOW_GAME, ("estimate", "--sampling", "discrete", "--data", "{tmp}/panel.csv"),
+        (EXP_OVERFLOW_GAME, ("estimate", "--data", "{tmp}/panel.csv"),
          "squarings"),
     ], ids=["value-solve", "exp-simulate", "exp-estimate"])
     def test_overflowing_kernel_exits_three(self, game, argv, message, tmp_path, capsys):
@@ -534,6 +550,9 @@ class TestExitCodes:
         ("solve", "--seed", "1"),
         ("simulate", "--replications", "2"),
         ("estimate", "--data", "{tmp}/panel.csv", "--markets", "5"),
+        # the data file's header row names its format
+        pytest.param(("estimate", "--data", "{tmp}/panel.csv", "--sampling", "continuous"),
+                     id="estimate-sampling"),
         ("diagnose", "--sampling", "discrete"),
         ("counterfactual", "--estimators", "CTNPL"),
     ], ids=lambda argv: argv[0])
@@ -563,7 +582,7 @@ class TestCliFlags:
         expected = {
             "solve": shared,
             "simulate": shared | {"--sampling", "--seed", "--markets"},
-            "estimate": shared | {"--sampling", "--seed", "--data", "--init", "--stages"},
+            "estimate": shared | {"--seed", "--data", "--init", "--stages"},
             "mc": shared | {"--sampling", "--seed", "--markets", "--replications",
                             "--estimators", "--verbose"},
             "diagnose": shared | {"--rn-grid"},
@@ -575,7 +594,7 @@ class TestCliFlags:
                         for option in action.option_strings} - {"-h", "--help"}
                  for name, parser in sub.choices.items()}
         assert flags == expected
-        assert sum(map(len, flags.values())) == 43
+        assert sum(map(len, flags.values())) == 42
 
 
 # Runs desk commands without a config file in one fresh process, then one
@@ -623,8 +642,7 @@ print(json.dumps([ctgames.cli.main([*argv, "--out", out + "/" + name])
 FRESH_PROCESS_COMMANDS = (
     ("solve", ["solve", "--experiment", "2", "--scale", "desk"]),
     ("diagnose", ["diagnose", "--experiment", "1", "--scale", "desk", "--rn-grid", "0,5"]),
-    ("estimate", ["estimate", "--experiment", "2", "--scale", "desk",
-                  "--sampling", "continuous", "--data", "{events}"]),
+    ("estimate", ["estimate", "--experiment", "2", "--scale", "desk", "--data", "{events}"]),
     ("mc", ["mc", "--experiment", "2", "--scale", "desk", "--replications", "3",
             "--markets", "100"]),
     ("paper", ["diagnose", "--experiment", "1", "--scale", "paper",
@@ -666,52 +684,48 @@ class TestFreshProcess:
 EVENTS_HEADER = "market_id,n,k,t,actor,action\n"
 # Each file breaks one data invariant of the K = 24, N = 3 desk game.
 BAD_DATA_FILES = {
-    "event_state_negative": ("continuous", EVENTS_HEADER
-                             + "0,1,-3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
-    "event_state_too_large": ("continuous", EVENTS_HEADER
-                              + "0,1,999,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
-    "event_actor_not_a_player": ("continuous", EVENTS_HEADER
-                                 + "0,1,3,0.5,7,1\n0,2,1,2.0,-2,-1\n"),
-    "events_without_censor_row": ("continuous", EVENTS_HEADER
+    "event_state_negative": EVENTS_HEADER + "0,1,-3,0.5,0,1\n0,2,1,2.0,-2,-1\n",
+    "event_state_too_large": EVENTS_HEADER + "0,1,999,0.5,0,1\n0,2,1,2.0,-2,-1\n",
+    "event_actor_not_a_player": EVENTS_HEADER + "0,1,3,0.5,7,1\n0,2,1,2.0,-2,-1\n",
+    "events_without_censor_row": (EVENTS_HEADER
                                   + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n1,1,3,0.4,0,1\n"),
     # every market is censored at t = 0
-    "events_without_observation_time": ("continuous", EVENTS_HEADER
-                                        + "0,1,0,0,-2,-1\n1,1,3,0,-2,-1\n"),
-    "panel_rows_interleaved": ("discrete",
-                               "market_id,n,k\n0,0,3\n0,1,4\n1,0,5\n0,2,6\n1,1,5\n"),
-    "non_numeric_field": ("discrete", "market_id,n,k\n0,0,3\n0,1,x\n"),
-    "short_row": ("continuous", EVENTS_HEADER + "0,1,3,0.5,0\n0,2,1,2.0,-2,-1\n"),
-    "missing_file": ("discrete", None),
-    "panel_without_header": ("discrete", "0,0,3\n0,1,4\n1,0,5\n1,1,5\n"),
-    "events_file_as_panel": ("discrete", EVENTS_HEADER
-                             + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,-1\n"),
-    "censor_action_not_minus_one": ("continuous", EVENTS_HEADER
-                                    + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,7\n"),
-    "censor_counter_repeats_last_event": ("continuous", EVENTS_HEADER
-                                          + "0,1,3,0.5,0,1\n0,1,1,2.0,-2,-1\n"),
+    "events_without_observation_time": EVENTS_HEADER + "0,1,0,0,-2,-1\n1,1,3,0,-2,-1\n",
+    "panel_rows_interleaved": "market_id,n,k\n0,0,3\n0,1,4\n1,0,5\n0,2,6\n1,1,5\n",
+    "non_numeric_field": "market_id,n,k\n0,0,3\n0,1,x\n",
+    "short_row": EVENTS_HEADER + "0,1,3,0.5,0\n0,2,1,2.0,-2,-1\n",
+    "missing_file": None,
+    "panel_without_header": "0,0,3\n0,1,4\n1,0,5\n1,1,5\n",
+    "unknown_header": "market_id,n,k,t\n0,0,3,0.5\n",
+    "censor_action_not_minus_one": EVENTS_HEADER + "0,1,3,0.5,0,1\n0,2,1,2.0,-2,7\n",
+    "censor_counter_repeats_last_event": EVENTS_HEADER + "0,1,3,0.5,0,1\n0,1,1,2.0,-2,-1\n",
     # market 0's censor row comes before its event; its n column is right
-    "censor_row_before_its_events": ("continuous", EVENTS_HEADER + "0,2,1,2.0,-2,-1\n"
+    "censor_row_before_its_events": (EVENTS_HEADER + "0,2,1,2.0,-2,-1\n"
                                      "0,1,3,0.5,0,1\n1,1,5,1.0,-2,-1\n"),
 }
+# A file with neither header row: the message names both.
+BOTH_HEADERS = ("expected ['market_id', 'n', 'k', 't', 'actor', 'action'] "
+                "or ['market_id', 'n', 'k']")
 
 
 class TestBadDataFiles:
     @pytest.mark.parametrize("name", sorted(BAD_DATA_FILES))
     def test_exits_two_with_one_json_line(self, name, tmp_path, capsys):
-        sampling, text = BAD_DATA_FILES[name]
+        text = BAD_DATA_FILES[name]
         path = tmp_path / "data.csv"
         if text is not None:
             path.write_text(text)
         capsys.readouterr()
         code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                       "--sampling", sampling, "--data", str(path),
-                       "--out", str(tmp_path / "out"))
+                       "--data", str(path), "--out", str(tmp_path / "out"))
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "InvalidArgumentError"
         assert error["message"].startswith(f"data file {path}: ")
+        if name in ("panel_without_header", "unknown_header"):
+            assert BOTH_HEADERS in error["message"]
         assert not (tmp_path / "out" / "estimate.csv").exists()
 
     def test_rewritten_counter_column_exits_two(self, tmp_path, capsys):
@@ -727,8 +741,7 @@ class TestBadDataFiles:
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = run_cli("estimate", "--experiment", "2", "--scale", "desk",
-                       "--sampling", "continuous", "--data", str(path),
-                       "--out", str(tmp_path / "out"))
+                       "--data", str(path), "--out", str(tmp_path / "out"))
         assert code == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert json.loads(err)["error"] == "InvalidArgumentError"
@@ -895,8 +908,8 @@ class TestEstimateStartFailures:
         events = tmp_path / "events.csv"
         events.write_text(EVENTS_HEADER + "0,1,0,0.5,0,1\n0,2,1,2.0,-2,-1\n1,1,0,1.0,-2,-1\n")
         capfd.readouterr()
-        code = run_quiet("estimate", "--config", str(path), "--sampling", "continuous",
-                         "--data", str(events), "--out", str(tmp_path / "out"))
+        code = run_quiet("estimate", "--config", str(path), "--data", str(events),
+                         "--out", str(tmp_path / "out"))
         out, err = capfd.readouterr()
         assert code == 3
         assert out == ""  # nothing from LAPACK either, which writes to the descriptor
@@ -912,7 +925,7 @@ class TestEstimateStartFailures:
         assert run_quiet("simulate", "--config", str(path), "--sampling", "continuous",
                          "--markets", "30", "--out", str(tmp_path / "sim")) == 0
         capfd.readouterr()
-        code = run_quiet("estimate", "--config", str(path), "--sampling", "continuous",
+        code = run_quiet("estimate", "--config", str(path),
                          "--data", str(tmp_path / "sim" / "events.csv"), "--init", "true",
                          "--out", str(tmp_path / "out"))
         (line,) = capfd.readouterr().err.splitlines()
@@ -960,10 +973,8 @@ PROPERTY_COMMANDS = (
     ("solve", ["solve"]),
     ("simd", ["simulate", "--sampling", "discrete", "--markets", "30"]),
     ("simc", ["simulate", "--sampling", "continuous", "--markets", "30"]),
-    ("estd", ["estimate", "--sampling", "discrete", "--data", "{work}/simd/panel.csv",
-              "--init", "{init}"]),
-    ("estc", ["estimate", "--sampling", "continuous", "--data", "{work}/simc/events.csv",
-              "--init", "{init}"]),
+    ("estd", ["estimate", "--data", "{work}/simd/panel.csv", "--init", "{init}"]),
+    ("estc", ["estimate", "--data", "{work}/simc/events.csv", "--init", "{init}"]),
     ("diag", ["diagnose", "--rn-grid", "0,1"]),
     ("cf", ["counterfactual", "--draws", "100"]),
     ("mcd", ["mc", "--sampling", "discrete", "--markets", "30", "--replications", "2"]),
@@ -1026,7 +1037,7 @@ DESK_CONFIG = experiment_spec(2, scale="desk").config
 
 @st.composite
 def desk_data_files(draw):
-    """Well-formed data files of the desk game, as (sampling, text): event
+    """The text of well-formed data files of the desk game: event
     files of 1-4 markets of 0-3 moves each (a firm's toggle or nature's
     demand level +-1) at exponential gaps times 10^u, u in [-300, 300], each
     market closed by its censor row; or panels of 1-4 markets of 1-3
@@ -1039,7 +1050,7 @@ def desk_data_files(draw):
         for m in range(draw(st.integers(1, 4))):
             for period, k in enumerate(draw(st.lists(state, min_size=1, max_size=3))):
                 rows.append(f"{m},{period},{k}\n")
-        return "discrete", "market_id,n,k\n" + "".join(rows)
+        return "market_id,n,k\n" + "".join(rows)
     gap = st.floats(0.0, 1.0, exclude_min=True).map(lambda v: -math.log(v))
     for m in range(draw(st.integers(1, 4))):
         scale, k, t = 10.0 ** draw(st.floats(-300, 300)), draw(state), 0.0
@@ -1054,7 +1065,7 @@ def desk_data_files(draw):
             actor, action, after = draw(st.sampled_from(moves))
             rows.append(f"{m},{index},{k},{t!r},{actor},{action}\n")
             k = after
-    return "continuous", EVENTS_HEADER + "".join(rows)
+    return EVENTS_HEADER + "".join(rows)
 
 
 class TestEveryDataFileEndsInADocumentedExit:
@@ -1062,15 +1073,14 @@ class TestEveryDataFileEndsInADocumentedExit:
     @settings(max_examples=40, phases=[Phase.explicit, Phase.generate],
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data_file=desk_data_files(), init=st.sampled_from(INIT_METHODS))
-    @example(data_file=("continuous", CARRIED_HESSIAN_EVENTS_CSV), init="frequency")
+    @example(data_file=CARRIED_HESSIAN_EVENTS_CSV, init="frequency")
     def test_estimate_exits_zero_with_finite_cells_or_one_json_line(self, data_file, init,
                                                                     tmp_path, capfd):
-        sampling, text = data_file
         work = Path(tempfile.mkdtemp(dir=tmp_path))
-        (work / "data.csv").write_text(text)
+        (work / "data.csv").write_text(data_file)
         capfd.readouterr()
         code = run_quiet("estimate", "--experiment", "2", "--scale", "desk",
-                         "--sampling", sampling, "--data", str(work / "data.csv"),
+                         "--data", str(work / "data.csv"),
                          "--init", init, "--out", str(work / "out"))
         out, err = capfd.readouterr()
         if code == 0:

@@ -176,6 +176,22 @@ class TestFrechet:
         p, _ = transition_matrix_pullback(q, 1.5)
         assert np.array_equal(p, transition_matrix(q, 1.5))
 
+    @pytest.mark.parametrize("k, scale, squarings", [(24, 0.5, 0), (160, 0.5, 0),
+                                                     (24, 60.0, 6)])
+    def test_derivative_is_the_pade_derivative_whatever_p_holds(self, rng, k, scale,
+                                                                squarings):
+        # with no squaring the Pade iterate the derivative reads is where
+        # `p` came from, so clipping it in place, or a caller's edit, once
+        # moved the derivative
+        q, delta = random_generator(rng, k, scale=scale), 1.5
+        assert markov._squarings(delta * q) == squarings
+        e = rng.normal(size=(k, k))
+        p, forward = transition_matrix_frechet(q, delta)
+        want = delta * _pade13(delta * q)[1](e)
+        assert np.array_equal(forward(e), want)
+        p[:] = np.nan
+        assert np.array_equal(forward(e), want)
+
 
 class TestUniformization:
     def test_zero_horizon_indicator(self, rng):

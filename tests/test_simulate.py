@@ -24,6 +24,7 @@ from ctgames.simulate import (
     EventLog,
     Panel,
     descriptive_stats,
+    read_data_file,
     sample_discrete,
     simulate_continuous,
     to_panel,
@@ -224,6 +225,16 @@ class TestSerialization:
         assert np.array_equal(panel.market_id, back.market_id)
         assert np.array_equal(panel.period, back.period)
         assert np.array_equal(panel.state, back.state)
+
+    def test_data_file_read_as_its_header_row_names(self, mini_game, tmp_path):
+        config, theta, ccp = mini_game
+        for data in (simulate_continuous(theta, ccp, config, 20, seed=17, events_per_market=3),
+                     sample_discrete(theta, ccp, config, 20, periods=2, seed=19)):
+            data.to_csv(tmp_path / "data.csv")
+            back = read_data_file(tmp_path / "data.csv")
+            assert type(back) is type(data)
+            for f in fields(data):
+                assert np.array_equal(getattr(back, f.name), getattr(data, f.name)), f.name
 
     def test_loaded_columns_are_contiguous(self, mini_game, tmp_path):
         config, theta, ccp = mini_game
